@@ -264,8 +264,7 @@ def fit_tail(run: FlowRun, side: int, window, params: FlowParams | None = None) 
     )
     if not span_ok:
         raise ConfigError("fit window outside the trajectory span")
-    a_vec = params.a_vec
-    sig_p = np.array([float(a_vec @ run.gp(side * m)) for m in ms])
+    sig_p = run.gp(side * ms) @ params.a_vec
 
     # stage 1: corrected mean
     mean_sp = float(np.trapezoid(sig_p, ms) / (ms[-1] - ms[0]))

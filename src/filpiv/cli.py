@@ -34,10 +34,25 @@ _DEF_THRESHOLDS = {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8}
 
 
 def _fmt(x) -> str:
-    """Fixed 17-significant-digit decimal rendering for CSV cells."""
-    if x is None:
+    """Fixed 17-significant-digit decimal rendering for CSV cells; an absent
+    value (None or NaN) is an empty cell."""
+    if x is None or math.isnan(x):
         return ""
     return format(float(x), ".17g")
+
+
+def _number(value, what: str, kind=float):
+    """value converted by kind; a ConfigError naming the key otherwise."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _pair(value, what: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be [lo, hi]")
+    return [_number(v, what) for v in value]
 
 
 def _canonical_json(obj) -> str:
@@ -63,17 +78,15 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     for key, val in raw.items():
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(cfg[key], dict) and isinstance(val, dict):
+        if isinstance(cfg[key], dict) and key != "initial":
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key} must be an object")
             for sub, sval in val.items():
-                if sub not in cfg[key] and key != "initial" and key != "connect":
+                if sub not in cfg[key]:
                     raise ConfigError(f"unknown config key {key}.{sub}")
                 cfg[key][sub] = sval
         else:
             cfg[key] = val
-    if raw.get("initial") is not None:
-        cfg["initial"] = raw["initial"]
-    if raw.get("connect") is not None:
-        cfg["connect"] = raw["connect"]
 
     if overrides.get("tol_rel") is not None:
         cfg["tolerances"]["rel"] = overrides["tol_rel"]
@@ -83,17 +96,18 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         s = abs(float(overrides["s_max"]))
         cfg["s_span"] = [-s, s]
 
-    span = cfg["s_span"]
-    if (not isinstance(span, (list, tuple))) or len(span) != 2 \
-            or not float(span[0]) < float(span[1]):
+    cfg["s_span"] = _pair(cfg["s_span"], "s_span")
+    if not cfg["s_span"][0] < cfg["s_span"][1]:
         raise ConfigError("s_span must be [lo, hi] with lo < hi")
-    cfg["s_span"] = [float(span[0]), float(span[1])]
     if cfg["fit_window"] is None:
         s_max = max(abs(cfg["s_span"][0]), abs(cfg["s_span"][1]))
         cfg["fit_window"] = [0.6 * s_max, s_max]
-    cfg["sample_step"] = float(cfg["sample_step"])
+    cfg["fit_window"] = _pair(cfg["fit_window"], "fit_window")
+    cfg["sample_step"] = _number(cfg["sample_step"], "sample_step")
     if not cfg["sample_step"] > 0.0:
         raise ConfigError("sample_step must be > 0")
+    cfg["thresholds"] = {k: _number(v, f"thresholds.{k}")
+                         for k, v in cfg["thresholds"].items()}
     return cfg
 
 
@@ -132,10 +146,13 @@ def _initial_state(cfg: dict, params: FlowParams):
 
 def _integrator_cfg(cfg: dict) -> IntegratorConfig:
     t = cfg["tolerances"]
-    return IntegratorConfig(
-        rel_tol=float(t["rel"]), abs_tol=float(t["abs"]),
-        max_steps=int(t["max_steps"]),
-    )
+    try:
+        return IntegratorConfig(
+            rel_tol=float(t["rel"]), abs_tol=float(t["abs"]),
+            max_steps=int(t["max_steps"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid tolerances {t}: {exc}") from exc
 
 
 def _run_flow(cfg: dict):
@@ -152,6 +169,28 @@ def _sample_grid(cfg: dict) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _x_grid(cfg: dict) -> np.ndarray:
+    g = cfg["x_grid"]
+    n = _number(g["n"], "x_grid.n", int)
+    if n < 1:
+        raise ConfigError("x_grid.n must be >= 1")
+    return np.linspace(_number(g["min"], "x_grid.min"),
+                       _number(g["max"], "x_grid.max"), n)
+
+
+def _t_values(cfg: dict) -> list[float]:
+    if not isinstance(cfg["t_values"], list):
+        raise ConfigError("t_values must be a list")
+    t_values = [_number(t, "t_values") for t in cfg["t_values"]]
+    if not all(t > 0.0 for t in t_values):
+        raise ConfigError("t values must be positive")
+    return t_values
+
+
+def _csv_rows(columns) -> list[str]:
+    return [",".join(_fmt(v) for v in row) for row in np.column_stack(columns)]
+
+
 def _meta(cfg: dict) -> dict:
     return {"version": __version__, "config": cfg}
 
@@ -166,26 +205,21 @@ def _csv_header_lines(cfg: dict) -> list[str]:
 
 def cmd_integrate(cfg: dict, out: Path) -> int:
     params, run = _run_flow(cfg)
-    grid = _sample_grid(cfg)
+    smp = run.sample(_sample_grid(cfg))
     cols = "s,G1,G2,G3,Gp1,Gp2,Gp3,sigma,sigma_p,sigma_pp,C,T,eps_drift,unit_drift"
-    lines = _csv_header_lines(cfg) + [cols]
-    for s in grid:
-        smp = run.sample(float(s))
-        row = [smp["s"], *smp["G"], *smp["Gp"], smp["sigma"], smp["sigma_p"],
-               smp["sigma_pp"], smp["C"], smp["T"], smp["eps_drift"],
-               smp["unit_drift"]]
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = _csv_header_lines(cfg) + [cols] + _csv_rows([
+        smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"],
+        smp["sigma_pp"], smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"],
+    ])
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
 
     drifts = run.drift_diagnostics()
-    legs = [leg for leg in (run.leg_minus, run.leg_plus) if leg is not None]
     diag = {
         **_meta(cfg),
         "drifts": drifts,
-        "n_steps": sum(leg.n_steps for leg in legs),
-        "n_rejected": sum(leg.n_rejected for leg in legs),
-        "rhs_evals": sum(leg.rhs_evals for leg in legs),
-        "pole_flags": [],
+        "n_steps": run.traj.n_steps,
+        "n_rejected": run.traj.n_rejected,
+        "rhs_evals": run.traj.rhs_evals,
     }
     _write_json(out / "diagnostics.json", diag)
     th = cfg["thresholds"]
@@ -212,7 +246,7 @@ def _tail_payload(fr: asympt.FitResult) -> dict:
 
 def cmd_fit(cfg: dict, out: Path) -> int:
     params, run = _run_flow(cfg)
-    window = tuple(float(v) for v in cfg["fit_window"])
+    window = tuple(cfg["fit_window"])
     fp = asympt.fit_tail(run, 1, window)
     fm = asympt.fit_tail(run, -1, window)
     res = asympt.connfI_residuals(fp.tail, fm.tail, params)
@@ -269,9 +303,9 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
     dev = np.zeros(3)
     repr_dev = np.zeros(3)
     parity = 0.0
-    for s in grid:
+    for s, gp in zip(grid, run.gp(grid)):
         hyp = zero_a.g_prime_hyp(float(s), zp, exact=True)
-        dev = np.maximum(dev, np.abs(hyp - run.gp(float(s))))
+        dev = np.maximum(dev, np.abs(hyp - gp))
         repr_dev = np.maximum(
             repr_dev, np.abs(hyp - zero_a.g_prime_pcf(float(s), zp, exact=True))
         )
@@ -302,7 +336,7 @@ def cmd_symmetric(cfg: dict, out: Path) -> int:
     om_c, rr_c = symmetric.conjecture_omega(params, branch)
     roots = symmetric.x_roots(params)
     _, run = _run_flow(cfg)
-    window = tuple(float(v) for v in cfg["fit_window"])
+    window = tuple(cfg["fit_window"])
     fits = {side: asympt.fit_tail(run, side, window) for side in (1, -1)}
     payload = {
         **_meta(cfg),
@@ -326,25 +360,18 @@ def cmd_symmetric(cfg: dict, out: Path) -> int:
 
 
 def cmd_filament(cfg: dict, out: Path) -> int:
+    x_grid = _x_grid(cfg)
+    t_values = _t_values(cfg)
     params, run = _run_flow(cfg)
-    g = cfg["x_grid"]
-    x_grid = np.linspace(float(g["min"]), float(g["max"]), int(g["n"]))
-    t_values = [float(t) for t in cfg["t_values"]]
-    if any(t <= 0.0 for t in t_values):
-        raise ConfigError("t values must be positive")
     curves = _flow.reconstruct_filament(run, t_values, x_grid)
     index = []
     for k, (t, curve) in enumerate(curves):
         name = f"filament_t{k}.csv"
-        lines = _csv_header_lines(cfg)
-        lines.append(f"# t: {_fmt(t)}")
-        lines.append("x,gamma1,gamma2,gamma3,curvature,torsion")
         rt = math.sqrt(t)
-        for x, pt in zip(x_grid, curve):
-            smp = run.sample(float(x) / rt)
-            tors = smp["T"] / rt if smp["T"] is not None else None
-            row = [x, pt[0], pt[1], pt[2], smp["C"] / rt, tors]
-            lines.append(",".join(_fmt(v) for v in row))
+        smp = run.sample(x_grid / rt)
+        lines = _csv_header_lines(cfg) + [
+            f"# t: {_fmt(t)}", "x,gamma1,gamma2,gamma3,curvature,torsion",
+        ] + _csv_rows([x_grid, curve, smp["C"] / rt, smp["T"] / rt])
         (out / name).write_text("\n".join(lines) + "\n")
         index.append({"t": t, "file": name})
     _write_json(out / "filament.json", {**_meta(cfg), "curves": index})
@@ -360,7 +387,8 @@ def cmd_selfcheck(cfg: dict, out: Path | None, include_planar: bool) -> int:
         payload = {
             "version": __version__,
             "results": [
-                {"name": r.name, "passed": r.passed, "details": r.details}
+                {"name": r.name, "passed": r.passed, "details": r.details,
+                 "measures": r.measures}
                 for r in results
             ],
         }

@@ -65,7 +65,7 @@ class IntegrandPoleError(NumericError):
     """Quadrature integrand has a pole inside the interval."""
 
 
-class RangeError(ConfigError):
+class RangeError(ConfigError, ValueError):
     """Requested point lies outside the trajectory span."""
 
 

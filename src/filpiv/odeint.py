@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxStepsExceededError, StepUnderflowError
+from .errors import MaxStepsExceededError, RangeError, StepUnderflowError
 
-__all__ = ["IntegratorConfig", "Trajectory", "integrate"]
+__all__ = ["IntegratorConfig", "Trajectory", "integrate", "integrate_span"]
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -48,6 +48,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
+_BLOCK = 4096  # dense-output points evaluated per batch
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -66,64 +68,76 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Dense, monotone-in-s solution record with quartic interpolation.
+    """Dense solution record over [s_nodes[0], s_nodes[-1]], possibly two-sided.
 
-    Node states are exact integrator output; between nodes the continuous
-    extension of the 5(4) pair is used (locally O(h^5) accurate).
+    Nodes are stored in ascending s.  Segment k spans [s_nodes[k],
+    s_nodes[k + 1]] and was taken as one integrator step from its origin node
+    origin[k] with signed width h[k]; q[k] holds the (dim, 4) coefficients of
+    the quartic continuous extension of the 5(4) pair (locally O(h^5)
+    accurate).  Node states are exact integrator output.
     """
 
-    def __init__(self, s_nodes, states, dense_q, err_norms, rhs_evals, n_rejected):
-        self.s_nodes = np.asarray(s_nodes)
-        self.states = np.asarray(states)
-        self._q = dense_q  # list of (dim, 4) arrays, one per step
-        self.err_norms = np.asarray(err_norms)
+    def __init__(self, s_nodes, states, origin, h, q, rhs_evals, n_rejected):
+        self.s_nodes = s_nodes
+        self.states = states
+        self.origin = origin
+        self.h = h
+        self.q = q
         self.rhs_evals = rhs_evals
         self.n_rejected = n_rejected
-        self.direction = 1.0 if self.s_nodes[-1] >= self.s_nodes[0] else -1.0
-
-    @property
-    def s_from(self) -> float:
-        return float(self.s_nodes[0])
-
-    @property
-    def s_to(self) -> float:
-        return float(self.s_nodes[-1])
 
     @property
     def n_steps(self) -> int:
-        return len(self.s_nodes) - 1
+        return len(self.h)
 
-    def _locate(self, s: float) -> int:
-        lo, hi = sorted((self.s_from, self.s_to))
-        if not (lo - 1e-12 <= s <= hi + 1e-12):
-            raise ValueError(f"s={s} outside trajectory span [{lo}, {hi}]")
-        grid = self.s_nodes if self.direction > 0 else self.s_nodes[::-1]
-        k = int(np.searchsorted(grid, s, side="right")) - 1
-        k = min(max(k, 0), self.n_steps - 1)
-        if self.direction < 0:
-            k = self.n_steps - 1 - k
-        return k
-
-    def state_at(self, s: float) -> np.ndarray:
-        s = float(s)
-        k = self._locate(s)
-        s0, s1 = self.s_nodes[k], self.s_nodes[k + 1]
-        if s == s0:
-            return self.states[k].copy()
-        if s == s1:
-            return self.states[k + 1].copy()
-        h = s1 - s0
-        theta = (s - s0) / h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.states[k] + h * (self._q[k] @ powers)
+    @staticmethod
+    def join(minus: "Trajectory", plus: "Trajectory") -> "Trajectory":
+        """The two-sided trajectory of a minus and a plus leg that share the
+        node s_nodes[-1] == plus.s_nodes[0]."""
+        shift = len(minus.s_nodes) - 1
+        return Trajectory(
+            np.concatenate([minus.s_nodes, plus.s_nodes[1:]]),
+            np.concatenate([minus.states, plus.states[1:]]),
+            np.concatenate([minus.origin, plus.origin + shift]),
+            np.concatenate([minus.h, plus.h]),
+            np.concatenate([minus.q, plus.q]),
+            minus.rhs_evals + plus.rhs_evals,
+            minus.n_rejected + plus.n_rejected,
+        )
 
     def states_at(self, s_values) -> np.ndarray:
-        return np.array([self.state_at(s) for s in np.atleast_1d(s_values)])
+        """States at s (any shape; result shape s.shape + (dim,)).
 
-    def segments(self):
-        """Yield (s0, s1) dense-output intervals in integration order."""
-        for k in range(self.n_steps):
-            yield float(self.s_nodes[k]), float(self.s_nodes[k + 1])
+        At a node the stored node state is returned exactly; elsewhere the
+        continuous extension of the containing segment is evaluated.
+        """
+        s = np.asarray(s_values, dtype=float)
+        lo, hi = self.s_nodes[0], self.s_nodes[-1]
+        if s.size and not (s.min() >= lo - 1e-12 and s.max() <= hi + 1e-12):
+            raise RangeError(f"s outside trajectory span [{lo}, {hi}]")
+        flat = np.clip(s.ravel(), lo, hi)
+        out = np.empty((flat.size, self.states.shape[1]))
+        # blocks bound the (n, dim, 4) coefficient gather
+        for i in range(0, flat.size, _BLOCK):
+            out[i:i + _BLOCK] = self._eval(flat[i:i + _BLOCK])
+        return out.reshape(s.shape + (-1,))
+
+    def state_at(self, s: float) -> np.ndarray:
+        return self.states_at(float(s))
+
+    def _eval(self, s: np.ndarray) -> np.ndarray:
+        # s lies in [s_nodes[0], s_nodes[-1]], so only the top end needs a clamp
+        k = np.minimum(np.searchsorted(self.s_nodes, s, side="right") - 1, self.n_steps - 1)
+        org = self.origin[k]
+        h = self.h[k]
+        theta = (s - self.s_nodes[org]) / h
+        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+        y = self.states[org] + h[:, None] * np.einsum("kij,kj->ki", self.q[k], powers)
+        left = s == self.s_nodes[k]
+        right = s == self.s_nodes[k + 1]
+        y[left] = self.states[k[left]]
+        y[right] = self.states[k[right] + 1]
+        return y
 
 
 def _error_norm(err, y0, y1, cfg):
@@ -179,7 +193,6 @@ def integrate(rhs, state0, s_from, s_to, cfg: IntegratorConfig | None = None,
     s_nodes = [s]
     states = [y.copy()]
     dense_q = []
-    err_norms = []
     n_rejected = 0
     err_prev = 1e-4
     k_stages = np.empty((7, y.size))
@@ -212,7 +225,6 @@ def integrate(rhs, state0, s_from, s_to, cfg: IntegratorConfig | None = None,
             s_new = s_to if (s + direction * h - s_to) * direction >= 0.0 else s + direction * h
             s_nodes.append(s_new)
             states.append(y_new.copy())
-            err_norms.append(err)
             s, y = s_new, y_new
             f = k_stages[6].copy()  # FSAL
             err_prev = max(err, 1e-10)
@@ -226,7 +238,24 @@ def integrate(rhs, state0, s_from, s_to, cfg: IntegratorConfig | None = None,
             f"max_steps={cfg.max_steps} exceeded at s={s} (target {s_to})"
         )
 
-    return Trajectory(
-        np.array(s_nodes), np.array(states), dense_q, np.array(err_norms),
-        rhs_evals, n_rejected,
-    )
+    s_nodes = np.array(s_nodes)
+    states = np.array(states)
+    q = np.array(dense_q)
+    h = np.diff(s_nodes)
+    origin = np.arange(len(h))
+    if direction < 0.0:
+        # ascending storage; each step starts at its right end
+        s_nodes, states, q, h = s_nodes[::-1], states[::-1], q[::-1], h[::-1]
+        origin = origin + 1
+    return Trajectory(s_nodes, states, origin, h, q, rhs_evals, n_rejected)
+
+
+def integrate_span(rhs, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = None,
+                   max_step_fn=None) -> Trajectory:
+    """Integrate from (s0, state0) to both ends of [s_min, s_max] and join
+    the legs into one trajectory."""
+    if not (s_min <= s0 <= s_max and s_min < s_max):
+        raise ValueError("need s_min <= s0 <= s_max and s_min < s_max")
+    legs = [integrate(rhs, state0, s0, end, cfg, max_step_fn)
+            for end in (s_min, s_max) if end != s0]
+    return legs[0] if len(legs) == 1 else Trajectory.join(*legs)

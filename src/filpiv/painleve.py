@@ -19,7 +19,7 @@ import numpy as np
 from . import flow as _flow
 from .errors import DenominatorVanishesError, InconsistentJetError
 from .flow import FlowParams, SigmaJet
-from .odeint import IntegratorConfig, integrate
+from .odeint import IntegratorConfig, Trajectory, integrate_span
 
 __all__ = [
     "PivParams",
@@ -59,7 +59,8 @@ class PivParams:
 
 
 def sp4_residual(jet: SigmaJet, params: FlowParams) -> float:
-    """Residual of the quadratic sigma equation at one jet."""
+    """Residual of the quadratic sigma equation at a jet (elementwise when
+    the jet's fields are arrays)."""
     s, sg, sp, spp = jet.s, jet.sigma, jet.sigma_p, jet.sigma_pp
     return (
         spp**2
@@ -83,35 +84,33 @@ def sigma_pppp(jet: SigmaJet, params: FlowParams) -> float:
 
 
 class SigmaPath:
-    """Dense sigma trajectory, backed either by the direct third-order
-    integration or by a full flow run."""
+    """Dense sigma trajectory: the state (sigma, sigma', sigma'') of the
+    direct third-order integration, or the sigma jet of a flow run."""
 
-    def __init__(self, params: FlowParams, traj=None, run: _flow.FlowRun | None = None):
+    def __init__(self, params: FlowParams, traj: Trajectory,
+                 run: _flow.FlowRun | None = None):
         self.params = params
-        self._traj = traj
+        self.traj = traj
         self._run = run
 
     @property
     def s_min(self) -> float:
-        if self._run is not None:
-            return self._run.s_min
-        return min(self._traj.s_from, self._traj.s_to)
+        return float(self.traj.s_nodes[0])
 
     @property
     def s_max(self) -> float:
-        if self._run is not None:
-            return self._run.s_max
-        return max(self._traj.s_from, self._traj.s_to)
+        return float(self.traj.s_nodes[-1])
 
-    def jet(self, s: float) -> SigmaJet:
+    def jet(self, s) -> SigmaJet:
+        """The jet at s; for an array s its fields are arrays."""
         if self._run is not None:
             return self._run.sigma_jet(s)
-        y = self._traj.state_at(s)
-        return SigmaJet(float(s), y[0], y[1], y[2])
+        y = self.traj.states_at(s)
+        return SigmaJet(s, y[..., 0], y[..., 1], y[..., 2])
 
     def residual_max(self, n: int = 200) -> float:
-        ss = np.linspace(self.s_min, self.s_max, n)
-        return max(abs(sp4_residual(self.jet(float(s)), self.params)) for s in ss)
+        jet = self.jet(np.linspace(self.s_min, self.s_max, n))
+        return float(np.max(np.abs(sp4_residual(jet, self.params))))
 
 
 def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorConfig | None = None) -> SigmaPath:
@@ -134,7 +133,7 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
     if abs(jet0.sigma_pp) < 1e-12:
         state0 = _flow.state_from_sigma_jet(jet0, params)
         run = _flow.integrate_flow(params, state0, s_lo, s_hi, cfg)
-        return SigmaPath(params, run=run)
+        return SigmaPath(params, run.traj, run)
 
     def rhs(s, y):
         sg, sp, spp = y
@@ -145,35 +144,8 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
     if not (s_lo <= jet0.s <= s_hi):
         raise InconsistentJetError("jet0.s must lie inside s_span")
-    # reuse the flow-style combination of one or two legs via FlowRun-like
-    # wrapping; here a simple pair of trajectories suffices
-    legs = []
-    if s_hi > jet0.s:
-        legs.append(integrate(rhs, y0, jet0.s, s_hi, cfg, _flow.default_max_step))
-    if s_lo < jet0.s:
-        legs.append(integrate(rhs, y0, jet0.s, s_lo, cfg, _flow.default_max_step))
-    traj = _TwoLeg(legs, jet0.s) if len(legs) == 2 else legs[0]
-    return SigmaPath(params, traj=traj)
-
-
-class _TwoLeg:
-    """Minimal two-sided dense wrapper for the direct sigma integration."""
-
-    def __init__(self, legs, s0):
-        self._plus = legs[0] if legs[0].s_to >= s0 else legs[1]
-        self._minus = legs[1] if legs[0].s_to >= s0 else legs[0]
-        self._s0 = s0
-
-    @property
-    def s_from(self):
-        return self._minus.s_to
-
-    @property
-    def s_to(self):
-        return self._plus.s_to
-
-    def state_at(self, s):
-        return (self._plus if s >= self._s0 else self._minus).state_at(s)
+    traj = integrate_span(rhs, y0, jet0.s, s_lo, s_hi, cfg, _flow.default_max_step)
+    return SigmaPath(params, traj)
 
 
 def _qp_pieces(jet: SigmaJet, params: FlowParams):

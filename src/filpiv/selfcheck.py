@@ -6,8 +6,6 @@ one pass/fail line with the worst measured values.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +67,11 @@ class CriterionResult:
     passed: bool
     details: str
     measures: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # plain Python types, so the result serializes to JSON
+        self.passed = bool(self.passed)
+        self.measures = {k: float(v) for k, v in self.measures.items()}
 
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.details}"
@@ -141,14 +144,6 @@ class RunCache:
         return self.get(("asym", cos_t, ang, s_max), build)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("FILPIV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def crit_conservation(cache: RunCache | None = None) -> CriterionResult:
     """Criterion: conservation suite over the (a, eps) grid at rel_tol 1e-12,
     |s| <= 40: unit-tangent drift <= 1e-10, eps drift <= 1e-9, scalar
@@ -160,31 +155,17 @@ def crit_conservation(cache: RunCache | None = None) -> CriterionResult:
             branch = "odd" if abs(eps) <= a else "mixed_minus"
             points.append((a, eps, branch))
 
-    def measure(point):
-        a, eps, branch = point
+    ss = np.linspace(-39.9, 39.9, 267)
+    bound = TOL_SP4_SCALE * (1.0 + np.abs(ss) ** 3)
+    worst = {"unit": 0.0, "eps": 0.0, "constraint": 0.0, "sp4_ratio": 0.0}
+    for a, eps, branch in points:
         run = cache.grid_run(a, eps, branch)
         d = run.drift_diagnostics()
-        params = run.params
-        res_ratio = 0.0
-        for s in np.linspace(-39.9, 39.9, 267):
-            jet = run.sigma_jet(float(s))
-            bound = TOL_SP4_SCALE * (1.0 + abs(s) ** 3)
-            res_ratio = max(res_ratio, abs(painleve.sp4_residual(jet, params)) / bound)
-        return d, res_ratio
-
-    n = _n_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=min(n, len(points))) as ex:
-            results = list(ex.map(measure, points))
-    else:
-        results = [measure(pt) for pt in points]
-
-    worst = {"unit": 0.0, "eps": 0.0, "constraint": 0.0, "sp4_ratio": 0.0}
-    for d, rr in results:
+        res = painleve.sp4_residual(run.sigma_jet(ss), run.params)
         worst["unit"] = max(worst["unit"], d["unit_drift_max"])
         worst["eps"] = max(worst["eps"], d["eps_drift_max"])
         worst["constraint"] = max(worst["constraint"], d["constraint_drift_max"])
-        worst["sp4_ratio"] = max(worst["sp4_ratio"], rr)
+        worst["sp4_ratio"] = max(worst["sp4_ratio"], float(np.max(np.abs(res) / bound)))
     ok = (
         worst["unit"] <= TOL_UNIT_DRIFT
         and worst["eps"] <= TOL_EPS_DRIFT
@@ -211,9 +192,9 @@ def crit_closed_form_equivalence(cache: RunCache | None = None) -> CriterionResu
     for eps in (0.5, 1.0, 2.0):
         run = cache.zero_a_run(eps)
         zp = zero_a.ZeroAParams(eps)
-        for s in grid:
+        for s, gp in zip(grid, run.gp(grid)):
             hyp = zero_a.g_prime_hyp(float(s), zp, exact=True)
-            worst_ode = max(worst_ode, float(np.max(np.abs(hyp - run.gp(float(s))))))
+            worst_ode = max(worst_ode, float(np.max(np.abs(hyp - gp))))
             pcf = zero_a.g_prime_pcf(float(s), zp, exact=True)
             worst_repr = max(worst_repr, float(np.max(np.abs(hyp - pcf))))
     ok = worst_ode <= TOL_CLOSED_FORM and worst_repr <= TOL_REPR_AGREE
@@ -229,7 +210,7 @@ def fit_limit_tangent(run, side: int, eps: float, window=(33.0, 47.0)) -> np.nda
     """Limiting tangent estimate: per-component LSQ of
     c + [p cos(Omega) + q sin(Omega)]/s + d/s^2 with Omega = s^2/4 + eps ln(s/2)."""
     ss = side * np.linspace(window[0], window[1], 500)
-    vals = np.array([run.gp(float(s)) for s in ss])
+    vals = run.gp(ss)
     om = 0.25 * ss**2 + eps * np.log(np.abs(ss) / 2.0)
     m = np.stack([np.ones_like(ss), np.cos(om) / ss, np.sin(om) / ss, 1.0 / ss**2],
                  axis=1)
@@ -377,15 +358,10 @@ def crit_cubic_truncation(cache: RunCache | None = None) -> CriterionResult:
     c2 = asympt.c2_coefficient(om, params)
     u = (eps + 6.0 * om) / 3.0
     ms = np.linspace(30.0, 45.0, 900)
-    resid = np.empty_like(ms)
-    phis = np.empty_like(ms)
-    a_vec = params.a_vec
-    for i, m in enumerate(ms):
-        sig = float(a_vec @ run.g(float(m)))
-        phi = 0.25 * m * m - 6.0 * om * math.log(m / math.sqrt(2.0)) + delta
-        lead = u * m + c2 / m + 4.0 * amp * math.sin(phi) / (m * m)
-        resid[i] = (sig - lead) * m**3
-        phis[i] = phi
+    sig = run.g(ms) @ params.a_vec
+    phis = 0.25 * ms * ms - 6.0 * om * np.log(ms / math.sqrt(2.0)) + delta
+    lead = u * ms + c2 / ms + 4.0 * amp * np.sin(phis) / (ms * ms)
+    resid = (sig - lead) * ms**3
     cols = np.stack([np.ones_like(ms), np.cos(phis), np.sin(phis)], axis=1)
     fitted = float(np.linalg.lstsq(cols, resid, rcond=None)[0][0])
     predicted = 8.0 * coeffs.D1

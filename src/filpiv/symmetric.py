@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchInfeasibleError, ConfigError
-from .flow import FlowParams, FlowState, make_initial_state
+from .flow import FlowParams, FlowState, axis_frame, make_initial_state
 
 __all__ = [
     "BRANCHES",
@@ -56,16 +56,6 @@ def branch_sigma_p0(params: FlowParams, branch: str) -> float:
     return {"odd": params.eps, "mixed_minus": -params.a, "mixed_plus": params.a}[branch]
 
 
-def _axis_frame(params: FlowParams):
-    e3 = np.asarray(params.axis)
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(float(trial @ e3)) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    e1 = trial - float(trial @ e3) * e3
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(e3, e1), e3
-
-
 def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:
     """Cauchy data at s = 0 for a symmetric solution.
 
@@ -77,7 +67,7 @@ def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:
     _check_branch(params, branch)
     if params.a <= 0.0:
         raise ConfigError("symmetric branches require a > 0")
-    e1, _, e3 = _axis_frame(params)
+    e1, _, e3 = axis_frame(params)
     if branch == "odd":
         cos_t = params.eps / params.a
         sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))

@@ -170,9 +170,9 @@ class TestFitTail:
             params = p
             s_min, s_max = -50.0, 50.0
 
-            def gp(self, s):
-                _, sig_p, _ = asympt.sigma_model(s, tail_true, coeffs, p)
-                return np.array([0.0, 0.0, sig_p])
+            def gp(self, s):  # s is the whole window grid
+                return np.array([[0.0, 0.0, asympt.sigma_model(si, tail_true, coeffs, p)[1]]
+                                 for si in s])
 
         fr = asympt.fit_tail(FakeRun(), 1, (24.0, 40.0))
         assert abs(fr.tail.omega - (-0.19)) <= 1e-4
@@ -205,7 +205,7 @@ class TestFitTail:
             s_min, s_max = -60.0, 60.0
 
             def gp(self, s):
-                return np.array([0.0, 0.0, 1.2])  # sigma' beyond a
+                return np.tile([0.0, 0.0, 1.2], (len(s), 1))  # sigma' beyond a
 
         with pytest.raises(OmegaOutOfBoundsError):
             asympt.fit_tail(FakeRun(), 1, (24.0, 45.0))

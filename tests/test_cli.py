@@ -63,12 +63,21 @@ class TestIntegrate:
         header, rows = read_csv(out / "trajectory.csv")
         cols = {name: rows[:, k] for k, name in enumerate(header)}
         assert np.max(np.abs(cols["C"])) <= 1e-10
-        assert np.all(np.isnan(cols["T"]))  # torsion absent, empty cells
+        assert np.all(np.isnan(cols["T"]))  # torsion absent
+        # absent torsion is an empty cell, not "nan"
+        body = [line for line in (out / "trajectory.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert all(line.split(",")[header.index("T")] == "" for line in body[1:])
+        assert main(["filament", "--config", line_config, "--out", str(out)]) == EXIT_OK
+        body = [line for line in (out / "filament_t0.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert all(line.endswith(",") for line in body[1:])
         assert np.max(np.abs(cols["eps_drift"])) <= 1e-12
         assert np.max(np.abs(cols["unit_drift"])) <= 1e-12
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["version"]
         assert diag["config"]["params"]["a"] == 1.0
+        assert "pole_flags" not in diag
 
     def test_zero_axis_curvature_columns(self, tmp_path, zero_a_config):
         out = tmp_path / "out"
@@ -106,6 +115,26 @@ class TestErrors:
         })
         assert main(["fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, extra, flags", [
+        ("integrate", {}, ["--tol-rel", "0"]),
+        ("integrate", {"tolerances": {"max_steps": "many"}}, []),
+        ("integrate", {"sample_step": "x"}, []),
+        ("filament", {"x_grid": {"n": "abc"}}, []),
+        ("filament", {"t_values": ["q"]}, []),
+        ("fit", {"fit_window": [1]}, []),
+        ("integrate", {"s_span": ["a", "b"]}, []),
+        ("integrate", {"thresholds": {"unit": "x"}}, []),
+    ])
+    def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
+                                              command, extra, flags):
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5}, "s_span": [-2.0, 2.0], **extra,
+        })
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
 
     def test_zero_a_rejects_nonzero_axis(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
@@ -259,24 +288,20 @@ class TestSelfcheckCommand:
         assert rc == 4
         assert "[FAIL] beta" in capsys.readouterr().out
 
-
-class TestThreadCap:
-    def test_env_var_respected(self, monkeypatch):
+    def test_real_criterion_report_is_json(self, tmp_path, monkeypatch, runs):
+        # numpy scalars from a real criterion must not reach the JSON writer
+        import filpiv.cli as cli_mod
         from filpiv import selfcheck as sc
-        monkeypatch.setenv("FILPIV_THREADS", "3")
-        assert sc._n_threads() == 3
-        monkeypatch.setenv("FILPIV_THREADS", "bogus")
-        assert sc._n_threads() == 1
 
-    def test_threaded_conservation_matches_serial(self, monkeypatch):
-        # shrink the grid so the comparison is cheap
-        from filpiv import selfcheck as sc
         monkeypatch.setattr(sc, "CONSERVATION_GRID_A", (0.5,))
-        serial = sc.crit_conservation(sc.RunCache())
-        monkeypatch.setenv("FILPIV_THREADS", "2")
-        threaded = sc.crit_conservation(sc.RunCache())
-        assert serial.passed and threaded.passed
-        assert serial.measures == threaded.measures
+        monkeypatch.setattr(cli_mod, "run_selfcheck",
+                            lambda **kw: [sc.crit_conservation(runs)])
+        out = tmp_path / "o"
+        assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
+        (entry,) = json.loads((out / "selfcheck.json").read_text())["results"]
+        assert entry["passed"] is True
+        assert set(entry["measures"]) == {"unit", "eps", "constraint", "sp4_ratio"}
+        assert entry["measures"]["sp4_ratio"] <= 1.0
 
 
 class TestMisc:

@@ -50,7 +50,7 @@ class TestMakeInitialState:
         st = flow.make_initial_state(p, gp0, gpp0, s0=2.0)
         w = np.cross(p.a_vec, st.g) + st.g
         assert float(w @ st.gp) == pytest.approx(2.0, abs=1e-13)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert np.allclose(gpp, gpp0, atol=1e-13)
 
     def test_inconsistent_eps_raises(self):
@@ -69,7 +69,7 @@ class TestMakeInitialState:
 class TestRhs:
     def test_trivial_line_second_derivative_vanishes(self):
         p, st = trivial_line_state(a=2.0, sign=1.0, s=3.0)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert np.allclose(gpp, 0.0, atol=1e-15)
 
     def test_gpp_orthogonal_to_gp(self):
@@ -80,7 +80,7 @@ class TestRhs:
             gp = rng.randn(3)
             gp /= np.linalg.norm(gp)
             st = flow.FlowState(g, gp, rng.uniform(-3, 3))
-            _, gpp = flow.flow_rhs(st, p)
+            gpp = flow.make_rhs(p)(st.s, st.y)[3:]
             assert abs(float(gpp @ gp)) < 1e-13 * max(1.0, np.linalg.norm(gpp))
 
     def test_curvature_norm_matches_conserved_relation(self):
@@ -95,7 +95,7 @@ class TestRhs:
             gpp0 = rng.uniform(0.1, 1.5) * perp
             p = flow.FlowParams(a, float(gpp0 @ gpp0) + a * gp0[2])
             st = flow.make_initial_state(p, gp0, gpp0)
-            _, gpp = flow.flow_rhs(st, p)
+            gpp = flow.make_rhs(p)(st.s, st.y)[3:]
             sig_p = float(p.a_vec @ st.gp)
             assert float(gpp @ gpp) == pytest.approx(p.eps - sig_p, abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestConservedEpsilon:
         st = flow.make_initial_state(p, [1, 0, 0], [0, 1, 0])
         direct = 0.25 * (float(st.g @ st.g) - st.s**2)
         assert flow.conserved_epsilon(st, p) == pytest.approx(direct, abs=1e-14)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert direct == pytest.approx(float(gpp @ gpp), abs=1e-13)
 
     def test_trivial_line_value(self):
@@ -161,7 +161,7 @@ class TestStateFromSigmaJet:
         jet = flow.SigmaJet(0.0, 0.0, 1.0, 0.0)  # mixed_plus-type data
         st = flow.state_from_sigma_jet(jet, p)
         assert np.allclose(st.gp, [0, 0, 1.0], atol=1e-14)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert float(gpp @ gpp) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -178,6 +178,31 @@ class TestCurvatureTorsion:
         for smp in flow.curvature_torsion(run, [-4.0, 0.5, 3.3]):
             assert smp.C == pytest.approx(0.0, abs=1e-10)
             assert smp.T is None
+
+
+class TestSample:
+    @pytest.mark.parametrize("case", ["odd", "line"])
+    def test_array_matches_scalar(self, runs, case):
+        if case == "odd":
+            run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
+        else:
+            p, st = trivial_line_state(a=1.0, sign=1.0)
+            run = flow.integrate_flow(p, st, -25.0, 25.0)
+        ss = np.linspace(-25.0, 25.0, 101)
+        cols = run.sample(ss)
+        for k, s in enumerate(ss):
+            one = run.sample(float(s))
+            for key in ("G", "Gp", "Gpp", "sigma", "sigma_p", "C"):
+                assert np.array_equal(cols[key][k], one[key]), key
+            for key in ("sigma", "sigma_p", "sigma_pp", "C", "eps_drift"):
+                assert type(one[key]) is float
+            if one["T"] is None:
+                assert math.isnan(cols["T"][k])
+            else:
+                assert cols["T"][k] == one["T"]
+            for key in ("eps_drift", "unit_drift", "constraint_drift"):
+                assert abs(cols[key][k] - one[key]) <= 1e-12, key
+        assert (case == "line") == all(math.isnan(t) for t in cols["T"])
 
 
 class TestSpherical:
@@ -197,7 +222,7 @@ class TestSpherical:
 
     @staticmethod
     def _spherical_traj(p, st, s_end, cfg):
-        gp, gpp = st.gp, flow.flow_rhs(st, p)[1]
+        gp, gpp = st.gp, flow.make_rhs(p)(st.s, st.y)[3:]
         theta = math.acos(gp[2])
         sin_t = math.sin(theta)
         theta_p = -gpp[2] / sin_t

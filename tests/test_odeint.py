@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from filpiv.odeint import IntegratorConfig, integrate
+from filpiv.odeint import IntegratorConfig, integrate, integrate_span
 from filpiv.errors import MaxStepsExceededError, StepUnderflowError
 
 
@@ -124,6 +124,35 @@ class TestDenseOutput:
         s0, s1 = traj.s_nodes[k], traj.s_nodes[k + 1]
         just_before = s1 - 1e-9 * (s1 - s0)
         assert np.max(np.abs(traj.state_at(just_before) - traj.states[k + 1])) < 1e-8
+
+    def test_joined_legs_match_per_point_reference(self):
+        # the two-sided trajectory, evaluated in one batch, reproduces each
+        # leg's per-point quartic evaluation bit for bit
+        def leg_state(leg, s):
+            k = min(max(int(np.searchsorted(leg.s_nodes, s, side="right")) - 1, 0),
+                    leg.n_steps - 1)
+            if s == leg.s_nodes[k]:
+                return leg.states[k]
+            if s == leg.s_nodes[k + 1]:
+                return leg.states[k + 1]
+            o, h = leg.origin[k], leg.h[k]
+            theta = (s - leg.s_nodes[o]) / h
+            powers = np.array([theta, theta**2, theta**3, theta**4])
+            return leg.states[o] + h * (leg.q[k] @ powers)
+
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        y0 = np.array([1.0, 0.0])
+        s0 = 0.5
+        minus = integrate(harmonic, y0, s0, -4.0, cfg)
+        plus = integrate(harmonic, y0, s0, 6.0, cfg)
+        both = integrate_span(harmonic, y0, s0, -4.0, 6.0, cfg)
+        assert both.n_steps == minus.n_steps + plus.n_steps
+        assert both.rhs_evals == minus.rhs_evals + plus.rhs_evals
+        ss = np.concatenate([both.s_nodes, np.linspace(-4.0, 6.0, 2001)])
+        assert {-4.0, s0, 6.0} <= set(both.s_nodes)
+        ref = np.array([leg_state(plus if s >= s0 else minus, s) for s in ss])
+        assert np.array_equal(both.states_at(ss), ref)
+        assert np.array_equal(both.states_at(ss[None, :]), ref[None])
 
     def test_max_step_fn_respected(self):
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)

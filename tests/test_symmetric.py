@@ -16,7 +16,7 @@ class TestInitialData:
         p = FlowParams(1.0, 0.0)
         st = symmetric.make_symmetric_ic(p, "odd")
         assert np.allclose(st.gp, [1.0, 0.0, 0.0], atol=1e-15)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert np.allclose(gpp, 0.0, atol=1e-15)
         assert np.allclose(st.g, 0.0, atol=1e-15)
 
@@ -24,7 +24,7 @@ class TestInitialData:
         p = FlowParams(1.0, 1.0)
         st = symmetric.make_symmetric_ic(p, "mixed_minus")
         assert np.allclose(st.gp, [0.0, 0.0, -1.0], atol=1e-15)
-        _, gpp = flow.flow_rhs(st, p)
+        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert float(np.linalg.norm(gpp)) == pytest.approx(math.sqrt(2.0), abs=1e-13)
         assert float(p.a_vec @ st.g) == pytest.approx(0.0, abs=1e-14)
 
