@@ -217,8 +217,9 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
     diag = {
         **_meta(cfg),
         "drifts": drifts,
+        "method": "taylor",
+        "order": run.traj.order,
         "n_steps": run.traj.n_steps,
-        "n_rejected": run.traj.n_rejected,
         "rhs_evals": run.traj.rhs_evals,
     }
     _write_json(out / "diagnostics.json", diag)

@@ -23,7 +23,7 @@ from .errors import (
     VanishingCurvatureError,
     ZeroAxisError,
 )
-from .odeint import IntegratorConfig, Trajectory, integrate_span
+from .odeint import ORDER, IntegratorConfig, Trajectory, integrate_span
 
 __all__ = [
     "FlowParams",
@@ -33,6 +33,7 @@ __all__ = [
     "FlowRun",
     "make_initial_state",
     "make_rhs",
+    "make_taylor",
     "axis_frame",
     "conserved_epsilon",
     "sigma_jet",
@@ -44,7 +45,6 @@ __all__ = [
     "phi_accumulate",
     "reconstruct_filament",
     "hasimoto_psi",
-    "default_max_step",
 ]
 
 DEFAULT_FLOW_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -53,7 +53,9 @@ DEFAULT_FLOW_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 # formula divides by C^2)
 C2_FLOOR = 1e-10
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre nodes per trajectory segment for the azimuth quadrature:
+# exact for the degree-(ORDER + 1) numerator s sigma' - sigma of a segment
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(ORDER // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,31 @@ def make_rhs(params: FlowParams):
         ])
 
     return rhs
+
+
+def make_taylor(params: FlowParams):
+    """Taylor coefficients (ORDER + 1, 6) of the flow about (s, y), from
+    W_k = a x G_k + G_k, T_{k+1} = sum_{j<=k} W_j x T_{k-j} / (2(k+1)) and
+    G_{k+1} = T_k / (k+1), with T = G'."""
+    a1, a2, a3 = params.a_vec
+    w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
+
+    def taylor(s, y):
+        c = np.empty((ORDER + 1, 6))
+        c[0] = y
+        g, t = c[:, :3], c[:, 3:]
+        w = np.empty((ORDER + 1, 3))
+        for k in range(ORDER):
+            w[k] = w_of_g @ g[k]
+            # p[i, l] = sum_j W_j[i] T_{k-j}[l]; the cross sum is its
+            # antisymmetric part
+            p = w[:k + 1].T @ t[k::-1]
+            t[k + 1] = (p[1, 2] - p[2, 1], p[2, 0] - p[0, 2], p[0, 1] - p[1, 0])
+            t[k + 1] /= 2.0 * (k + 1)
+            g[k + 1] = t[k] / (k + 1)
+        return c
+
+    return taylor
 
 
 def make_initial_state(params: FlowParams, gp0, gpp0, s0: float = 0.0) -> FlowState:
@@ -245,11 +272,6 @@ def state_from_sigma_jet(jet: SigmaJet, params: FlowParams) -> FlowState:
     return state
 
 
-def default_max_step(s: float) -> float:
-    """Step cap resolving the tail oscillation cos(s^2/4 - ...)."""
-    return min(0.1, 2.0 * math.pi / abs(s)) if s != 0.0 else 0.1
-
-
 class FlowRun:
     """One flow solution: its two-sided dense trajectory with diagnostics.
 
@@ -356,15 +378,13 @@ class FlowRun:
 
 
 def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
-                   s_max: float, cfg: IntegratorConfig | None = None,
-                   max_step_fn=default_max_step) -> FlowRun:
+                   s_max: float, cfg: IntegratorConfig | None = None) -> FlowRun:
     """Integrate the flow from state0 over [s_min, s_max] (both directions)."""
     if cfg is None:
         cfg = DEFAULT_FLOW_CFG
     if not (s_min <= state0.s <= s_max and s_min < s_max):
         raise ConfigError("need s_min <= state0.s <= s_max and s_min < s_max")
-    traj = integrate_span(make_rhs(params), state0.y, state0.s, s_min, s_max,
-                          cfg, max_step_fn)
+    traj = integrate_span(make_taylor(params), state0.y, state0.s, s_min, s_max, cfg)
     return FlowRun(params, traj)
 
 

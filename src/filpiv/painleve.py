@@ -19,7 +19,7 @@ import numpy as np
 from . import flow as _flow
 from .errors import DenominatorVanishesError, InconsistentJetError
 from .flow import FlowParams, SigmaJet
-from .odeint import IntegratorConfig, Trajectory, integrate_span
+from .odeint import ORDER, IntegratorConfig, Trajectory, integrate_span
 
 __all__ = [
     "PivParams",
@@ -135,17 +135,37 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
         run = _flow.integrate_flow(params, state0, s_lo, s_hi, cfg)
         return SigmaPath(params, run.traj, run)
 
-    def rhs(s, y):
-        sg, sp, spp = y
-        dspp = 0.5 * (3.0 * sp**2 - 2.0 * params.eps * sp - params.a**2) \
-            - 0.25 * s * (s * sp - sg)
-        return np.array([sp, spp, dspp])
-
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
     if not (s_lo <= jet0.s <= s_hi):
         raise InconsistentJetError("jet0.s must lie inside s_span")
-    traj = integrate_span(rhs, y0, jet0.s, s_lo, s_hi, cfg, _flow.default_max_step)
+    traj = integrate_span(_sp4_taylor(params), y0, jet0.s, s_lo, s_hi, cfg)
     return SigmaPath(params, traj)
+
+
+def _sp4_taylor(params: FlowParams):
+    """Taylor coefficients (ORDER + 1, 3) of y = (u, p, r) = (sigma, sigma',
+    sigma'') about (s0, y) for r' = (3 p^2 - 2 eps p - a^2)/2 - s Q / 4 with
+    Q = s p - u and s = s0 + t: Q_k = s0 p_k + p_{k-1} - u_k and
+    (s Q)_k = s0 Q_k + Q_{k-1}."""
+    eps, half_a2 = params.eps, 0.5 * params.a**2
+
+    def taylor(s0, y):
+        c = np.empty((ORDER + 1, 3))
+        c[0] = y
+        u, p, r = c.T
+        q_prev = p_prev = 0.0  # Q_{k-1}, p_{k-1}
+        for k in range(ORDER):
+            q_k = s0 * p[k] + p_prev - u[k]
+            f = 1.5 * float(p[:k + 1] @ p[k::-1]) - eps * p[k] - 0.25 * (s0 * q_k + q_prev)
+            if k == 0:
+                f -= half_a2
+            u[k + 1] = p[k] / (k + 1)
+            p[k + 1] = r[k] / (k + 1)
+            r[k + 1] = f / (k + 1)
+            q_prev, p_prev = q_k, p[k]
+        return c
+
+    return taylor
 
 
 def _qp_pieces(jet: SigmaJet, params: FlowParams):

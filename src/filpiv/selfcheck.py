@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asympt, painleve, symmetric, zero_a
-from . import flow as _flow
 from .flow import FlowParams, integrate_flow, make_initial_state
 from .odeint import IntegratorConfig
 
@@ -81,14 +80,6 @@ def _acc_cfg(rel: float = 1e-12) -> IntegratorConfig:
     return IntegratorConfig(rel_tol=rel, abs_tol=1e-14)
 
 
-def _grid_step_cap(a: float):
-    # large axis strengths need a finer absolute cap to hold the eps drift
-    # at the 1e-9 level (truncation-dominated at rel_tol 1e-12)
-    if a >= 5.0:
-        return lambda s: min(_flow.default_max_step(s), 1e-3)
-    return _flow.default_max_step
-
-
 def symmetric_run_state(a: float, eps: float, branch: str):
     params = FlowParams(a, eps)
     return params, symmetric.make_symmetric_ic(params, branch)
@@ -123,10 +114,7 @@ class RunCache:
                  rel: float = 1e-12):
         def build():
             params, st = symmetric_run_state(a, eps, branch)
-            return integrate_flow(
-                params, st, -s_max, s_max, _acc_cfg(rel),
-                max_step_fn=_grid_step_cap(a),
-            )
+            return integrate_flow(params, st, -s_max, s_max, _acc_cfg(rel))
         return self.get(("grid", a, eps, branch, s_max, rel), build)
 
     def zero_a_run(self, eps: float, s_max: float = 48.0):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from filpiv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from filpiv.odeint import ORDER
 
 
 def run_cli(*args):
@@ -78,6 +79,10 @@ class TestIntegrate:
         assert diag["version"]
         assert diag["config"]["params"]["a"] == 1.0
         assert "pole_flags" not in diag
+        assert diag["method"] == "taylor"
+        assert diag["order"] == ORDER
+        assert "n_rejected" not in diag
+        assert diag["rhs_evals"] == diag["n_steps"] >= 1
 
     def test_zero_axis_curvature_columns(self, tmp_path, zero_a_config):
         out = tmp_path / "out"

@@ -4,10 +4,12 @@ the complex envelope."""
 
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from filpiv import flow
+from filpiv import flow, symmetric
 from filpiv.errors import (
     ChartSingularityError,
     InconsistentCauchyDataError,
@@ -15,7 +17,8 @@ from filpiv.errors import (
     RangeError,
     ZeroAxisError,
 )
-from filpiv.odeint import IntegratorConfig, integrate
+from filpiv.odeint import IntegratorConfig
+from filpiv.selfcheck import TOL_CONSTRAINT_DRIFT, TOL_EPS_DRIFT, TOL_UNIT_DRIFT
 
 
 def trivial_line_state(a=1.0, sign=-1.0, s=0.0):
@@ -98,6 +101,22 @@ class TestRhs:
             gpp = flow.make_rhs(p)(st.s, st.y)[3:]
             sig_p = float(p.a_vec @ st.gp)
             assert float(gpp @ gpp) == pytest.approx(p.eps - sig_p, abs=1e-12)
+
+    def test_taylor_coefficients_match_derivatives(self):
+        # c_1 = (G', G'') and 2 c_2 = (G'', G'''), with the third derivative
+        # (a x G' + G') x G' / 2 + W x G'' / 2
+        rng = np.random.RandomState(6)
+        axis = rng.randn(3)
+        p = flow.FlowParams(1.7, 0.4, tuple(axis / np.linalg.norm(axis)))
+        st = flow.FlowState(rng.randn(3), rng.randn(3), 0.8)
+        c = flow.make_taylor(p)(st.s, st.y)
+        f = flow.make_rhs(p)(st.s, st.y)
+        assert np.array_equal(c[0], st.y)
+        assert np.allclose(c[1], f, rtol=0.0, atol=1e-14)
+        g, gp, gpp = st.g, st.gp, f[3:]
+        w = np.cross(p.a_vec, g) + g
+        gppp = 0.5 * np.cross(np.cross(p.a_vec, gp) + gp, gp) + 0.5 * np.cross(w, gpp)
+        assert np.allclose(2.0 * c[2], np.concatenate([gpp, gppp]), rtol=0.0, atol=1e-13)
 
 
 class TestConservedEpsilon:
@@ -221,7 +240,10 @@ class TestSpherical:
             flow.spherical_rhs(1e-12, 0.1, 0.1, 1.0, p)
 
     @staticmethod
-    def _spherical_traj(p, st, s_end, cfg):
+    def _spherical_states(p, st, s_points):
+        """States (theta, theta', phi, phi') of the spherical chart at
+        s_points, s_points[0] = st.s, by classical RK4 with equal substeps of
+        at most 5e-4 between consecutive points."""
         gp, gpp = st.gp, flow.make_rhs(p)(st.s, st.y)[3:]
         theta = math.acos(gp[2])
         sin_t = math.sin(theta)
@@ -234,8 +256,20 @@ class TestSpherical:
             th_pp, ph_pp = flow.spherical_rhs(th, th_p, ph_p, s, p)
             return np.array([th_p, th_pp, ph_p, ph_pp])
 
-        return integrate(rhs, np.array([theta, theta_p, phi, phi_p]),
-                         st.s, s_end, cfg)
+        y = np.array([theta, theta_p, phi, phi_p])
+        out = [y]
+        for s_a, s_b in zip(s_points[:-1], s_points[1:]):
+            n = max(1, math.ceil(abs(s_b - s_a) / 5e-4))
+            h = (s_b - s_a) / n
+            for i in range(n):
+                s = s_a + i * h
+                k1 = rhs(s, y)
+                k2 = rhs(s + h / 2, y + h / 2 * k1)
+                k3 = rhs(s + h / 2, y + h / 2 * k2)
+                k4 = rhs(s + h, y + h * k3)
+                y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out.append(y)
+        return np.array(out)
 
     def test_cross_check_against_cartesian(self):
         p = flow.FlowParams(1.0, 0.3)
@@ -248,10 +282,10 @@ class TestSpherical:
         )
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         cart = flow.integrate_flow(p, st, 0.0, 10.0, cfg)
-        sph = self._spherical_traj(p, st, 10.0, cfg)
+        ss = np.linspace(0.5, 10.0, 25)
+        sph = self._spherical_states(p, st, np.concatenate([[st.s], ss]))[1:]
         worst = 0.0
-        for s in np.linspace(0.5, 10.0, 25):
-            th, _, ph, _ = sph.state_at(float(s))
+        for s, (th, _, ph, _) in zip(ss, sph):
             gp_sph = np.array([
                 math.cos(ph) * math.sin(th), math.sin(ph) * math.sin(th),
                 math.cos(th),
@@ -268,12 +302,8 @@ class TestSpherical:
             p, [sin_t, 0, cos_t],
             gpp_norm * np.array([-cos_t * 0.6, 0.8, sin_t * 0.6]),
         )
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-        sph = self._spherical_traj(p, st, 8.0, cfg)
-        vals = [
-            flow.spherical_epsilon(*sph.state_at(float(s))[[0, 1, 3]], p)
-            for s in np.linspace(0.0, 8.0, 30)
-        ]
+        sph = self._spherical_states(p, st, np.linspace(0.0, 8.0, 30))
+        vals = [flow.spherical_epsilon(*y[[0, 1, 3]], p) for y in sph]
         assert max(abs(v - p.eps) for v in vals) <= 1e-9
 
 
@@ -400,3 +430,20 @@ class TestPropagatedIdentities:
         for key in ((1.0, 0.5, "odd"), (2.0, 4.0, "mixed_minus")):
             run = runs.grid_run(*key, s_max=25.0)
             assert run.drift_diagnostics()["monitored_inequality_max"] <= 1e-9
+
+
+class TestAdmissibleRegion:
+    @given(hst.sampled_from(symmetric.BRANCHES), hst.floats(0.05, 10.0),
+           hst.floats(0.0, 1.0))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_drifts_within_pinned_bounds(self, branch, a, u):
+        # eps spans the branch's admissible range: |eps| <= a (odd),
+        # eps >= -a (mixed_minus), eps >= a (mixed_plus), up to 2a + 1
+        lo = {"odd": -a, "mixed_minus": -a, "mixed_plus": a}[branch]
+        hi = a if branch == "odd" else 2.0 * a + 1.0
+        p = flow.FlowParams(a, lo + u * (hi - lo))
+        run = flow.integrate_flow(p, symmetric.make_symmetric_ic(p, branch), -40.0, 40.0)
+        smp = run.sample(np.arange(-800, 801) * 0.05)
+        assert np.max(np.abs(smp["eps_drift"])) <= TOL_EPS_DRIFT
+        assert np.max(smp["unit_drift"]) <= TOL_UNIT_DRIFT
+        assert np.max(np.abs(smp["constraint_drift"])) <= TOL_CONSTRAINT_DRIFT

@@ -1,20 +1,40 @@
-"""Integrator tests: exact solutions, conservation, order, dense output."""
+"""Integrator tests: exact solutions, conservation, the step-size rule, dense
+output."""
 
 import math
 
 import numpy as np
 import pytest
 
-from filpiv.odeint import IntegratorConfig, integrate, integrate_span
+from filpiv.odeint import ORDER, IntegratorConfig, integrate, integrate_span
 from filpiv.errors import MaxStepsExceededError, StepUnderflowError
 
 
-def decay(s, y):
-    return -y
+def expansion(next_coeff):
+    """Coefficient function of the recurrence c[k + 1] = next_coeff(c, k, s)."""
+    def taylor(s, y):
+        c = np.zeros((ORDER + 1, len(y)))
+        c[0] = y
+        for k in range(ORDER):
+            c[k + 1] = next_coeff(c, k, s)
+        return c
+    return taylor
 
 
-def harmonic(s, y):
-    return np.array([y[1], -y[0]])
+decay = expansion(lambda c, k, s: -c[k] / (k + 1))                   # y' = -y
+harmonic = expansion(lambda c, k, s: np.array([c[k, 1], -c[k, 0]]) / (k + 1))
+square = expansion(lambda c, k, s: c[:k + 1, 0] @ c[k::-1, 0] / (k + 1))  # y' = y^2
+
+
+def _forcing(s, k):
+    # Taylor coefficient k about s of the forcing f(s) = s - s^3 / 20
+    return (s - s**3 / 20.0, 1.0 - 3.0 * s * s / 20.0, -3.0 * s / 20.0, -1.0 / 20.0,
+            0.0)[min(k, 4)]
+
+
+# x'' = -x - 0.3 x' + f(s)
+forced = expansion(lambda c, k, s: np.array(
+    [c[k, 1], -c[k, 0] - 0.3 * c[k, 1] + _forcing(s, k)]) / (k + 1))
 
 
 class TestBasics:
@@ -42,49 +62,53 @@ class TestBasics:
     def test_pole_triggers_step_underflow(self):
         # y' = y^2 blows up at s = 1
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=100000)
-        with pytest.raises(StepUnderflowError):
-            integrate(lambda s, y: y * y, np.array([1.0]), 0.0, 2.0, cfg)
+        with pytest.raises(StepUnderflowError) as exc:
+            integrate(square, np.array([1.0]), 0.0, 2.0, cfg)
+        assert exc.value.s == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             integrate(decay, np.array([1.0]), 0.5, 0.5)
 
+    def test_every_step_accepted(self):
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 30.0)
+        assert traj.n_rejected == 0
+        assert traj.rhs_evals == traj.n_steps
+        assert traj.order == ORDER
+
+
+class TestStepSize:
+    def test_rule_from_last_two_coefficients(self):
+        # decay from y = 1: |c_k| = 1/k!, tol = abs_tol + rel_tol
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        traj = integrate(decay, np.array([1.0]), 0.0, 50.0, cfg)
+        tol = cfg.abs_tol + cfg.rel_tol
+        h = 0.9 * min((tol * math.factorial(j)) ** (1.0 / j) for j in (ORDER - 1, ORDER))
+        assert traj.s_nodes[1] == pytest.approx(h, rel=1e-12)
+
+    def test_polynomial_solution_in_one_step(self):
+        # y' = 3 s^2 has the cubic solution: the expansion terminates, so the
+        # step reaches the end of the span at once
+        cubic = expansion(lambda c, k, s: (3.0 * s * s, 6.0 * s, 3.0, 0.0)[min(k, 3)]
+                          / (k + 1))
+        traj = integrate(cubic, np.array([0.0]), 0.0, 7.0)
+        assert traj.n_steps == 1
+        assert traj.state_at(7.0)[0] == pytest.approx(343.0, rel=1e-15)
+        assert traj.state_at(2.0)[0] == pytest.approx(8.0, rel=1e-15)
+
 
 class TestAccuracy:
     def test_order_via_tolerance_halving(self):
-        # error should scale roughly like tol when the controller tracks it
-        def rhs(s, y):
-            return np.array([y[1], -math.sin(s) - 0.3 * y[0]])
-
+        # error should scale roughly like tol when the step rule tracks it
+        ref_cfg = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+        ref = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, ref_cfg)
         errs = []
         for tol in (1e-6, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
-            traj = integrate(rhs, np.array([0.2, -0.1]), 0.0, 12.0, cfg)
-            ref_cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
-            ref = integrate(rhs, np.array([0.2, -0.1]), 0.0, 12.0, ref_cfg)
+            traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, cfg)
             errs.append(np.max(np.abs(traj.state_at(12.0) - ref.state_at(12.0))))
         assert errs[1] < errs[0] * 0.1
         assert errs[2] < errs[1] * 0.1
-
-    def test_richardson_step_halving_consistency(self):
-        # integrating with max_step h and h/2 at loose tolerance: the error
-        # against a tight reference should drop consistent with order 5
-        def rhs(s, y):
-            return np.array([math.cos(2 * s) * y[0]])
-
-        ref = integrate(
-            rhs, np.array([1.0]), 0.0, 3.0,
-            IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15),
-        ).state_at(3.0)[0]
-
-        def err_with_h(h):
-            cfg = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2, max_step=h)
-            traj = integrate(rhs, np.array([1.0]), 0.0, 3.0, cfg)
-            return abs(traj.state_at(3.0)[0] - ref)
-
-        e1, e2 = err_with_h(0.075), err_with_h(0.0375)
-        order = math.log2(e1 / e2)
-        assert 4.0 <= order <= 6.5
 
     def test_reversibility(self):
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -116,8 +140,7 @@ class TestDenseOutput:
             traj.state_at(1.5)
 
     def test_interpolant_endpoint_consistency(self):
-        # row sums of the dense matrix reproduce the propagating weights,
-        # so theta -> 1 approaches the next node state
+        # the step's polynomial at theta -> 1 approaches the next node state
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 5.0, cfg)
         k = traj.n_steps // 2
@@ -125,9 +148,16 @@ class TestDenseOutput:
         just_before = s1 - 1e-9 * (s1 - s0)
         assert np.max(np.abs(traj.state_at(just_before) - traj.states[k + 1])) < 1e-8
 
+    def test_unsorted_read_matches_sorted(self):
+        traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0)
+        ss = np.random.default_rng(7).uniform(0.0, 12.0, 500)
+        order = np.argsort(ss)
+        assert np.array_equal(traj.states_at(ss)[order], traj.states_at(ss[order]))
+        assert traj.states_at(np.array([])).shape == (0, 2)
+
     def test_joined_legs_match_per_point_reference(self):
         # the two-sided trajectory, evaluated in one batch, reproduces each
-        # leg's per-point quartic evaluation bit for bit
+        # leg's polynomial summed point by point in ascending powers, bit for bit
         def leg_state(leg, s):
             k = min(max(int(np.searchsorted(leg.s_nodes, s, side="right")) - 1, 0),
                     leg.n_steps - 1)
@@ -137,8 +167,13 @@ class TestDenseOutput:
                 return leg.states[k + 1]
             o, h = leg.origin[k], leg.h[k]
             theta = (s - leg.s_nodes[o]) / h
-            powers = np.array([theta, theta**2, theta**3, theta**4])
-            return leg.states[o] + h * (leg.q[k] @ powers)
+            y = np.zeros(leg.states.shape[1])
+            power = 1.0
+            for j, coeff in enumerate(leg.coeffs[k]):
+                if j:
+                    power = power * theta
+                y = y + power * coeff
+            return y
 
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         y0 = np.array([1.0, 0.0])
@@ -153,13 +188,3 @@ class TestDenseOutput:
         ref = np.array([leg_state(plus if s >= s0 else minus, s) for s in ss])
         assert np.array_equal(both.states_at(ss), ref)
         assert np.array_equal(both.states_at(ss[None, :]), ref[None])
-
-    def test_max_step_fn_respected(self):
-        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
-        traj = integrate(
-            harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg,
-            max_step_fn=lambda s: 0.05 if s > 5 else 1.0,
-        )
-        widths = np.diff(traj.s_nodes)
-        tail = widths[traj.s_nodes[:-1] > 5.0]
-        assert np.max(tail) <= 0.05 + 1e-12

@@ -67,6 +67,20 @@ class TestSigmaDerivatives:
             val = painleve.sigma_pppp(run.sigma_jet(s), p)
             assert val == pytest.approx(fd, abs=1e-6 * max(1.0, abs(val)))
 
+    def test_direct_taylor_coefficients_match_jets(self):
+        # the recurrence of the direct integrator: 6 c_3 and 24 c_4 of sigma
+        # are the third and fourth derivatives of the quadratic equation
+        p = FlowParams(1.3, 0.4)
+        for s, y in ((0.0, (0.2, 0.5, -0.7)), (-6.5, (3.1, -0.4, 1.2)),
+                     (11.0, (-2.0, 0.9, 0.3))):
+            jet = SigmaJet(s, *y)
+            c = painleve._sp4_taylor(p)(s, np.array(y))
+            sppp = painleve.sigma_ppp(jet, p)
+            assert np.array_equal(c[0], y)
+            assert np.allclose(c[1], [y[1], y[2], sppp], rtol=1e-14, atol=0.0)
+            assert 6.0 * c[3, 0] == pytest.approx(sppp, rel=1e-13)
+            assert 24.0 * c[4, 0] == pytest.approx(painleve.sigma_pppp(jet, p), rel=1e-13)
+
 
 class TestSp4Integrate:
     def test_odd_start_uses_flow_fallback(self, runs):
