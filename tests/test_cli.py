@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from filpiv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from filpiv.cli import (_CSV_BLOCK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _fmt,
+                        _write_csv, main)
 from filpiv.odeint import ORDER
 
 
@@ -83,6 +84,7 @@ class TestIntegrate:
         assert diag["order"] == ORDER
         assert "n_rejected" not in diag
         assert diag["rhs_evals"] == diag["n_steps"] >= 1
+        assert 0.0 < diag["step_min"] <= diag["step_median"] <= diag["step_max"] <= 20.0
 
     def test_zero_axis_curvature_columns(self, tmp_path, zero_a_config):
         out = tmp_path / "out"
@@ -100,6 +102,39 @@ class TestIntegrate:
         assert r1.returncode == r2.returncode == EXIT_OK
         for name in ("trajectory.csv", "diagnostics.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_filament_rerun_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5},
+            "initial": {"branch": "odd"},
+            "s_span": [-6.0, 6.0],
+            "t_values": [1.0, 2.5],
+            "x_grid": {"min": -4.0, "max": 4.0, "n": 401},
+        })
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        r1 = run_cli("filament", "--config", cfg, "--out", str(out1))
+        r2 = run_cli("filament", "--config", cfg, "--out", str(out2))
+        assert r1.returncode == r2.returncode == EXIT_OK
+        for name in ("filament_t0.csv", "filament_t1.csv", "filament.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_matches_per_cell_reference(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 9)) * 10.0 ** rng.integers(-30, 30, (n_rows, 9))
+        table[0] = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e300, 3.0, -42.0]
+        table[1::7, 2] = np.round(table[1::7, 2] * 1e-20)
+        table[::3, 4] = math.nan
+        table[-1, -1] = math.nan  # an empty last cell ends the file with ",\n"
+        # "nan" in a header line is kept: only formatted rows are blanked
+        header = ["# filpiv test", '# config: {"nan": null}', "a,b,c,d,e,f,g,h,i"]
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, [table[:, 0], table[:, 1:4], table[:, 4:]])
+        # the per-cell rendering the block formatter replaced
+        rows = [",".join(_fmt(v) for v in row) for row in table]
+        assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
 
 
 class TestErrors:
