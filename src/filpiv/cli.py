@@ -60,6 +60,12 @@ def _pair(value, what: str) -> list[float]:
     return [_number(v, what) for v in value]
 
 
+def _vector3(value, what: str) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{what} must be a list of 3 numbers")
+    return np.array([_number(v, what) for v in value])
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
@@ -142,9 +148,9 @@ def _initial_state(cfg: dict, params: FlowParams):
     if "gp0" in init and "gpp0" in init:
         return make_initial_state(
             params,
-            np.asarray(init["gp0"], dtype=float),
-            np.asarray(init["gpp0"], dtype=float),
-            float(init.get("s0", 0.0)),
+            _vector3(init["gp0"], "initial.gp0"),
+            _vector3(init["gpp0"], "initial.gpp0"),
+            _number(init.get("s0", 0.0), "initial.s0"),
         )
     raise ConfigError("initial must give either a branch or gp0/gpp0")
 
@@ -291,12 +297,14 @@ def cmd_fit(cfg: dict, out: Path) -> int:
 def cmd_connect(cfg: dict, out: Path) -> int:
     params = _flow_params(cfg)
     spec = cfg.get("connect")
-    if not spec:
+    if not isinstance(spec, dict) or not {"omega", "delta"} <= spec.keys():
         raise ConfigError("connect requires a connect block with omega and delta")
-    side = int(spec.get("side", 1))
-    tail = asympt.make_tail(side, float(spec["omega"]), float(spec["delta"]), params)
-    predicted = asympt.connect(tail, params,
-                               consistency_tol=float(spec.get("tol", 0.05)))
+    side = _number(spec.get("side", 1), "connect.side", int)
+    omega = _number(spec["omega"], "connect.omega")
+    delta = _number(spec["delta"], "connect.delta")
+    tol = _number(spec.get("tol", 0.05), "connect.tol")
+    tail = asympt.make_tail(side, omega, delta, params)
+    predicted = asympt.connect(tail, params, consistency_tol=tol)
     res = asympt.connfI_residuals(
         tail if side == 1 else predicted,
         predicted if side == 1 else tail,

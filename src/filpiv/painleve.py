@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -146,24 +147,23 @@ def _sp4_taylor(params: FlowParams):
     """Taylor coefficients (ORDER + 1, 3) of y = (u, p, r) = (sigma, sigma',
     sigma'') about (s0, y) for r' = (3 p^2 - 2 eps p - a^2)/2 - s Q / 4 with
     Q = s p - u and s = s0 + t: Q_k = s0 p_k + p_{k-1} - u_k and
-    (s Q)_k = s0 Q_k + Q_{k-1}."""
+    (s Q)_k = s0 Q_k + Q_{k-1}.  Rows have 3 entries, so the recurrence runs
+    on Python floats."""
     eps, half_a2 = params.eps, 0.5 * params.a**2
 
     def taylor(s0, y):
-        c = np.empty((ORDER + 1, 3))
-        c[0] = y
-        u, p, r = c.T
+        u, p, r = ([v] for v in y.tolist())
         q_prev = p_prev = 0.0  # Q_{k-1}, p_{k-1}
         for k in range(ORDER):
             q_k = s0 * p[k] + p_prev - u[k]
-            f = 1.5 * float(p[:k + 1] @ p[k::-1]) - eps * p[k] - 0.25 * (s0 * q_k + q_prev)
+            f = 1.5 * sum(map(mul, p, reversed(p))) - eps * p[k] - 0.25 * (s0 * q_k + q_prev)
             if k == 0:
                 f -= half_a2
-            u[k + 1] = p[k] / (k + 1)
-            p[k + 1] = r[k] / (k + 1)
-            r[k + 1] = f / (k + 1)
+            u.append(p[k] / (k + 1))
+            p.append(r[k] / (k + 1))
+            r.append(f / (k + 1))
             q_prev, p_prev = q_k, p[k]
-        return c
+        return np.array((u, p, r)).T
 
     return taylor
 

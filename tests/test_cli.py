@@ -85,6 +85,8 @@ class TestIntegrate:
         assert "n_rejected" not in diag
         assert diag["rhs_evals"] == diag["n_steps"] >= 1
         assert 0.0 < diag["step_min"] <= diag["step_median"] <= diag["step_max"] <= 20.0
+        for name in ("unit", "eps", "constraint"):
+            assert -10.0 <= diag["drifts"][f"{name}_drift_at"] <= 10.0
 
     def test_zero_axis_curvature_columns(self, tmp_path, zero_a_config):
         out = tmp_path / "out"
@@ -165,6 +167,16 @@ class TestErrors:
         ("fit", {"fit_window": [1]}, []),
         ("integrate", {"s_span": ["a", "b"]}, []),
         ("integrate", {"thresholds": {"unit": "x"}}, []),
+        ("connect", {"connect": [0.1, 0.0]}, []),
+        ("connect", {"connect": {"delta": 0.0}}, []),
+        ("connect", {"connect": {"omega": "x", "delta": 0.0}}, []),
+        ("connect", {"connect": {"omega": 0.1, "delta": "x"}}, []),
+        ("connect", {"connect": {"omega": 0.1, "delta": 0.0, "side": "s"}}, []),
+        ("connect", {"connect": {"omega": 0.1, "delta": 0.0, "tol": "t"}}, []),
+        ("integrate", {"initial": {"gp0": [1.0, 0.0], "gpp0": [0.0, 0.5, 0.0]}}, []),
+        ("integrate", {"initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": "x"}}, []),
+        ("integrate", {"initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, 0.5, 0.0],
+                                   "s0": "z"}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):

@@ -17,7 +17,7 @@ from filpiv.errors import (
     RangeError,
     ZeroAxisError,
 )
-from filpiv.odeint import IntegratorConfig
+from filpiv.odeint import ORDER, IntegratorConfig
 from filpiv.selfcheck import TOL_CONSTRAINT_DRIFT, TOL_EPS_DRIFT, TOL_UNIT_DRIFT
 
 
@@ -119,6 +119,61 @@ class TestRhs:
         assert np.allclose(2.0 * c[2], np.concatenate([gpp, gppp]), rtol=0.0, atol=1e-13)
 
 
+# rounding bound for two evaluations of one recurrence that sum in different
+# orders: one unit in the last place per order, relative to the size of the
+# sums each coefficient is made of
+_ROUNDING = np.finfo(float).eps * np.arange(1, ORDER + 2)[:, None]
+
+
+def _cauchy_reference(w_of_g, y, sign=-1.0):
+    """The flow recurrence one order at a time: p[i, l] = sum_j W_j[i]
+    T_{k-j}[l], whose antisymmetric part (sign -1) is the cross sum.  With
+    sign +1 and the absolute values of w_of_g and y it gives the size of the
+    sums each coefficient is made of, the scale of its rounding error."""
+    c = np.empty((ORDER + 1, 6))
+    c[0] = y
+    g, t = c[:, :3], c[:, 3:]
+    w = np.empty((ORDER + 1, 3))
+    for k in range(ORDER):
+        w[k] = w_of_g @ g[k]
+        p = w[:k + 1].T @ t[k::-1]
+        t[k + 1] = (p[1, 2] + sign * p[2, 1], p[2, 0] + sign * p[0, 2],
+                    p[0, 1] + sign * p[1, 0])
+        t[k + 1] /= 2.0 * (k + 1)
+        g[k + 1] = t[k] / (k + 1)
+    return c
+
+
+class TestTaylor:
+    @pytest.mark.parametrize("a, axis", [
+        (0.0, (0.0, 0.0, 1.0)), (1.0, (0.0, 0.0, 1.0)), (10.0, (0.0, 0.0, 1.0)),
+        (1.7, (0.6, 0.0, 0.8)),
+    ])
+    def test_matches_cauchy_reference(self, a, axis):
+        p = flow.FlowParams(a, 0.3, axis)
+        a1, a2, a3 = p.a_vec
+        w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
+        taylor = flow.make_taylor(p)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            y = rng.standard_normal(6) * 10.0 ** rng.uniform(-1.0, 1.0)
+            c = taylor(rng.uniform(-40.0, 40.0), y)
+            ref = _cauchy_reference(w_of_g, y)
+            size = _cauchy_reference(np.abs(w_of_g), np.abs(y), 1.0)
+            assert np.array_equal(c[0], y)
+            assert np.all(np.abs(c - ref) <= _ROUNDING * size)
+
+    @pytest.mark.parametrize("a, eps, branch, n_steps", [
+        (1.0, 0.5, "odd", 348), (10.0, 5.0, "odd", 574), (10.0, 20.0, "mixed_plus", 666),
+    ])
+    def test_pinned_step_counts(self, a, eps, branch, n_steps):
+        # exact counts at DEFAULT_FLOW_CFG over |s| <= 40: the step rule and
+        # the recurrence decide them, not the hardware
+        p = flow.FlowParams(a, eps)
+        run = flow.integrate_flow(p, symmetric.make_symmetric_ic(p, branch), -40.0, 40.0)
+        assert run.traj.n_steps == n_steps
+
+
 class TestConservedEpsilon:
     def test_zero_axis_form(self):
         p = flow.FlowParams(0.0, 1.0)
@@ -135,6 +190,15 @@ class TestConservedEpsilon:
     def test_constant_along_trajectory(self, runs):
         run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
         assert run.drift_diagnostics()["eps_drift_max"] <= 1e-9
+
+    def test_worst_drift_locations(self, runs):
+        run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
+        d = run.drift_diagnostics()
+        smp = run.sample(run.traj.s_nodes)
+        for name in ("unit", "eps", "constraint"):
+            dev = np.abs(smp[f"{name}_drift"])
+            assert d[f"{name}_drift_max"] == dev.max()
+            assert d[f"{name}_drift_at"] == run.traj.s_nodes[np.argmax(dev)]
 
 
 class TestSigmaJet:

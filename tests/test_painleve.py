@@ -12,7 +12,7 @@ from filpiv import flow, painleve
 from filpiv import specfun as sf
 from filpiv.errors import DenominatorVanishesError, InconsistentJetError
 from filpiv.flow import FlowParams, SigmaJet
-from filpiv.odeint import IntegratorConfig
+from filpiv.odeint import ORDER, IntegratorConfig
 
 EIPI4 = cmath.exp(0.25j * cmath.pi)
 
@@ -80,6 +80,52 @@ class TestSigmaDerivatives:
             assert np.allclose(c[1], [y[1], y[2], sppp], rtol=1e-14, atol=0.0)
             assert 6.0 * c[3, 0] == pytest.approx(sppp, rel=1e-13)
             assert 24.0 * c[4, 0] == pytest.approx(painleve.sigma_pppp(jet, p), rel=1e-13)
+
+
+# rounding bound for two evaluations of one recurrence that sum in different
+# orders: one unit in the last place per order, relative to the size of the
+# sums each coefficient is made of
+_ROUNDING = np.finfo(float).eps * np.arange(1, ORDER + 2)[:, None]
+
+
+def _sp4_reference(params, s0, y, sign=-1.0):
+    """The recurrence of the direct integrator on numpy rows, one order at a
+    time.  With sign +1 and the absolute values of s0, eps and y it gives
+    the size of the sums each coefficient is made of, the scale of its
+    rounding error."""
+    eps, half_a2 = params.eps, 0.5 * params.a**2
+    if sign > 0.0:
+        s0, eps, y = abs(s0), abs(eps), np.abs(y)
+    c = np.empty((ORDER + 1, 3))
+    c[0] = y
+    u, p, r = c.T
+    q_prev = p_prev = 0.0
+    for k in range(ORDER):
+        q_k = s0 * p[k] + p_prev + sign * u[k]
+        f = 1.5 * float(p[:k + 1] @ p[k::-1]) + sign * (eps * p[k] + 0.25 * (s0 * q_k + q_prev))
+        if k == 0:
+            f += sign * half_a2
+        u[k + 1] = p[k] / (k + 1)
+        p[k + 1] = r[k] / (k + 1)
+        r[k + 1] = f / (k + 1)
+        q_prev, p_prev = q_k, p[k]
+    return c
+
+
+class TestSp4Taylor:
+    @pytest.mark.parametrize("a, eps", [(0.0, 1.0), (1.0, 0.5), (10.0, -5.0), (2.0, 6.0)])
+    def test_matches_reference(self, a, eps):
+        p = FlowParams(a, eps)
+        taylor = painleve._sp4_taylor(p)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            s0 = rng.uniform(-40.0, 40.0)
+            y = rng.standard_normal(3) * 10.0 ** rng.uniform(-1.0, 1.0)
+            c = taylor(s0, y)
+            ref = _sp4_reference(p, s0, y)
+            size = _sp4_reference(p, s0, y, 1.0)
+            assert np.array_equal(c[0], y)
+            assert np.all(np.abs(c - ref) <= _ROUNDING * size)
 
 
 class TestSp4Integrate:
