@@ -174,8 +174,9 @@ def sigma_model(s: float, tail: TailParams, coeffs: ExpansionCoeffs,
                 params: FlowParams) -> tuple[float, float, float]:
     """Truncated tail expansion (sigma, sigma', sigma'') at signed s.
 
-    The cubic secular coefficient is +8 D1 (sign fixed against tight
-    integrations at two parameter points).
+    The cubic secular coefficient is +8 D1, opposite to the printed closed
+    form: see the erratum in README's numerical notes for the evidence, and
+    tests/test_asympt.py::TestCubicSign.
     """
     s = float(s)
     if s * tail.side <= 0.0:
@@ -246,7 +247,7 @@ def _profile_fit(ms, sig_p, omega, params):
     return float(resid @ resid), float(coef[0]), float(coef[1])
 
 
-def fit_tail(run: FlowRun, side: int, window, params: FlowParams | None = None) -> FitResult:
+def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     """Extract (omega, delta) from one tail of a trajectory.
 
     omega first, from the window mean of sigma' corrected by the known
@@ -254,8 +255,7 @@ def fit_tail(run: FlowRun, side: int, window, params: FlowParams | None = None) 
     ln|s| frequency correction couples omega into the phase); delta then
     follows from a linear cos/sin fit.  The window is given in |s|.
     """
-    if params is None:
-        params = run.params
+    params = run.params
     if side not in (1, -1):
         raise ConfigError("side must be +1 or -1")
     ms = _window_grid(window)

@@ -24,7 +24,7 @@ from . import flow as _flow
 from .errors import ConfigError, FilpivError, InvariantViolation, NumericError
 from .flow import FlowParams, integrate_flow, make_initial_state
 from .odeint import IntegratorConfig
-from .selfcheck import RunCache, run_selfcheck
+from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,6 +32,11 @@ EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
 
 _DEF_THRESHOLDS = {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8}
+
+# the blocks a config gives whole (no default merges into them), with the
+# keys each may hold
+_WHOLE_BLOCKS = {"initial": {"branch", "gp0", "gpp0", "s0"},
+                 "connect": {"side", "omega", "delta", "tol"}}
 
 # rows formatted per %-operation: streaming by block keeps the peak memory at
 # one block's text instead of the whole file's
@@ -89,15 +94,19 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     for key, val in raw.items():
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(cfg[key], dict) and key != "initial":
+        if key == "connect" and val is None:
+            continue
+        if key in _WHOLE_BLOCKS or isinstance(cfg[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{key} must be an object")
-            for sub, sval in val.items():
-                if sub not in cfg[key]:
+            for sub in val:
+                if sub not in _WHOLE_BLOCKS.get(key, cfg[key]):
                     raise ConfigError(f"unknown config key {key}.{sub}")
-                cfg[key][sub] = sval
+            cfg[key] = dict(val) if key in _WHOLE_BLOCKS else {**cfg[key], **val}
         else:
             cfg[key] = val
+    if "branch" in cfg["initial"] and len(cfg["initial"]) > 1:
+        raise ConfigError("initial gives either a branch or gp0/gpp0/s0, not both")
 
     if overrides.get("tol_rel") is not None:
         cfg["tolerances"]["rel"] = overrides["tol_rel"]
@@ -133,8 +142,6 @@ def _flow_params(cfg: dict) -> FlowParams:
 
 def _initial_state(cfg: dict, params: FlowParams):
     init = cfg["initial"]
-    if not isinstance(init, dict):
-        raise ConfigError("initial must be an object")
     if "branch" in init:
         if params.a == 0.0:
             if init["branch"] != "odd":
@@ -296,10 +303,13 @@ def cmd_fit(cfg: dict, out: Path) -> int:
 
 def cmd_connect(cfg: dict, out: Path) -> int:
     params = _flow_params(cfg)
-    spec = cfg.get("connect")
-    if not isinstance(spec, dict) or not {"omega", "delta"} <= spec.keys():
+    spec = cfg["connect"]
+    if spec is None or not {"omega", "delta"} <= spec.keys():
         raise ConfigError("connect requires a connect block with omega and delta")
-    side = _number(spec.get("side", 1), "connect.side", int)
+    side = _number(spec.get("side", 1), "connect.side")
+    if side not in (1.0, -1.0):
+        raise ConfigError(f"connect.side must be 1 or -1, got {spec['side']!r}")
+    side = int(side)
     omega = _number(spec["omega"], "connect.omega")
     delta = _number(spec["delta"], "connect.delta")
     tol = _number(spec.get("tol", 0.05), "connect.tol")
@@ -360,8 +370,7 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
 
 def cmd_symmetric(cfg: dict, out: Path) -> int:
     params = _flow_params(cfg)
-    init = cfg["initial"]
-    branch = init.get("branch") if isinstance(init, dict) else None
+    branch = cfg["initial"].get("branch")
     if branch is None:
         raise ConfigError("symmetric requires initial.branch")
     om_c, rr_c = symmetric.conjecture_omega(params, branch)
@@ -408,9 +417,8 @@ def cmd_filament(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_selfcheck(cfg: dict, out: Path | None, include_planar: bool) -> int:
-    results = run_selfcheck(include_planar=include_planar,
-                            include_connection=True, cache=RunCache())
+def cmd_selfcheck(out: Path | None, include_planar: bool) -> int:
+    results = run_selfcheck(include_planar=include_planar)
     for res in results:
         print(res.line())
     if out is not None:
@@ -426,8 +434,16 @@ def cmd_selfcheck(cfg: dict, out: Path | None, include_planar: bool) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a ConfigError, so that it ends as
+    every other config error does: exit 2 with one JSON line on stderr."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filpiv",
         description="Self-similar binormal-flow filaments via the sigma-form "
                     "of Painleve IV",
@@ -437,19 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("integrate", "fit", "connect", "zero-a", "symmetric",
                  "filament", "selfcheck"):
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
-                       help="path to the JSON run config")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (created if missing)")
-        p.add_argument("--tol-rel", type=float, default=None)
-        p.add_argument("--tol-abs", type=float, default=None)
-        p.add_argument("--s-max", type=float, default=None)
         p.add_argument("--seedless", action="store_true",
                        help="accepted for symmetry; every run is "
                             "deterministic and uses no RNG")
         if name == "selfcheck":
             p.add_argument("--planar", action="store_true",
                            help="include the slower planar-spiral criterion")
+            continue
+        p.add_argument("--config", type=str, default=None,
+                       help="path to the JSON run config")
+        p.add_argument("--tol-rel", type=float, default=None)
+        p.add_argument("--tol-abs", type=float, default=None)
+        p.add_argument("--s-max", type=float, default=None)
     return parser
 
 
@@ -472,14 +489,14 @@ def _error_payload(kind: str, exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = None
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
     try:
+        args = build_parser().parse_args(argv)
+        out = None
+        if args.out is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
         if args.command == "selfcheck":
-            return cmd_selfcheck({}, out, getattr(args, "planar", False))
+            return cmd_selfcheck(out, args.planar)
         if args.config is None:
             raise ConfigError(f"{args.command} requires --config")
         if out is None:

@@ -57,10 +57,6 @@ class ZeroAxisError(ConfigError):
     """Operation requires a > 0."""
 
 
-class ChartSingularityError(NumericError):
-    """Spherical chart degenerates (sin(theta) ~ 0)."""
-
-
 class IntegrandPoleError(NumericError):
     """Quadrature integrand has a pole inside the interval."""
 

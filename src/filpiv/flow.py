@@ -1,6 +1,6 @@
 """Self-similar filament flow: the 6-dim system for (G, G'), its conserved
-quantities, sigma jets, curvature/torsion extraction, the spherical-angle
-cross-check form, filament reconstruction and the curvature-torsion complex
+quantities, sigma jets, curvature/torsion extraction, the azimuth
+quadrature, filament reconstruction and the curvature-torsion complex
 envelope.
 
 The state convention is y = (G1, G2, G3, G1', G2', G3') with arc-like
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChartSingularityError,
     ConfigError,
     InconsistentCauchyDataError,
     InconsistentJetError,
@@ -40,8 +39,6 @@ __all__ = [
     "state_from_sigma_jet",
     "integrate_flow",
     "curvature_torsion",
-    "spherical_rhs",
-    "spherical_epsilon",
     "phi_accumulate",
     "reconstruct_filament",
     "hasimoto_psi",
@@ -316,13 +313,6 @@ class FlowRun:
         smp = self.sample(s)
         return SigmaJet(smp["s"], smp["sigma"], smp["sigma_p"], smp["sigma_pp"])
 
-    def zeta_jet(self, s: float, e_vec) -> tuple[float, complex, complex, complex]:
-        """(s, e.G, e.G', e.G'') for a fixed (possibly complex) vector e."""
-        e_vec = np.asarray(e_vec)
-        smp = self.sample(s)
-        return (s, complex(e_vec @ smp["G"]), complex(e_vec @ smp["Gp"]),
-                complex(e_vec @ smp["Gpp"]))
-
     def drift_diagnostics(self) -> dict:
         """Max deviations of the propagated invariants over integrator nodes
         (`<name>_drift_max`) and the first node s of each (`<name>_drift_at`)."""
@@ -403,24 +393,6 @@ def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:
     smp = run.sample(s)
     return [CurvTorsSample(float(si), float(c), None if math.isnan(t) else float(t))
             for si, c, t in zip(s, smp["C"], smp["T"])]
-
-
-def spherical_rhs(theta: float, theta_p: float, phi_p: float, s: float,
-                  params: FlowParams) -> tuple[float, float]:
-    """(theta'', phi'') of the spherical-angle form of the tangent dynamics."""
-    sin_t = math.sin(theta)
-    if abs(sin_t) < 1e-10:
-        raise ChartSingularityError(f"spherical chart degenerate at theta={theta}")
-    cos_t = math.cos(theta)
-    theta_pp = 0.5 * sin_t * (2.0 * cos_t * phi_p**2 - s * phi_p + params.a)
-    phi_pp = (s - 4.0 * cos_t * phi_p) * theta_p / (2.0 * sin_t)
-    return theta_pp, phi_pp
-
-
-def spherical_epsilon(theta: float, theta_p: float, phi_p: float,
-                      params: FlowParams) -> float:
-    """eps expressed in the spherical chart."""
-    return theta_p**2 + math.sin(theta) ** 2 * phi_p**2 + params.a * math.cos(theta)
 
 
 def _scan_for_integrand_pole(run: FlowRun, lo: float, hi: float) -> None:

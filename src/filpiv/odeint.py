@@ -125,9 +125,6 @@ class Trajectory:
         y[right] = self.states[k[right] + 1]
         return y.reshape(s.shape + (dim,))
 
-    def state_at(self, s: float) -> np.ndarray:
-        return self.states_at(float(s))
-
 
 def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the ODE whose Taylor expansion about (s, y) is taylor(s, y)

@@ -11,7 +11,6 @@ which drives the direct integrator and all chain-rule jets.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -29,8 +28,6 @@ __all__ = [
     "sigma_pppp",
     "sp4_integrate",
     "SigmaPath",
-    "to_q",
-    "to_p",
     "q_jet",
     "p_jet",
     "cp4_residual",
@@ -94,24 +91,12 @@ class SigmaPath:
         self.traj = traj
         self._run = run
 
-    @property
-    def s_min(self) -> float:
-        return float(self.traj.s_nodes[0])
-
-    @property
-    def s_max(self) -> float:
-        return float(self.traj.s_nodes[-1])
-
     def jet(self, s) -> SigmaJet:
         """The jet at s; for an array s its fields are arrays."""
         if self._run is not None:
             return self._run.sigma_jet(s)
         y = self.traj.states_at(s)
         return SigmaJet(s, y[..., 0], y[..., 1], y[..., 2])
-
-    def residual_max(self, n: int = 200) -> float:
-        jet = self.jet(np.linspace(self.s_min, self.s_max, n))
-        return float(np.max(np.abs(sp4_residual(jet, self.params))))
 
 
 def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorConfig | None = None) -> SigmaPath:
@@ -168,32 +153,9 @@ def _sp4_taylor(params: FlowParams):
     return taylor
 
 
-def _qp_pieces(jet: SigmaJet, params: FlowParams):
-    s = jet.s
-    n_half = 0.5j * (s * jet.sigma_p - jet.sigma)
-    return jet.sigma_pp + n_half, jet.sigma_pp - n_half
-
-
-def to_q(jet: SigmaJet, params: FlowParams) -> complex:
-    """q evaluated at its native argument z = e^{-i pi/4} s / 2."""
-    num, _ = _qp_pieces(jet, params)
-    den = params.a - jet.sigma_p
-    if abs(den) < 1e-12 * max(1.0, params.a):
-        raise DenominatorVanishesError("a - sigma' vanished in the q map")
-    return -_EIPI4 * num / den
-
-
-def to_p(jet: SigmaJet, params: FlowParams) -> complex:
-    """p evaluated at z = e^{-i pi/4} s / 2."""
-    _, num = _qp_pieces(jet, params)
-    den = params.a + jet.sigma_p
-    if abs(den) < 1e-12 * max(1.0, params.a):
-        raise DenominatorVanishesError("a + sigma' vanished in the p map")
-    return -_EIPI4 * num / den
-
-
 def _map_jet(jet: SigmaJet, params: FlowParams, upper: bool):
-    """(z, f, df/dz, d2f/dz2) for f = q (upper) or p along the ray."""
+    """(z, f, df/dz, d2f/dz2) for f = q (upper) or p along the ray, with q
+    and p at their native argument z = e^{-i pi/4} s / 2."""
     s = jet.s
     sg, sp, spp = jet.sigma, jet.sigma_p, jet.sigma_pp
     sppp = sigma_ppp(jet, params)

@@ -132,11 +132,10 @@ class RunCache:
         return self.get(("asym", cos_t, ang, s_max), build)
 
 
-def crit_conservation(cache: RunCache | None = None) -> CriterionResult:
+def crit_conservation(cache: RunCache) -> CriterionResult:
     """Criterion: conservation suite over the (a, eps) grid at rel_tol 1e-12,
     |s| <= 40: unit-tangent drift <= 1e-10, eps drift <= 1e-9, scalar
     constraint drift <= 1e-9, sigma-PIV residual <= 1e-8 (1 + |s|^3)."""
-    cache = cache or RunCache()
     points = []
     for a in CONSERVATION_GRID_A:
         for eps in (-a / 2.0, 0.0, a / 2.0, 2.0 * a):
@@ -169,11 +168,10 @@ def crit_conservation(cache: RunCache | None = None) -> CriterionResult:
     return CriterionResult("conservation suite", ok, details, worst)
 
 
-def crit_closed_form_equivalence(cache: RunCache | None = None) -> CriterionResult:
+def crit_closed_form_equivalence(cache: RunCache) -> CriterionResult:
     """Criterion: closed-form tangent vs ODE tangent <= 1e-8 componentwise on
     a 400-point grid over [-20, 20]; the two closed-form representations
     agree to 1e-9."""
-    cache = cache or RunCache()
     worst_ode = 0.0
     worst_repr = 0.0
     grid = np.linspace(-20.0, 20.0, 400)
@@ -194,10 +192,10 @@ def crit_closed_form_equivalence(cache: RunCache | None = None) -> CriterionResu
                            {"ode": worst_ode, "repr": worst_repr})
 
 
-def fit_limit_tangent(run, side: int, eps: float, window=(33.0, 47.0)) -> np.ndarray:
-    """Limiting tangent estimate: per-component LSQ of
+def fit_limit_tangent(run, side: int, eps: float) -> np.ndarray:
+    """Limiting tangent estimate: per-component LSQ over 33 <= |s| <= 47 of
     c + [p cos(Omega) + q sin(Omega)]/s + d/s^2 with Omega = s^2/4 + eps ln(s/2)."""
-    ss = side * np.linspace(window[0], window[1], 500)
+    ss = side * np.linspace(33.0, 47.0, 500)
     vals = run.gp(ss)
     om = 0.25 * ss**2 + eps * np.log(np.abs(ss) / 2.0)
     m = np.stack([np.ones_like(ss), np.cos(om) / ss, np.sin(om) / ss, 1.0 / ss**2],
@@ -206,11 +204,10 @@ def fit_limit_tangent(run, side: int, eps: float, window=(33.0, 47.0)) -> np.nda
     return c / np.linalg.norm(c)
 
 
-def crit_zero_a_tangents(cache: RunCache | None = None) -> CriterionResult:
+def crit_zero_a_tangents(cache: RunCache) -> CriterionResult:
     """Criterion: fitted limiting tangents near |s| = 40 match the closed-form
     directions within 1e-3 rad; the closed-form pair satisfies
     T+ . T- = 2 e^{-pi eps} - 1 to 1e-6."""
-    cache = cache or RunCache()
     worst_angle = 0.0
     worst_dot = 0.0
     for eps in (0.5, 1.0, 2.0):
@@ -232,11 +229,10 @@ def crit_zero_a_tangents(cache: RunCache | None = None) -> CriterionResult:
                            {"angle": worst_angle, "dot": worst_dot})
 
 
-def crit_planar_spiral(cache: RunCache | None = None) -> CriterionResult:
+def crit_planar_spiral(cache: RunCache) -> CriterionResult:
     """Criterion: a = 10 planar spiral: delta = 0.95587 +- 1e-4 and the fitted
     eps + 6 omega within 1e-2 of zero on both tails (fit window pushed to
     [40, 70] where the larger tail corrections have decayed)."""
-    cache = cache or RunCache()
     a = 10.0
     eps, delta = symmetric.planar_spiral(a)
     delta_err = abs(delta - 0.95587)
@@ -259,11 +255,10 @@ def crit_planar_spiral(cache: RunCache | None = None) -> CriterionResult:
                            {"delta_err": delta_err, "eps6om": worst})
 
 
-def crit_symmetric_tails(cache: RunCache | None = None) -> CriterionResult:
+def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     """Criterion: independently fitted tail parameters of symmetric runs match
     the closed-form predictions: omega within 1e-3, Re rho within 3e-2 rad,
     and the two sides agree within 2e-3."""
-    cache = cache or RunCache()
     worst = {"omega": 0.0, "re_rho": 0.0, "sides": 0.0}
     for a, eps, branch in SYMMETRIC_CASES:
         run = cache.grid_run(a, eps, branch)
@@ -292,13 +287,12 @@ def crit_symmetric_tails(cache: RunCache | None = None) -> CriterionResult:
     return CriterionResult("symmetric tail predictions", ok, details, worst)
 
 
-def crit_connection_formulas(cache: RunCache | None = None) -> CriterionResult:
+def crit_connection_formulas(cache: RunCache) -> CriterionResult:
     """Criterion: for two non-symmetric runs, the connection map applied to the
     fitted plus tail reproduces the independently fitted minus tail within
     |d omega| <= 1e-2 and |d delta| <= 5e-2 rad, and the connection relations
     evaluate to relative residuals <= 1e-3 on the fitted pair (with Im rho
     from the reality constraint)."""
-    cache = cache or RunCache()
     worst = {"domega": 0.0, "ddelta": 0.0, "resid": 0.0}
     for cos_t, ang in ASYMMETRIC_CASES:
         run = cache.asymmetric_run(cos_t, ang)
@@ -326,33 +320,38 @@ def crit_connection_formulas(cache: RunCache | None = None) -> CriterionResult:
     return CriterionResult("connection formulas", ok, details, worst)
 
 
-def crit_cubic_truncation(cache: RunCache | None = None) -> CriterionResult:
-    """Criterion: for the (a, eps) = (1, 0) odd solution, the phase-averaged
-    s^3-scaled residual of sigma against the truncated tail model equals the
-    cubic coefficient 8 D1 within 5% on s in [30, 45].
-
-    The overall sign of the cubic term was fixed against tight integrations
-    at two parameter points; the printed closed form carries the opposite one.
-    """
-    cache = cache or RunCache()
-    a, eps = 1.0, 0.0
-    run = cache.grid_run(a, eps, "odd", s_max=46.0, rel=2e-13)
+def cubic_coefficient_fit(run, branch: str, ms: np.ndarray) -> tuple[float, float]:
+    """(fitted, predicted) cubic tail coefficient of a symmetric run's plus
+    side: the phase-averaged s^3-scaled residual of sigma at s = ms against
+    the truncated tail model with the conjectured exact omega and delta,
+    and the model's 8 D1."""
     params = run.params
-    om, rr = symmetric.conjecture_omega(params, "odd")
+    om, rr = symmetric.conjecture_omega(params, branch)
     delta = asympt.delta_from_re_rho(rr, om, params)
     tail = asympt.make_tail(1, om, delta, params)
     coeffs = asympt.expansion_coeffs(tail, params)
     amp = abs(coeffs.A)
     c2 = asympt.c2_coefficient(om, params)
-    u = (eps + 6.0 * om) / 3.0
-    ms = np.linspace(30.0, 45.0, 900)
+    u = (params.eps + 6.0 * om) / 3.0
     sig = run.g(ms) @ params.a_vec
     phis = 0.25 * ms * ms - 6.0 * om * np.log(ms / math.sqrt(2.0)) + delta
     lead = u * ms + c2 / ms + 4.0 * amp * np.sin(phis) / (ms * ms)
     resid = (sig - lead) * ms**3
     cols = np.stack([np.ones_like(ms), np.cos(phis), np.sin(phis)], axis=1)
-    fitted = float(np.linalg.lstsq(cols, resid, rcond=None)[0][0])
-    predicted = 8.0 * coeffs.D1
+    return float(np.linalg.lstsq(cols, resid, rcond=None)[0][0]), 8.0 * coeffs.D1
+
+
+def crit_cubic_truncation(cache: RunCache) -> CriterionResult:
+    """Criterion: for the (a, eps) = (1, 0) odd solution, the phase-averaged
+    s^3-scaled residual of sigma against the truncated tail model equals the
+    cubic coefficient 8 D1 within 5% on s in [30, 45].
+
+    The sign of the cubic term is +8 D1, opposite to the printed closed form;
+    README's numerical notes give the evidence (an erratum), and
+    tests/test_asympt.py::TestCubicSign checks it at four parameter points.
+    """
+    run = cache.grid_run(1.0, 0.0, "odd", s_max=46.0, rel=2e-13)
+    fitted, predicted = cubic_coefficient_fit(run, "odd", np.linspace(30.0, 45.0, 900))
     rel_err = abs(fitted - predicted) / abs(predicted)
     ok = rel_err <= TOL_CUBIC_REL
     details = (
@@ -370,18 +369,14 @@ SELFCHECK_CRITERIA = (
     crit_zero_a_tangents,
     crit_symmetric_tails,
     crit_cubic_truncation,
+    crit_connection_formulas,
 )
 
 
-def run_selfcheck(include_planar: bool = False, include_connection: bool = False,
-                  cache: RunCache | None = None) -> list[CriterionResult]:
+def run_selfcheck(include_planar: bool = False) -> list[CriterionResult]:
     """Run the selfcheck criteria (conservation, closed form, tangents,
-    symmetric tails, cubic truncation; optionally the slower planar-spiral
-    and connection criteria)."""
-    cache = cache or RunCache()
-    crits = list(SELFCHECK_CRITERIA)
-    if include_connection:
-        crits.append(crit_connection_formulas)
-    if include_planar:
-        crits.append(crit_planar_spiral)
+    symmetric tails, cubic truncation, connection formulas; optionally the
+    slower planar spiral) on one fresh run cache."""
+    cache = RunCache()
+    crits = SELFCHECK_CRITERIA + ((crit_planar_spiral,) if include_planar else ())
     return [fn(cache) for fn in crits]

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import GammaPoleError, NonConvergenceError
 
 __all__ = [
-    "SeriesControl",
     "cgamma",
     "clog_gamma",
     "rgamma",
@@ -25,30 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Term budget and switching radius for the 1F1 evaluation regimes."""
-
-    max_terms: int = 700
-    tol: float = 1e-13
-    switch_radius: float = 30.0
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
-        if not self.switch_radius > 0.0:
-            raise ValueError("switch_radius must be > 0")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Term budget of every 1F1 sum, and the term size (relative to the sum, or
+# absolute in the asymptotic sums) at which a sum counts as converged.
+_MAX_TERMS = 700
+_TOL = 1e-13
 
 # Radius below which the plain Maclaurin series is accurate in double
-# precision; between this and switch_radius the series is carried outward by
+# precision; between this and _SWITCH_RADIUS the series is carried outward by
 # Taylor re-expansion steps along the ray (the direct sum loses ~|z|/ln(10)
-# digits to cancellation on the imaginary axis).
+# digits to cancellation on the imaginary axis); beyond it the compound
+# asymptotic expansion takes over.
 _DIRECT_RADIUS = 10.0
+_SWITCH_RADIUS = 30.0
 
 # Lanczos coefficients, g = 7, 9 terms.
 _LANCZOS_G = 7.0
@@ -149,42 +135,30 @@ def arg_gamma_one_plus_ix(x: float) -> float:
 # --- confluent hypergeometric 1F1 ------------------------------------------
 
 
-def _series_1f1(alpha, gamma, z, control, with_abs=False):
-    """Maclaurin sum with compensated accumulation.
-
-    Returns (sum, sum_abs) where sum_abs bounds the cancellation scale.
-    """
+def _series_1f1(alpha, gamma, z):
+    """Maclaurin sum with compensated accumulation."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan compensation
-    total_abs = 1.0
     small = 0
-    for k in range(control.max_terms):
+    for k in range(_MAX_TERMS):
         term = term * (alpha + k) / ((gamma + k) * (k + 1)) * z
-        total_abs += abs(term)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) <= control.tol * max(abs(total), 1e-290):
+        if abs(term) <= _TOL * max(abs(total), 1e-290):
             small += 1
             if small >= 3:
-                return (total, total_abs) if with_abs else total
+                return total
         else:
             small = 0
     raise NonConvergenceError(
-        f"1F1 series did not converge in {control.max_terms} terms at z={z}"
+        f"1F1 series did not converge in {_MAX_TERMS} terms at z={z}"
     )
 
 
-def _series_1f1_pair(alpha, gamma, z, control):
-    """(F, dF/dz) at z by direct summation."""
-    f = _series_1f1(alpha, gamma, z, control)
-    fp = alpha / gamma * _series_1f1(alpha + 1.0, gamma + 1.0, z, control)
-    return f, fp
-
-
-def _taylor_step(alpha, gamma, z0, w, wp, h, control):
+def _taylor_step(alpha, gamma, z0, w, wp, h):
     """Advance (w, w') of the 1F1 ODE z w'' + (gamma - z) w' - alpha w = 0
     from z0 to z0 + h by a local Taylor expansion about z0 != 0."""
     c_prev = w
@@ -193,7 +167,7 @@ def _taylor_step(alpha, gamma, z0, w, wp, h, control):
     der = c_cur
     hk = h  # h^k for the derivative series, h^{k+1} for the value series
     small = 0
-    for k in range(control.max_terms):
+    for k in range(_MAX_TERMS):
         c_next = ((k + alpha) * c_prev - (k + 1.0) * (k + gamma - z0) * c_cur) / (
             z0 * (k + 2.0) * (k + 1.0)
         )
@@ -203,7 +177,7 @@ def _taylor_step(alpha, gamma, z0, w, wp, h, control):
         val += dval
         der += c_next * hk_d
         c_prev, c_cur = c_cur, c_next
-        if abs(dval) <= control.tol * max(abs(val), 1e-290):
+        if abs(dval) <= _TOL * max(abs(val), 1e-290):
             small += 1
             if small >= 3:
                 return val, der
@@ -212,49 +186,45 @@ def _taylor_step(alpha, gamma, z0, w, wp, h, control):
     raise NonConvergenceError(f"1F1 Taylor step did not converge at z0={z0}")
 
 
-def _continued_1f1(alpha, gamma, z, control):
+def _continued_1f1(alpha, gamma, z):
     """Series seed at |z| = _DIRECT_RADIUS continued outward along the ray."""
     r = abs(z)
     ray = z / r
     z_cur = _DIRECT_RADIUS * ray
-    w, wp = _series_1f1_pair(alpha, gamma, z_cur, control)
+    w = _series_1f1(alpha, gamma, z_cur)
+    wp = alpha / gamma * _series_1f1(alpha + 1.0, gamma + 1.0, z_cur)
     while abs(z_cur) < r:
         step = min(0.35 * abs(z_cur), 6.0, r - abs(z_cur))
         z_next = z_cur + step * ray
-        w, wp = _taylor_step(alpha, gamma, z_cur, w, wp, z_next - z_cur, control)
+        w, wp = _taylor_step(alpha, gamma, z_cur, w, wp, z_next - z_cur)
         z_cur = z_next
     return w
 
 
-def _asymptotic_1f1(alpha, gamma, z, control):
+def _asymptotic_sum(a, b, w):
+    """sum_k (a)_k (b)_k / (k! w^k), cut before the smallest term or once a
+    term drops to _TOL; returns (sum, size of the last term kept)."""
+    term = 1.0 + 0.0j
+    total = term
+    t_min = abs(term)
+    for k in range(_MAX_TERMS):
+        term = term * (a + k) * (b + k) / ((k + 1.0) * w)
+        if abs(term) >= t_min:
+            break
+        total += term
+        t_min = abs(term)
+        if t_min <= _TOL:
+            break
+    return total, t_min
+
+
+def _asymptotic_1f1(alpha, gamma, z):
     """Large-|z| compound expansion with both exponential branches.
 
     Returns (value, relative error estimate from the first omitted terms).
     """
-    # branch 1: z^{-alpha} series
-    term = 1.0 + 0.0j
-    s1 = term
-    t1_min = abs(term)
-    for k in range(control.max_terms):
-        term = term * (alpha + k) * (alpha - gamma + 1.0 + k) / ((k + 1.0) * (-z))
-        if abs(term) >= t1_min:
-            break
-        s1 += term
-        t1_min = abs(term)
-        if t1_min <= control.tol:
-            break
-    # branch 2: e^z z^{alpha-gamma} series
-    term = 1.0 + 0.0j
-    s2 = term
-    t2_min = abs(term)
-    for k in range(control.max_terms):
-        term = term * (gamma - alpha + k) * (1.0 - alpha + k) / ((k + 1.0) * z)
-        if abs(term) >= t2_min:
-            break
-        s2 += term
-        t2_min = abs(term)
-        if t2_min <= control.tol:
-            break
+    s1, t1_min = _asymptotic_sum(alpha, alpha - gamma + 1.0, -z)  # z^{-alpha}
+    s2, t2_min = _asymptotic_sum(gamma - alpha, 1.0 - alpha, z)  # e^z z^{alpha-gamma}
     sign = 1.0 if z.imag >= 0.0 else -1.0
     logz = cmath.log(z)
     g = cgamma(gamma)
@@ -266,11 +236,11 @@ def _asymptotic_1f1(alpha, gamma, z, control):
     return val, err / scale
 
 
-def hyp1f1(alpha: complex, gamma: complex, z: complex, control: SeriesControl | None = None) -> complex:
+def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
     """Kummer's 1F1(alpha, gamma, z) for complex arguments.
 
     Power series up to |z| = 10, Taylor continuation along the ray up to
-    switch_radius, compound asymptotic expansion beyond.  Tuned for the
+    |z| = 30, compound asymptotic expansion beyond.  Tuned for the
     imaginary axis where the package needs 1e-10 relative accuracy.
     """
     alpha = complex(alpha)
@@ -279,41 +249,39 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex, control: SeriesControl | 
     _check_finite(alpha, gamma, z)
     if _is_nonpositive_integer(gamma):
         raise GammaPoleError(f"1F1 undefined at non-positive integer gamma = {gamma}")
-    if control is None:
-        control = DEFAULT_CONTROL
     if z == 0.0:
         return 1.0 + 0.0j
     if alpha == gamma:
         return cmath.exp(z)
     if z.real < 0.0:
         # Kummer transform keeps the continuation direction dominant
-        return cmath.exp(z) * hyp1f1(gamma - alpha, gamma, -z, control)
+        return cmath.exp(z) * hyp1f1(gamma - alpha, gamma, -z)
     r = abs(z)
     if r <= _DIRECT_RADIUS:
-        return _series_1f1(alpha, gamma, z, control)
-    if r <= control.switch_radius:
-        return _continued_1f1(alpha, gamma, z, control)
-    val, relerr = _asymptotic_1f1(alpha, gamma, z, control)
+        return _series_1f1(alpha, gamma, z)
+    if r <= _SWITCH_RADIUS:
+        return _continued_1f1(alpha, gamma, z)
+    val, relerr = _asymptotic_1f1(alpha, gamma, z)
     if relerr < 1e-11:
         return val
     if r <= 500.0:
-        return _continued_1f1(alpha, gamma, z, control)
+        return _continued_1f1(alpha, gamma, z)
     raise NonConvergenceError(
         f"no 1F1 regime met tolerance at z={z} (asymptotic rel err {relerr:.2e})"
     )
 
 
-def hyp1f1_dz(alpha: complex, gamma: complex, z: complex, control: SeriesControl | None = None) -> complex:
+def hyp1f1_dz(alpha: complex, gamma: complex, z: complex) -> complex:
     """d/dz 1F1(alpha, gamma, z) = (alpha/gamma) 1F1(alpha+1, gamma+1, z)."""
     return complex(alpha) / complex(gamma) * hyp1f1(
-        complex(alpha) + 1.0, complex(gamma) + 1.0, z, control
+        complex(alpha) + 1.0, complex(gamma) + 1.0, z
     )
 
 
 # --- parabolic cylinder ------------------------------------------------------
 
 
-def pcf_d(order: complex, z: complex, control: SeriesControl | None = None) -> complex:
+def pcf_d(order: complex, z: complex) -> complex:
     """Parabolic cylinder D_order(z) via its even/odd 1F1 decomposition:
 
         D_a(z) = 2^{a/2} sqrt(pi) e^{-z^2/4} [ 1F1(-a/2, 1/2, z^2/2) / Gamma((1-a)/2)
@@ -328,8 +296,6 @@ def pcf_d(order: complex, z: complex, control: SeriesControl | None = None) -> c
     _check_finite(a, z)
     half_z2 = 0.5 * z * z
     pref = cmath.exp(0.5 * a * math.log(2.0) - 0.25 * z * z) * math.sqrt(math.pi)
-    even = rgamma(0.5 * (1.0 - a)) * hyp1f1(-0.5 * a, 0.5, half_z2, control)
-    odd = rgamma(-0.5 * a) * z * math.sqrt(2.0) * hyp1f1(
-        0.5 - 0.5 * a, 1.5, half_z2, control
-    )
+    even = rgamma(0.5 * (1.0 - a)) * hyp1f1(-0.5 * a, 0.5, half_z2)
+    odd = rgamma(-0.5 * a) * z * math.sqrt(2.0) * hyp1f1(0.5 - 0.5 * a, 1.5, half_z2)
     return pref * (even - odd)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import ConfigError, DenominatorVanishesError
-from .specfun import SeriesControl
 
 __all__ = [
     "ZeroAParams",
@@ -64,16 +63,7 @@ def g_prime_regime(s: float) -> str:
     return "asymptotic" if abs(s) > ASYMPTOTIC_SWITCH_S else "exact"
 
 
-def _g_prime_hyp_exact(s: float, eps: float, control=None) -> np.ndarray:
-    z = 0.25j * s * s
-    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z, control)
-    g1 = 1.0 - 0.5 * eps * s * s * (f1 * f1.conjugate()).real
-    w = math.sqrt(eps) * s * f1 * sf.hyp1f1(-0.25j * eps, 0.5, -z, control)
-    return np.array([g1, w.real, w.imag])
-
-
-def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False,
-                control: SeriesControl | None = None) -> np.ndarray:
+def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
     """Tangent G'(s) from the hypergeometric representation
         G1' = 1 - (eps s^2/2) |1F1(1/2 + i eps/4, 3/2, i s^2/4)|^2,
         G2' + i G3' = sqrt(eps) s 1F1(1/2 + i eps/4, 3/2, i s^2/4)
@@ -86,7 +76,12 @@ def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False,
         return np.array([1.0, 0.0, 0.0])
     if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
         return g_prime_asymptotic(s, params)
-    return _g_prime_hyp_exact(s, params.eps, control)
+    eps = params.eps
+    z = 0.25j * s * s
+    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z)
+    g1 = 1.0 - 0.5 * eps * s * s * (f1 * f1.conjugate()).real
+    w = math.sqrt(eps) * s * f1 * sf.hyp1f1(-0.25j * eps, 0.5, -z)
+    return np.array([g1, w.real, w.imag])
 
 
 def _pcf_u_constants(eps: float):
@@ -108,26 +103,22 @@ def _pcf_u_constants(eps: float):
     }
 
 
-def g_prime_pcf(s: float, params: ZeroAParams, j: int | None = None,
-                exact: bool = False, control: SeriesControl | None = None):
-    """Tangent components from the parabolic-cylinder product representation
+def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
+    """Tangent G'(s) from the parabolic-cylinder product representation
 
         Gj' = 1 - kappa_j^{-1} prod_nu sum_mu e^{mu lambda_{nu,j}}
                   D_{-i nu eps/2}(mu e^{i pi nu/4} s / sqrt(2)).
 
     Only exponentials of the integration constants enter; they are derived
     from tanh lambda values, with the j = 3 sign fixed by unit-norm
-    consistency of the full tangent.
+    consistency of the full tangent.  Beyond |s| = 25 the large-s model is
+    returned unless exact=True.
     """
     s = float(s)
-    if j is not None and j not in (1, 2, 3):
-        raise ConfigError("component index j must be 1, 2 or 3")
     if params.eps == 0.0:
-        vec = np.array([1.0, 0.0, 0.0])
-        return vec if j is None else float(vec[j - 1])
+        return np.array([1.0, 0.0, 0.0])
     if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
-        vec = g_prime_asymptotic(s, params)
-        return vec if j is None else float(vec[j - 1])
+        return g_prime_asymptotic(s, params)
     eps = params.eps
     d = {}
     for nu in (1, -1):
@@ -135,7 +126,6 @@ def g_prime_pcf(s: float, params: ZeroAParams, j: int | None = None,
             d[(nu, mu)] = sf.pcf_d(
                 -0.5j * nu * eps,
                 mu * cmath.exp(0.25j * cmath.pi * nu) * s / math.sqrt(2.0),
-                control,
             )
     u_all = _pcf_u_constants(eps)
     ep4 = math.exp(0.25 * math.pi * eps)
@@ -146,12 +136,10 @@ def g_prime_pcf(s: float, params: ZeroAParams, j: int | None = None,
         num = (d[(1, 1)] + u[1] * d[(1, -1)]) * (d[(-1, 1)] + u[-1] * d[(-1, -1)])
         den = 0.5 * (ep4 * (1.0 + u[1] * u[-1]) + em4 * (u[1] + u[-1]))
         out.append((1.0 - num / den).real)
-    vec = np.array(out)
-    return vec if j is None else float(vec[j - 1])
+    return np.array(out)
 
 
-def g_prime_jet(s: float, params: ZeroAParams,
-                control: SeriesControl | None = None) -> tuple[np.ndarray, np.ndarray]:
+def g_prime_jet(s: float, params: ZeroAParams) -> tuple[np.ndarray, np.ndarray]:
     """(G', G'') from the closed form, with G'' by analytic differentiation."""
     s = float(s)
     eps = params.eps
@@ -159,10 +147,10 @@ def g_prime_jet(s: float, params: ZeroAParams,
         return np.array([1.0, 0.0, 0.0]), np.zeros(3)
     z = 0.25j * s * s
     dz = 0.5j * s  # dz/ds
-    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z, control)
-    f1p = sf.hyp1f1_dz(0.5 + 0.25j * eps, 1.5, z, control) * dz
-    f2 = sf.hyp1f1(-0.25j * eps, 0.5, -z, control)
-    f2p = sf.hyp1f1_dz(-0.25j * eps, 0.5, -z, control) * (-dz)
+    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z)
+    f1p = sf.hyp1f1_dz(0.5 + 0.25j * eps, 1.5, z) * dz
+    f2 = sf.hyp1f1(-0.25j * eps, 0.5, -z)
+    f2p = sf.hyp1f1_dz(-0.25j * eps, 0.5, -z) * (-dz)
     mod2 = (f1 * f1.conjugate()).real
     dmod2 = 2.0 * (f1p * f1.conjugate()).real
     g1 = 1.0 - 0.5 * eps * s * s * mod2
@@ -174,10 +162,9 @@ def g_prime_jet(s: float, params: ZeroAParams,
     return gp, gpp
 
 
-def reconstruct_g(s: float, params: ZeroAParams,
-                  control: SeriesControl | None = None) -> np.ndarray:
+def reconstruct_g(s: float, params: ZeroAParams) -> np.ndarray:
     """G(s) = s G' + 2 G' x G'' from the closed-form jet; |G|^2 = s^2 + 4 eps."""
-    gp, gpp = g_prime_jet(s, params, control)
+    gp, gpp = g_prime_jet(s, params)
     return float(s) * gp + 2.0 * np.cross(gp, gpp)
 
 

@@ -15,6 +15,7 @@ from filpiv.errors import (
     WindowTooShortError,
 )
 from filpiv.flow import FlowParams
+from filpiv.selfcheck import cubic_coefficient_fit
 from filpiv.specfun import cgamma
 
 P10 = FlowParams(1.0, 0.0)
@@ -122,6 +123,21 @@ class TestSigmaModel:
         assert worst["sigma"] <= 1e-4
         assert worst["sigma_p"] <= 1e-3
         assert worst["sigma_pp"] <= 1e-3
+
+
+class TestCubicSign:
+    """The cubic tail term of sigma is +8 D1 / m^3 (README erratum): its
+    phase-averaged coefficient, fitted on [70, 110] as criterion 7 fits it,
+    converges to +8 D1, while the printed closed form's -8 D1 is ruled out."""
+
+    @pytest.mark.parametrize("a, eps, branch", [
+        (1.0, 0.0, "odd"), (1.0, 0.5, "odd"), (1.0, 1.5, "mixed_plus"), (2.0, 0.3, "odd"),
+    ])
+    def test_fitted_coefficient_is_plus_8_d1(self, runs, a, eps, branch):
+        run = runs.grid_run(a, eps, branch, s_max=110.0, rel=1e-13)
+        fitted, predicted = cubic_coefficient_fit(run, branch, np.linspace(70.0, 110.0, 2400))
+        assert predicted < 0.0 and fitted < 0.0
+        assert abs(fitted - predicted) <= 5e-3 * abs(predicted)
 
 
 class TestModelCurvTors:

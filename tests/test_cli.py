@@ -13,6 +13,9 @@ from filpiv.cli import (_CSV_BLOCK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _fmt,
 from filpiv.odeint import ORDER
 
 
+_RT_HALF = math.sqrt(0.5)  # |G''(0)| of the eps = 0.5 data with a . G'(0) = 0
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "filpiv.cli", *args],
@@ -177,6 +180,13 @@ class TestErrors:
         ("integrate", {"initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": "x"}}, []),
         ("integrate", {"initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, 0.5, 0.0],
                                    "s0": "z"}}, []),
+        # valid Cauchy data next to a misspelt key, a branch or a fractional side
+        ("integrate", {"initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 0.0],
+                                   "s_0": 1.0}}, []),
+        ("integrate", {"initial": {"branch": "odd", "gp0": [1.0, 0.0, 0.0],
+                                   "gpp0": [0.0, _RT_HALF, 0.0]}}, []),
+        ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "side": 1.7}}, []),
+        ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "sides": 1}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -360,6 +370,27 @@ class TestMisc:
     def test_version_flag(self):
         r = run_cli("--version")
         assert r.returncode == 0
+
+    def test_help_flag(self):
+        r = run_cli("integrate", "--help")
+        assert r.returncode == 0 and "--config" in r.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--tol-rel", "abc"],
+        ["integrate", "--no-such-option"],
+        ["selfcheck", "--s-max", "3"],
+        ["selfcheck", "--config", "run.json"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_errors_exit_2_with_json_line(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        r = run_cli(*argv)
+        assert r.returncode == EXIT_CONFIG and r.stdout == ""
+        err = r.stderr.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
 
     def test_seedless_accepted(self, tmp_path, zero_a_config):
         out = tmp_path / "o"

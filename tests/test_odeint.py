@@ -41,12 +41,12 @@ class TestBasics:
     def test_exponential_decay(self):
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(decay, np.array([1.0]), 0.0, 1.0, cfg)
-        assert abs(traj.state_at(1.0)[0] - math.exp(-1.0)) < 10 * cfg.rel_tol
+        assert abs(traj.states_at(1.0)[0] - math.exp(-1.0)) < 10 * cfg.rel_tol
 
     def test_backward_direction(self):
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(decay, np.array([1.0]), 0.0, -1.0, cfg)
-        assert abs(traj.state_at(-1.0)[0] - math.exp(1.0)) < 10 * cfg.rel_tol * math.e
+        assert abs(traj.states_at(-1.0)[0] - math.exp(1.0)) < 10 * cfg.rel_tol * math.e
 
     def test_harmonic_energy_100_periods(self):
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -93,8 +93,8 @@ class TestStepSize:
                           / (k + 1))
         traj = integrate(cubic, np.array([0.0]), 0.0, 7.0)
         assert traj.n_steps == 1
-        assert traj.state_at(7.0)[0] == pytest.approx(343.0, rel=1e-15)
-        assert traj.state_at(2.0)[0] == pytest.approx(8.0, rel=1e-15)
+        assert traj.states_at(7.0)[0] == pytest.approx(343.0, rel=1e-15)
+        assert traj.states_at(2.0)[0] == pytest.approx(8.0, rel=1e-15)
 
 
 class TestAccuracy:
@@ -106,7 +106,7 @@ class TestAccuracy:
         for tol in (1e-6, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
             traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, cfg)
-            errs.append(np.max(np.abs(traj.state_at(12.0) - ref.state_at(12.0))))
+            errs.append(np.max(np.abs(traj.states_at(12.0) - ref.states_at(12.0))))
         assert errs[1] < errs[0] * 0.1
         assert errs[2] < errs[1] * 0.1
 
@@ -114,8 +114,8 @@ class TestAccuracy:
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         y0 = np.array([0.3, 0.7])
         fwd = integrate(harmonic, y0, 0.0, 25.0, cfg)
-        back = integrate(harmonic, fwd.state_at(25.0), 25.0, 0.0, cfg)
-        assert np.max(np.abs(back.state_at(0.0) - y0)) <= 100 * cfg.rel_tol
+        back = integrate(harmonic, fwd.states_at(25.0), 25.0, 0.0, cfg)
+        assert np.max(np.abs(back.states_at(0.0) - y0)) <= 100 * cfg.rel_tol
 
 
 class TestDenseOutput:
@@ -124,7 +124,7 @@ class TestDenseOutput:
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg)
         for k in range(0, traj.n_steps + 1, max(1, traj.n_steps // 17)):
             s = traj.s_nodes[k]
-            assert np.array_equal(traj.state_at(s), traj.states[k])
+            assert np.array_equal(traj.states_at(s), traj.states[k])
 
     def test_interpolation_accuracy(self):
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -137,7 +137,7 @@ class TestDenseOutput:
     def test_outside_span_raises(self):
         traj = integrate(decay, np.array([1.0]), 0.0, 1.0)
         with pytest.raises(ValueError):
-            traj.state_at(1.5)
+            traj.states_at(1.5)
 
     def test_interpolant_endpoint_consistency(self):
         # the step's polynomial at theta -> 1 approaches the next node state
@@ -146,7 +146,7 @@ class TestDenseOutput:
         k = traj.n_steps // 2
         s0, s1 = traj.s_nodes[k], traj.s_nodes[k + 1]
         just_before = s1 - 1e-9 * (s1 - s0)
-        assert np.max(np.abs(traj.state_at(just_before) - traj.states[k + 1])) < 1e-8
+        assert np.max(np.abs(traj.states_at(just_before) - traj.states[k + 1])) < 1e-8
 
     def test_unsorted_read_matches_sorted(self):
         traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0)

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from filpiv import flow, zero_a
-from filpiv.errors import ConfigError
+from filpiv import zero_a
 
 
 class TestGPrimeHyp:
@@ -69,17 +68,16 @@ class TestGPrimePcf:
         assert worst <= 1e-9
 
     def test_component_access(self):
+        # the tangent is one float vector of its three components
         p = zero_a.ZeroAParams(1.0)
         vec = zero_a.g_prime_pcf(4.0, p)
-        for j in (1, 2, 3):
-            assert zero_a.g_prime_pcf(4.0, p, j) == pytest.approx(vec[j - 1])
-        with pytest.raises(ConfigError):
-            zero_a.g_prime_pcf(4.0, p, 4)
+        assert vec.shape == (3,) and vec.dtype == float
+        assert vec == pytest.approx(zero_a.g_prime_hyp(4.0, p), abs=1e-9)
 
     def test_odd_component_vanishes_at_origin(self):
         p = zero_a.ZeroAParams(1.0)
-        assert zero_a.g_prime_pcf(0.0, p, 2) == pytest.approx(0.0, abs=1e-12)
-        assert zero_a.g_prime_pcf(0.0, p, 3) == pytest.approx(0.0, abs=1e-12)
+        assert zero_a.g_prime_pcf(0.0, p)[1] == pytest.approx(0.0, abs=1e-12)
+        assert zero_a.g_prime_pcf(0.0, p)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_parity(self):
         p = zero_a.ZeroAParams(0.8)
@@ -110,6 +108,12 @@ class TestReconstructG:
             assert float(g @ g) == pytest.approx(s * s + 4.0, abs=1e-10)
 
 
+def zeta_jet(run, s, e):
+    """(s, e.G, e.G', e.G'') of a flow run for a fixed (possibly complex) e."""
+    smp = run.sample(s)
+    return (s, complex(e @ smp["G"]), complex(e @ smp["Gp"]), complex(e @ smp["Gpp"]))
+
+
 class TestZetaEquation:
     def test_residual_along_run_any_direction(self, runs):
         run = runs.zero_a_run(1.0, s_max=20.0)
@@ -118,7 +122,7 @@ class TestZetaEquation:
         e = rng.randn(3)
         e /= np.linalg.norm(e)
         for s in np.linspace(-12.0, 12.0, 25):
-            jet = run.zeta_jet(float(s), e)
+            jet = zeta_jet(run, float(s), e)
             assert abs(zero_a.zeta_residual(jet, p)) <= 1e-8
 
     def test_line_zeta(self):
@@ -131,7 +135,7 @@ class TestZetaEquation:
         p = zero_a.ZeroAParams(1.0)
         e = np.array([0.0, 1.0, 1j])
         for s in np.linspace(-12.0, 12.0, 25):
-            jet = run.zeta_jet(float(s), e)
+            jet = zeta_jet(run, float(s), e)
             assert abs(zero_a.zeta_residual(jet, p, complex_null=True)) <= 1e-8
 
 
