@@ -82,6 +82,7 @@ class FitResult:
     mean_sigma_p: float    # fitted limit (eps + 6 omega)/3
     residual_norm: float   # rms residual of the sigma' model over the window
     n_periods: float
+    profile_solves: int    # _profile_fit calls made for this side
 
 
 def omega_bounds(params: FlowParams) -> tuple[float, float]:
@@ -224,36 +225,67 @@ def _window_grid(window) -> np.ndarray:
     return np.linspace(m_lo, m_hi, n)
 
 
-def _profile_fit(ms, sig_p, omega, params):
+def _profile_fit(grid, sig_p, omega, params):
     """For fixed omega: linear LSQ of the detrended oscillation.
 
     The leading model is [p cos(psi) + q sin(psi)] / m applied to
     sigma' - (eps+6w)/3 + c2/m^2; free first- and second-harmonic columns at
-    1/m^3 absorb the next order so they do not bias (p, q).
-    Returns (sum of squared residuals, p, q)."""
-    u = (params.eps + 6.0 * omega) / 3.0
-    c2 = c2_coefficient(omega, params)
-    y = sig_p - u + c2 / ms**2
-    psi = 0.25 * ms**2 - 6.0 * omega * np.log(ms / math.sqrt(2.0))
+    1/m^3 absorb the next order so they do not bias (p, q).  grid holds the
+    window's omega-free (m, m^2, m^3, ln(m/sqrt 2), m^2/4).  Returns (sum of
+    squared residuals f, p, q, f'(omega) by variable projection)."""
+    ms, m2, m3, ln_m, quarter_m2 = grid
+    y = sig_p - (params.eps + 6.0 * omega) / 3.0 + c2_coefficient(omega, params) / m2
+    psi = quarter_m2 - 6.0 * omega * ln_m
     c1, s1 = np.cos(psi), np.sin(psi)
-    m3 = ms**3
-    cols = np.stack(
-        [c1 / ms, s1 / ms, c1 / m3, s1 / m3,
-         (c1 * c1 - s1 * s1) / m3, 2.0 * c1 * s1 / m3],
-        axis=1,
-    )
+    ch, sh = c1 * c1 - s1 * s1, 2.0 * c1 * s1
+    cols = np.stack([c1 / ms, s1 / ms, c1 / m3, s1 / m3, ch / m3, sh / m3], axis=1)
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
     resid = y - cols @ coef
-    return float(resid @ resid), float(coef[0]), float(coef[1])
+    # f' = 2 r.(dy/domega - (dA/domega) c) for r = y - A c, exactly since
+    # r.A = 0 (variable projection, Golub & Pereyra 1973).
+    # dy/domega = -2 - 24 omega/m^2; dpsi/domega = -6 ln(m/sqrt 2) turns each
+    # column pair (cos, sin) into 6 ln(m/sqrt 2) (sin, -cos), twice that for
+    # the second harmonic.
+    da_c = 6.0 * ln_m * ((coef[0] * s1 - coef[1] * c1) / ms + (
+        coef[2] * s1 - coef[3] * c1 + 2.0 * (coef[4] * sh - coef[5] * ch)) / m3)
+    slope = 2.0 * float(resid @ (-2.0 - 24.0 * omega / m2 - da_c))
+    return float(resid @ resid), float(coef[0]), float(coef[1]), slope
+
+
+def _profile_minimum(grid, sig_p, params, x0, f0, lo, hi):
+    """Safeguarded secant for f'(omega) = 0 on [lo, hi], started from x0 and
+    its fit f0; returns (omega, fit, solves) at the last solved point."""
+    # The end downhill of x0 is solved first.  If f' keeps its sign there,
+    # f falls all the way to that end, which is taken as the end with the
+    # lower f.
+    # Otherwise the two points bracket the minimum (f' from - to +); secant
+    # steps on the last two points shrink the bracket, a step that leaves it
+    # (or is undefined, the two slopes being equal) is replaced by bisection,
+    # and a step below 1e-14 max(1, |omega|) ends the search without another
+    # solve.
+    x1 = hi if f0[3] < 0.0 else lo
+    f1, solves = _profile_fit(grid, sig_p, x1, params), 2
+    if (f1[3] < 0.0) != (f0[3] < 0.0):
+        lo, hi = min(x0, x1), max(x0, x1)
+        while solves < 50:  # the secant needs about 5; bisection alone ~40
+            den = f1[3] - f0[3]
+            x = x1 - f1[3] * (x1 - x0) / den if den else math.nan
+            if abs(x - x1) < 1e-14 * max(1.0, abs(x1)):
+                break
+            x0, f0, x1 = x1, f1, (x if lo < x < hi else 0.5 * (lo + hi))
+            f1, solves = _profile_fit(grid, sig_p, x1, params), solves + 1
+            lo, hi = (x1, hi) if f1[3] < 0.0 else (lo, x1)
+    return x1, f1, solves
 
 
 def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     """Extract (omega, delta) from one tail of a trajectory.
 
     omega first, from the window mean of sigma' corrected by the known
-    1/m^2 term, then refined by minimizing the phase-model residual (the
-    ln|s| frequency correction couples omega into the phase); delta then
-    follows from a linear cos/sin fit.  The window is given in |s|.
+    1/m^2 term, then refined by a secant on the variable-projection
+    derivative of the phase-model residual (the ln|s| frequency correction
+    couples omega into the phase), in about 5 solves; delta then follows
+    from the linear cos/sin fit.  The window is given in |s|.
     """
     params = run.params
     if side not in (1, -1):
@@ -265,47 +297,34 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     if not span_ok:
         raise ConfigError("fit window outside the trajectory span")
     sig_p = run.gp(side * ms) @ params.a_vec
+    grid = (ms, ms**2, ms**3, np.log(ms / math.sqrt(2.0)), 0.25 * ms**2)
 
     # stage 1: corrected mean
     mean_sp = float(np.trapezoid(sig_p, ms) / (ms[-1] - ms[0]))
+    mean_inv2 = float(np.trapezoid(1.0 / ms**2, ms) / (ms[-1] - ms[0]))
     omega = (3.0 * mean_sp - params.eps) / 6.0
     for _ in range(3):
-        mean_inv2 = float(np.trapezoid(1.0 / ms**2, ms) / (ms[-1] - ms[0]))
         u = mean_sp + c2_coefficient(omega, params) * mean_inv2
         omega = (3.0 * u - params.eps) / 6.0
 
-    # stage 2: golden-section refinement of omega on the profiled residual
+    # stage 2: minimize the profiled residual over omega within 0.01
     # (skipped when there is no oscillation signal to lock onto)
-    _, p0, q0 = _profile_fit(ms, sig_p, omega, params)
+    fit, solves = _profile_fit(grid, sig_p, omega, params), 1
     lo_b, hi_b = omega_bounds(params)
-    if math.hypot(p0, q0) > 1e-8 * max(1.0, abs(mean_sp)):
-        gr = 0.5 * (math.sqrt(5.0) - 1.0)
-        lo = max(omega - 0.01, lo_b - 1e-6)
-        hi = min(omega + 0.01, hi_b + 1e-6)
-        if hi > lo:
-            x1 = hi - gr * (hi - lo)
-            x2 = lo + gr * (hi - lo)
-            f1 = _profile_fit(ms, sig_p, x1, params)[0]
-            f2 = _profile_fit(ms, sig_p, x2, params)[0]
-            for _ in range(60):
-                if f1 <= f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - gr * (hi - lo)
-                    f1 = _profile_fit(ms, sig_p, x1, params)[0]
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + gr * (hi - lo)
-                    f2 = _profile_fit(ms, sig_p, x2, params)[0]
-            omega = 0.5 * (lo + hi)
+    lo = max(omega - 0.01, lo_b - 1e-6)
+    hi = min(omega + 0.01, hi_b + 1e-6)
+    if math.hypot(fit[1], fit[2]) > 1e-8 * max(1.0, abs(mean_sp)) and hi > lo:
+        omega, fit, solves = _profile_minimum(grid, sig_p, params, omega, fit, lo, hi)
 
     slack = 1e-6 * max(1.0, abs(lo_b), abs(hi_b))
     if omega < lo_b - slack or omega > hi_b + slack:
         raise OmegaOutOfBoundsError(
             f"fitted omega={omega} outside [{lo_b}, {hi_b}]"
         )
-    omega = min(max(omega, lo_b), hi_b)
-
-    ss_res, p, q = _profile_fit(ms, sig_p, omega, params)
+    if not lo_b <= omega <= hi_b:
+        omega = min(max(omega, lo_b), hi_b)
+        fit, solves = _profile_fit(grid, sig_p, omega, params), solves + 1
+    ss_res, p, q, _ = fit
     amp = math.hypot(p, q)
     delta = math.atan2(-q, p) if amp > 0.0 else 0.0
     mean_fit = (params.eps + 6.0 * omega) / 3.0
@@ -321,6 +340,7 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
         mean_sigma_p=mean_fit,
         residual_norm=math.sqrt(ss_res / len(ms)),
         n_periods=(ms[-1] ** 2 - ms[0] ** 2) / (8.0 * math.pi),
+        profile_solves=solves,
     )
 
 

@@ -51,12 +51,19 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _number(value, what: str, kind=float):
-    """value converted by kind; a ConfigError naming the key otherwise."""
+def _number(value, what: str) -> float:
+    """value as a float; a ConfigError naming the key otherwise."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    x = _number(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
 
 
 def _pair(value, what: str) -> list[float]:
@@ -167,7 +174,7 @@ def _integrator_cfg(cfg: dict) -> IntegratorConfig:
     try:
         return IntegratorConfig(
             rel_tol=float(t["rel"]), abs_tol=float(t["abs"]),
-            max_steps=int(t["max_steps"]),
+            max_steps=_integer(t["max_steps"], "tolerances.max_steps"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid tolerances {t}: {exc}") from exc
@@ -189,7 +196,7 @@ def _sample_grid(cfg: dict) -> np.ndarray:
 
 def _x_grid(cfg: dict) -> np.ndarray:
     g = cfg["x_grid"]
-    n = _number(g["n"], "x_grid.n", int)
+    n = _integer(g["n"], "x_grid.n")
     if n < 1:
         raise ConfigError("x_grid.n must be >= 1")
     return np.linspace(_number(g["min"], "x_grid.min"),
@@ -277,6 +284,7 @@ def _tail_payload(fr: asympt.FitResult) -> dict:
         "amplitude": fr.amplitude,
         "residual_norm": fr.residual_norm,
         "n_periods": fr.n_periods,
+        "profile_solves": fr.profile_solves,
     }
 
 
@@ -455,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--out", type=str, default=None,
                        help="output directory (created if missing)")
-        p.add_argument("--seedless", action="store_true",
-                       help="accepted for symmetry; every run is "
-                            "deterministic and uses no RNG")
         if name == "selfcheck":
             p.add_argument("--planar", action="store_true",
                            help="include the slower planar-spiral criterion")

@@ -15,7 +15,12 @@ from filpiv.errors import (
     WindowTooShortError,
 )
 from filpiv.flow import FlowParams
-from filpiv.selfcheck import cubic_coefficient_fit
+from filpiv.selfcheck import (
+    ASYMMETRIC_CASES,
+    SYMMETRIC_CASES,
+    crit_symmetric_tails,
+    cubic_coefficient_fit,
+)
 from filpiv.specfun import cgamma
 
 P10 = FlowParams(1.0, 0.0)
@@ -237,6 +242,91 @@ class TestFitTail:
             fr = asympt.fit_tail(run, side, (24.0, 40.0))
             expected = 2.0 * asympt.r_of_omega(fr.tail.omega, run.params) / 9.0
             assert fr.amplitude == pytest.approx(expected, rel=0.1)
+
+
+class TestProfileMinimum:
+    """Stage 2 of fit_tail: the secant on the variable-projection derivative
+    of the profiled residual."""
+
+    @staticmethod
+    def _profile(run, side, window=(24.0, 40.0)):
+        """fit_tail's profiled fit of one tail as a function of omega."""
+        ms = asympt._window_grid(window)
+        grid = (ms, ms**2, ms**3, np.log(ms / math.sqrt(2.0)), 0.25 * ms**2)
+        sig_p = run.gp(side * ms) @ run.params.a_vec
+        return lambda w: asympt._profile_fit(grid, sig_p, w, run.params)
+
+    def test_fit_is_the_brute_force_minimum(self, runs):
+        run = runs.grid_run(1.0, 0.5, "odd", s_max=40.0)
+        for side in (1, -1):
+            fr = asympt.fit_tail(run, side, (24.0, 40.0))
+            profile = self._profile(run, side)
+
+            def argmin(center, half_width):
+                scan = center + np.linspace(-half_width, half_width, 201)
+                return scan[int(np.argmin([profile(w)[0] for w in scan]))]
+
+            # omega +- 1e-6 in steps of 1e-8, then the best step in 1e-10
+            best = argmin(argmin(fr.tail.omega, 1e-6), 1e-8)
+            assert abs(fr.tail.omega - best) <= 1e-9
+
+    def test_derivative_matches_finite_difference(self, runs):
+        profile = self._profile(runs.grid_run(1.0, 0.5, "odd", s_max=40.0), 1)
+        h = 1e-6
+        for w in (-0.13, -0.118, -0.11):  # around the fitted -0.1236
+            central = (profile(w + h)[0] - profile(w - h)[0]) / (2 * h)
+            assert profile(w)[3] == pytest.approx(central, rel=1e-9)  # ~3e-11
+
+    def test_sides_of_symmetric_runs_agree(self, runs):
+        # both tails of a symmetric run carry the same sigma' samples
+        assert crit_symmetric_tails(runs).measures["sides"] <= 1e-12
+
+    def test_few_profile_solves(self, runs):
+        # the fits of selfcheck's symmetric-tail and connection criteria
+        fits = [asympt.fit_tail(runs.grid_run(a, eps, branch), side, (24.0, 40.0))
+                for a, eps, branch in SYMMETRIC_CASES for side in (1, -1)]
+        fits += [asympt.fit_tail(runs.asymmetric_run(cos_t, ang), side, (25.0, 42.0))
+                 for cos_t, ang in ASYMMETRIC_CASES for side in (1, -1)]
+        assert max(fr.profile_solves for fr in fits) <= 10
+
+    @staticmethod
+    def _stand_in(monkeypatch, f, df):
+        # a known f and f' in place of the profiled residual
+        monkeypatch.setattr(asympt, "_profile_fit",
+                            lambda grid, sig_p, w, params: (f(w), 1.0, 0.0, df(w)))
+        return asympt._profile_fit(None, None, 0.1, None)
+
+    @pytest.mark.parametrize("f, df", [
+        (lambda w: (w - 0.13) ** 4 + (w - 0.13) ** 2,
+         lambda w: 4.0 * (w - 0.13) ** 3 + 2.0 * (w - 0.13)),
+        # f' saturates, so secant steps leave the bracket and bisection acts
+        (lambda w: math.log(math.cosh(50.0 * (w - 0.13))) / 50.0,
+         lambda w: math.tanh(50.0 * (w - 0.13))),
+    ])
+    def test_secant_converges_inside_bracket(self, monkeypatch, f, df):
+        f0 = self._stand_in(monkeypatch, f, df)
+        omega, fit, solves = asympt._profile_minimum(None, None, None, 0.1, f0,
+                                                     0.05, 0.2)
+        assert omega == pytest.approx(0.13, abs=1e-14)
+        assert fit[3] == pytest.approx(0.0, abs=1e-12)
+        assert solves <= 10
+
+    def test_equal_slopes_bisect(self, monkeypatch):
+        # f = |omega - 0.13|: the last two slopes are equal, the secant undefined
+        f0 = self._stand_in(monkeypatch, lambda w: abs(w - 0.13),
+                            lambda w: -1.0 if w < 0.13 else 1.0)
+        omega, _, solves = asympt._profile_minimum(None, None, None, 0.1, f0,
+                                                   0.05, 0.2)
+        assert omega == pytest.approx(0.13, abs=1e-13)
+        assert solves < 50
+
+    def test_downhill_end_without_sign_change(self, monkeypatch):
+        f0 = self._stand_in(monkeypatch, lambda w: (w - 0.3) ** 2,
+                            lambda w: 2.0 * (w - 0.3))
+        omega, fit, solves = asympt._profile_minimum(None, None, None, 0.1, f0,
+                                                     0.09, 0.11)
+        assert (omega, solves) == (0.11, 2)
+        assert fit[0] < f0[0]
 
 
 class TestConnect:

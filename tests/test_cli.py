@@ -187,6 +187,9 @@ class TestErrors:
                                    "gpp0": [0.0, _RT_HALF, 0.0]}}, []),
         ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "side": 1.7}}, []),
         ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "sides": 1}}, []),
+        # non-integral counts, which would be truncated
+        ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 3.7}}, []),
+        ("integrate", {"tolerances": {"max_steps": 2000.5}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -392,10 +395,13 @@ class TestMisc:
         err = r.stderr.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
 
-    def test_seedless_accepted(self, tmp_path, zero_a_config):
+    def test_seedless_rejected(self, tmp_path, capsys, zero_a_config):
         out = tmp_path / "o"
         assert main(["integrate", "--seedless", "--config", zero_a_config,
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
 
     def test_tol_and_smax_overrides(self, tmp_path, zero_a_config):
         out = tmp_path / "o"
