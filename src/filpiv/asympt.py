@@ -32,7 +32,6 @@ from .specfun import arg_gamma_one_plus_ix
 
 __all__ = [
     "TailParams",
-    "ExpansionCoeffs",
     "FitResult",
     "omega_bounds",
     "r_of_omega",
@@ -42,16 +41,13 @@ __all__ = [
     "re_rho",
     "delta_from_re_rho",
     "make_tail",
-    "expansion_coeffs",
+    "tail_phase",
     "sigma_model",
     "model_curv_tors",
     "fit_tail",
     "connect",
     "connfI_residuals",
 ]
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class TailParams:
@@ -66,13 +62,6 @@ class TailParams:
     def __post_init__(self):
         if self.side not in (1, -1):
             raise ConfigError("side must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class ExpansionCoeffs:
-    A: complex
-    B: complex
-    D1: float
 
 
 @dataclass(frozen=True)
@@ -159,39 +148,33 @@ def make_tail(side: int, omega: float, delta: float, params: FlowParams) -> Tail
     )
 
 
-def expansion_coeffs(tail: TailParams, params: FlowParams) -> ExpansionCoeffs:
-    """A = (R/9) e^{i arg A} with arg A = delta + 3 omega ln 2, B = conj(A),
-    and the cubic coefficient D1; |A|^2 = A B = R^2 / 81."""
-    amp = r_of_omega(tail.omega, params) / 9.0
-    a_coef = amp * cmath.exp(1j * (tail.delta + 3.0 * tail.omega * _LN2))
-    return ExpansionCoeffs(a_coef, a_coef.conjugate(), d1_coefficient(tail.omega, params))
+def tail_phase(m, omega: float, delta: float):
+    """phi(m) = m^2/4 - 6 omega ln(m / sqrt(2)) + delta, for a float or an
+    array of m = |s|."""
+    return 0.25 * m * m - 6.0 * omega * np.log(m / math.sqrt(2.0)) + delta
 
 
-def _phase(m: float, omega: float, delta: float) -> float:
-    return 0.25 * m * m - 6.0 * omega * math.log(m / math.sqrt(2.0)) + delta
-
-
-def sigma_model(s: float, tail: TailParams, coeffs: ExpansionCoeffs,
-                params: FlowParams) -> tuple[float, float, float]:
-    """Truncated tail expansion (sigma, sigma', sigma'') at signed s.
+def sigma_model(s, tail: TailParams, params: FlowParams):
+    """Truncated tail expansion (sigma, sigma', sigma'') at signed s, a float
+    or an array, with amplitude |A| = R(omega)/9 and the cubic coefficient
+    D1 of the tail's omega.
 
     The cubic secular coefficient is +8 D1, opposite to the printed closed
     form: see the erratum in README's numerical notes for the evidence, and
     tests/test_asympt.py::TestCubicSign.
     """
-    s = float(s)
-    if s * tail.side <= 0.0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s * tail.side <= 0.0):
         raise ConfigError("sign of s must match the tail side")
-    m = abs(s)
+    m = np.abs(s)
     u = (params.eps + 6.0 * tail.omega) / 3.0
     c2 = c2_coefficient(tail.omega, params)
-    amp = abs(coeffs.A)
-    phi = _phase(m, tail.omega, tail.delta)
-    sig_base = u * m + c2 / m + 4.0 * amp * math.sin(phi) / (m * m) \
-        + 8.0 * coeffs.D1 / m**3
-    sig = tail.side * sig_base
-    sig_p = u + 2.0 * amp * math.cos(phi) / m - c2 / (m * m)
-    sig_pp = -tail.side * amp * math.sin(phi)
+    amp = r_of_omega(tail.omega, params) / 9.0
+    phi = tail_phase(m, tail.omega, tail.delta)
+    sig = tail.side * (u * m + c2 / m + 4.0 * amp * np.sin(phi) / (m * m)
+                       + 8.0 * d1_coefficient(tail.omega, params) / m**3)
+    sig_p = u + 2.0 * amp * np.cos(phi) / m - c2 / (m * m)
+    sig_pp = -tail.side * amp * np.sin(phi)
     return sig, sig_p, sig_pp
 
 
@@ -202,7 +185,7 @@ def model_curv_tors(s: float, tail: TailParams, params: FlowParams) -> tuple[flo
         raise ConfigError("sign of s must match the tail side")
     m = abs(s)
     r = r_of_omega(tail.omega, params)
-    phi = _phase(m, tail.omega, tail.delta)
+    phi = tail_phase(m, tail.omega, tail.delta)
     c2val = 2.0 * (params.eps - 3.0 * tail.omega) / 3.0 \
         - tail.side * 2.0 * r * math.cos(phi) / (9.0 * s)
     tline = tail.side * r * math.cos(phi) / 12.0

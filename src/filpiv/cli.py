@@ -78,8 +78,21 @@ def _vector3(value, what: str) -> np.ndarray:
     return np.array([_number(v, what) for v in value])
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float (undefined, like an empty CSV cell)
+    replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    return json.dumps(_finite_or_null(obj), sort_keys=True, separators=(", ", ": "),
+                      allow_nan=False)
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
@@ -154,10 +167,7 @@ def _initial_state(cfg: dict, params: FlowParams):
             if init["branch"] != "odd":
                 raise ConfigError("a = 0 supports only the normalized data "
                                   "(branch 'odd' maps to it)")
-            # normalized zero-axis data: tangent e1, curvature sqrt(eps) e2
-            return make_initial_state(
-                params, [1.0, 0.0, 0.0], [0.0, math.sqrt(params.eps), 0.0]
-            )
+            return zero_a.normalized_state(params)
         return symmetric.make_symmetric_ic(params, init["branch"])
     if "gp0" in init and "gpp0" in init:
         return make_initial_state(
@@ -349,24 +359,12 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
     _, run = _run_flow(cfg)
     lo, hi = cfg["s_span"]
     grid = np.linspace(max(lo, -20.0), min(hi, 20.0), 161)
-    dev = np.zeros(3)
-    repr_dev = np.zeros(3)
-    parity = 0.0
-    for s, gp in zip(grid, run.gp(grid)):
-        hyp = zero_a.g_prime_hyp(float(s), zp, exact=True)
-        dev = np.maximum(dev, np.abs(hyp - gp))
-        repr_dev = np.maximum(
-            repr_dev, np.abs(hyp - zero_a.g_prime_pcf(float(s), zp, exact=True))
-        )
-        mirror = zero_a.g_prime_hyp(float(-s), zp, exact=True)
-        parity = max(parity, abs(hyp[0] - mirror[0]), abs(hyp[1] + mirror[1]),
-                     abs(hyp[2] + mirror[2]))
+    dev, repr_dev = zero_a.closed_form_gaps(grid, run.gp(grid), zp)
     tangents = zero_a.asym_tangents(zp)
     payload = {
         **_meta(cfg),
         "max_closed_vs_numeric": list(dev),
         "max_representation_gap": list(repr_dev),
-        "parity_residual": parity,
         "T_plus": list(tangents.T_plus),
         "T_minus": list(tangents.T_minus),
         "T_dot": float(tangents.T_plus @ tangents.T_minus),
@@ -430,15 +428,8 @@ def cmd_selfcheck(out: Path | None, include_planar: bool) -> int:
     for res in results:
         print(res.line())
     if out is not None:
-        payload = {
-            "version": __version__,
-            "results": [
-                {"name": r.name, "passed": r.passed, "details": r.details,
-                 "measures": r.measures}
-                for r in results
-            ],
-        }
-        _write_json(out / "selfcheck.json", payload)
+        _write_json(out / "selfcheck.json", {
+            "version": __version__, "results": [r.record() for r in results]})
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
 

@@ -1,12 +1,13 @@
 """Acceptance-grade verification suite, shared by the test suite and the CLI
 selfcheck subcommand.  Every criterion pins its tolerances here and reports
-one pass/fail line with the worst measured values.
+rows (label, worst measured value, tolerance); its verdict, its printed
+line and its JSON record all derive from those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +63,31 @@ ASYMMETRIC_CASES = ((0.1, 0.93), (0.22, 0.64))
 
 @dataclass
 class CriterionResult:
+    """One criterion's rows (label, measured, tolerance or None).  A row with
+    a tolerance holds when measured <= tolerance; a row without one only
+    reports its value."""
+
     name: str
-    passed: bool
-    details: str
-    measures: dict = field(default_factory=dict)
+    rows: list
 
     def __post_init__(self):
         # plain Python types, so the result serializes to JSON
-        self.passed = bool(self.passed)
-        self.measures = {k: float(v) for k, v in self.measures.items()}
+        self.rows = [(label, float(value), None if tol is None else float(tol))
+                     for label, value, tol in self.rows]
+
+    @property
+    def passed(self) -> bool:
+        return all(tol is None or value <= tol for _, value, tol in self.rows)
 
     def line(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.details}"
+        cells = (f"{label} {value:.6g}" + ("" if tol is None else f" (<= {tol:.6g})")
+                 for label, value, tol in self.rows)
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {', '.join(cells)}"
+
+    def record(self) -> dict:
+        return {"name": self.name, "passed": self.passed,
+                "rows": [{"label": label, "measured": value, "tolerance": tol}
+                         for label, value, tol in self.rows]}
 
 
 def _acc_cfg(rel: float = 1e-12) -> IntegratorConfig:
@@ -120,8 +134,8 @@ class RunCache:
     def zero_a_run(self, eps: float, s_max: float = 48.0):
         def build():
             params = FlowParams(0.0, eps)
-            st = make_initial_state(params, [1, 0, 0], [0, math.sqrt(eps), 0])
-            return integrate_flow(params, st, -s_max, s_max, _acc_cfg())
+            return integrate_flow(params, zero_a.normalized_state(params),
+                                  -s_max, s_max, _acc_cfg())
         return self.get(("zero_a", eps, s_max), build)
 
     def asymmetric_run(self, cos_t: float, ang: float, s_max: float = 42.0):
@@ -132,64 +146,48 @@ class RunCache:
         return self.get(("asym", cos_t, ang, s_max), build)
 
 
+def _worst(name: str, checks, cases) -> CriterionResult:
+    """The criterion whose k-th row is (label_k, the maximum of value k over
+    cases, tolerance_k), for checks [(label, tolerance)] and cases [values]."""
+    worst = np.max(np.array(cases, dtype=float), axis=0)
+    return CriterionResult(name, [(label, value, tol)
+                                  for (label, tol), value in zip(checks, worst)])
+
+
 def crit_conservation(cache: RunCache) -> CriterionResult:
     """Criterion: conservation suite over the (a, eps) grid at rel_tol 1e-12,
     |s| <= 40: unit-tangent drift <= 1e-10, eps drift <= 1e-9, scalar
     constraint drift <= 1e-9, sigma-PIV residual <= 1e-8 (1 + |s|^3)."""
-    points = []
-    for a in CONSERVATION_GRID_A:
-        for eps in (-a / 2.0, 0.0, a / 2.0, 2.0 * a):
-            branch = "odd" if abs(eps) <= a else "mixed_minus"
-            points.append((a, eps, branch))
-
     ss = np.linspace(-39.9, 39.9, 267)
     bound = TOL_SP4_SCALE * (1.0 + np.abs(ss) ** 3)
-    worst = {"unit": 0.0, "eps": 0.0, "constraint": 0.0, "sp4_ratio": 0.0}
-    for a, eps, branch in points:
-        run = cache.grid_run(a, eps, branch)
+
+    def case(a, eps):
+        run = cache.grid_run(a, eps, "odd" if abs(eps) <= a else "mixed_minus")
         d = run.drift_diagnostics()
         res = painleve.sp4_residual(run.sigma_jet(ss), run.params)
-        worst["unit"] = max(worst["unit"], d["unit_drift_max"])
-        worst["eps"] = max(worst["eps"], d["eps_drift_max"])
-        worst["constraint"] = max(worst["constraint"], d["constraint_drift_max"])
-        worst["sp4_ratio"] = max(worst["sp4_ratio"], float(np.max(np.abs(res) / bound)))
-    ok = (
-        worst["unit"] <= TOL_UNIT_DRIFT
-        and worst["eps"] <= TOL_EPS_DRIFT
-        and worst["constraint"] <= TOL_CONSTRAINT_DRIFT
-        and worst["sp4_ratio"] <= 1.0
-    )
-    details = (
-        f"worst drifts over {len(points)} runs: unit {worst['unit']:.2e} "
-        f"(<= {TOL_UNIT_DRIFT}), eps {worst['eps']:.2e} (<= {TOL_EPS_DRIFT}), "
-        f"constraint {worst['constraint']:.2e} (<= {TOL_CONSTRAINT_DRIFT}), "
-        f"sigma-PIV residual/bound {worst['sp4_ratio']:.2e} (<= 1)"
-    )
-    return CriterionResult("conservation suite", ok, details, worst)
+        return (d["unit_drift_max"], d["eps_drift_max"], d["constraint_drift_max"],
+                np.max(np.abs(res) / bound))
+
+    return _worst("conservation suite", [
+        ("unit drift", TOL_UNIT_DRIFT), ("eps drift", TOL_EPS_DRIFT),
+        ("constraint drift", TOL_CONSTRAINT_DRIFT),
+        ("sigma-PIV residual/bound", 1.0),
+    ], [case(a, eps) for a in CONSERVATION_GRID_A
+        for eps in (-a / 2.0, 0.0, a / 2.0, 2.0 * a)])
 
 
 def crit_closed_form_equivalence(cache: RunCache) -> CriterionResult:
     """Criterion: closed-form tangent vs ODE tangent <= 1e-8 componentwise on
     a 400-point grid over [-20, 20]; the two closed-form representations
     agree to 1e-9."""
-    worst_ode = 0.0
-    worst_repr = 0.0
     grid = np.linspace(-20.0, 20.0, 400)
-    for eps in (0.5, 1.0, 2.0):
-        run = cache.zero_a_run(eps)
-        zp = zero_a.ZeroAParams(eps)
-        for s, gp in zip(grid, run.gp(grid)):
-            hyp = zero_a.g_prime_hyp(float(s), zp, exact=True)
-            worst_ode = max(worst_ode, float(np.max(np.abs(hyp - gp))))
-            pcf = zero_a.g_prime_pcf(float(s), zp, exact=True)
-            worst_repr = max(worst_repr, float(np.max(np.abs(hyp - pcf))))
-    ok = worst_ode <= TOL_CLOSED_FORM and worst_repr <= TOL_REPR_AGREE
-    details = (
-        f"closed form vs ODE {worst_ode:.2e} (<= {TOL_CLOSED_FORM}), "
-        f"representation agreement {worst_repr:.2e} (<= {TOL_REPR_AGREE})"
-    )
-    return CriterionResult("closed-form tangent equivalence", ok, details,
-                           {"ode": worst_ode, "repr": worst_repr})
+    cases = [zero_a.closed_form_gaps(grid, cache.zero_a_run(eps).gp(grid),
+                                     zero_a.ZeroAParams(eps))
+             for eps in (0.5, 1.0, 2.0)]
+    return _worst("closed-form tangent equivalence", [
+        ("closed form vs ODE", TOL_CLOSED_FORM),
+        ("representation agreement", TOL_REPR_AGREE),
+    ], [(np.max(ode), np.max(rep)) for ode, rep in cases])
 
 
 def fit_limit_tangent(run, side: int, eps: float) -> np.ndarray:
@@ -208,25 +206,19 @@ def crit_zero_a_tangents(cache: RunCache) -> CriterionResult:
     """Criterion: fitted limiting tangents near |s| = 40 match the closed-form
     directions within 1e-3 rad; the closed-form pair satisfies
     T+ . T- = 2 e^{-pi eps} - 1 to 1e-6."""
-    worst_angle = 0.0
-    worst_dot = 0.0
-    for eps in (0.5, 1.0, 2.0):
+    def case(eps):
         run = cache.zero_a_run(eps)
         tangents = zero_a.asym_tangents(zero_a.ZeroAParams(eps))
-        for side, t_ref in ((1, tangents.T_plus), (-1, tangents.T_minus)):
-            t_hat = fit_limit_tangent(run, side, eps)
-            ang = math.acos(min(1.0, max(-1.0, float(t_hat @ t_ref))))
-            worst_angle = max(worst_angle, ang)
-        dot_err = abs(float(tangents.T_plus @ tangents.T_minus)
-                      - (2.0 * math.exp(-math.pi * eps) - 1.0))
-        worst_dot = max(worst_dot, dot_err)
-    ok = worst_angle <= TOL_TANGENT_ANGLE and worst_dot <= TOL_TANGENT_DOT
-    details = (
-        f"tangent angle error {worst_angle:.2e} rad (<= {TOL_TANGENT_ANGLE}), "
-        f"dot identity error {worst_dot:.2e} (<= {TOL_TANGENT_DOT})"
-    )
-    return CriterionResult("zero-axis limiting tangents", ok, details,
-                           {"angle": worst_angle, "dot": worst_dot})
+        cosines = [float(fit_limit_tangent(run, side, eps) @ t_ref)
+                   for side, t_ref in ((1, tangents.T_plus), (-1, tangents.T_minus))]
+        return (max(math.acos(min(1.0, max(-1.0, c))) for c in cosines),
+                abs(float(tangents.T_plus @ tangents.T_minus)
+                    - (2.0 * math.exp(-math.pi * eps) - 1.0)))
+
+    return _worst("zero-axis limiting tangents", [
+        ("tangent angle error (rad)", TOL_TANGENT_ANGLE),
+        ("dot identity error", TOL_TANGENT_DOT),
+    ], [case(eps) for eps in (0.5, 1.0, 2.0)])
 
 
 def crit_planar_spiral(cache: RunCache) -> CriterionResult:
@@ -235,56 +227,39 @@ def crit_planar_spiral(cache: RunCache) -> CriterionResult:
     [40, 70] where the larger tail corrections have decayed)."""
     a = 10.0
     eps, delta = symmetric.planar_spiral(a)
-    delta_err = abs(delta - 0.95587)
 
     def build():
         params, st = symmetric_run_state(a, eps, "odd")
         return integrate_flow(params, st, -70.0, 70.0, _acc_cfg())
 
     run = cache.get(("planar", a), build)
-    worst = 0.0
-    for side in (1, -1):
-        fr = asympt.fit_tail(run, side, (40.0, 70.0))
-        worst = max(worst, abs(eps + 6.0 * fr.tail.omega))
-    ok = delta_err <= TOL_PLANAR_DELTA and worst <= TOL_PLANAR_OMEGA
-    details = (
-        f"delta = {delta:.6f} (err {delta_err:.1e} <= {TOL_PLANAR_DELTA}), "
-        f"|eps + 6 omega| {worst:.2e} (<= {TOL_PLANAR_OMEGA})"
-    )
-    return CriterionResult("planar spiral", ok, details,
-                           {"delta_err": delta_err, "eps6om": worst})
+    eps6om = [abs(eps + 6.0 * asympt.fit_tail(run, side, (40.0, 70.0)).tail.omega)
+              for side in (1, -1)]
+    return CriterionResult("planar spiral", [
+        ("delta", delta, None),
+        ("|delta - 0.95587|", abs(delta - 0.95587), TOL_PLANAR_DELTA),
+        ("|eps + 6 omega|", max(eps6om), TOL_PLANAR_OMEGA),
+    ])
 
 
 def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     """Criterion: independently fitted tail parameters of symmetric runs match
     the closed-form predictions: omega within 1e-3, Re rho within 3e-2 rad,
     and the two sides agree within 2e-3."""
-    worst = {"omega": 0.0, "re_rho": 0.0, "sides": 0.0}
-    for a, eps, branch in SYMMETRIC_CASES:
+    def case(a, eps, branch):
         run = cache.grid_run(a, eps, branch)
-        params = run.params
-        om_c, rr_c = symmetric.conjecture_omega(params, branch)
-        fits = {s: asympt.fit_tail(run, s, (24.0, 40.0)) for s in (1, -1)}
-        for s, fr in fits.items():
-            worst["omega"] = max(worst["omega"], abs(fr.tail.omega - om_c))
-            worst["re_rho"] = max(
-                worst["re_rho"],
-                abs(math.remainder(fr.tail.rho.real - rr_c, 2.0 * math.pi)),
-            )
-        worst["sides"] = max(
-            worst["sides"], abs(fits[1].tail.omega - fits[-1].tail.omega)
-        )
-    ok = (
-        worst["omega"] <= TOL_SYM_OMEGA
-        and worst["re_rho"] <= TOL_SYM_RERHO
-        and worst["sides"] <= TOL_SYM_SIDES
-    )
-    details = (
-        f"|omega - predicted| {worst['omega']:.2e} (<= {TOL_SYM_OMEGA}), "
-        f"|Re rho - predicted| {worst['re_rho']:.2e} (<= {TOL_SYM_RERHO}), "
-        f"side asymmetry {worst['sides']:.2e} (<= {TOL_SYM_SIDES})"
-    )
-    return CriterionResult("symmetric tail predictions", ok, details, worst)
+        om_c, rr_c = symmetric.conjecture_omega(run.params, branch)
+        plus, minus = (asympt.fit_tail(run, side, (24.0, 40.0)).tail for side in (1, -1))
+        return (max(abs(t.omega - om_c) for t in (plus, minus)),
+                max(abs(math.remainder(t.rho.real - rr_c, 2.0 * math.pi))
+                    for t in (plus, minus)),
+                abs(plus.omega - minus.omega))
+
+    return _worst("symmetric tail predictions", [
+        ("|omega - predicted|", TOL_SYM_OMEGA),
+        ("|Re rho - predicted| (rad)", TOL_SYM_RERHO),
+        ("side asymmetry", TOL_SYM_SIDES),
+    ], [case(*c) for c in SYMMETRIC_CASES])
 
 
 def crit_connection_formulas(cache: RunCache) -> CriterionResult:
@@ -293,52 +268,34 @@ def crit_connection_formulas(cache: RunCache) -> CriterionResult:
     |d omega| <= 1e-2 and |d delta| <= 5e-2 rad, and the connection relations
     evaluate to relative residuals <= 1e-3 on the fitted pair (with Im rho
     from the reality constraint)."""
-    worst = {"domega": 0.0, "ddelta": 0.0, "resid": 0.0}
-    for cos_t, ang in ASYMMETRIC_CASES:
+    def case(cos_t, ang):
         run = cache.asymmetric_run(cos_t, ang)
-        params = run.params
-        fp = asympt.fit_tail(run, 1, (25.0, 42.0))
-        fm = asympt.fit_tail(run, -1, (25.0, 42.0))
-        predicted = asympt.connect(fp.tail, params)
-        worst["domega"] = max(worst["domega"], abs(predicted.omega - fm.tail.omega))
-        worst["ddelta"] = max(
-            worst["ddelta"],
-            abs(math.remainder(predicted.delta - fm.tail.delta, 2.0 * math.pi)),
-        )
-        res = asympt.connfI_residuals(fp.tail, fm.tail, params)
-        worst["resid"] = max(worst["resid"], max(res.values()))
-    ok = (
-        worst["domega"] <= TOL_CONN_OMEGA
-        and worst["ddelta"] <= TOL_CONN_DELTA
-        and worst["resid"] <= TOL_CONN_RESID
-    )
-    details = (
-        f"|d omega| {worst['domega']:.2e} (<= {TOL_CONN_OMEGA}), "
-        f"|d delta| {worst['ddelta']:.2e} rad (<= {TOL_CONN_DELTA}), "
-        f"connection residuals {worst['resid']:.2e} (<= {TOL_CONN_RESID})"
-    )
-    return CriterionResult("connection formulas", ok, details, worst)
+        plus, minus = (asympt.fit_tail(run, side, (25.0, 42.0)).tail for side in (1, -1))
+        predicted = asympt.connect(plus, run.params)
+        return (abs(predicted.omega - minus.omega),
+                abs(math.remainder(predicted.delta - minus.delta, 2.0 * math.pi)),
+                max(asympt.connfI_residuals(plus, minus, run.params).values()))
+
+    return _worst("connection formulas", [
+        ("|d omega|", TOL_CONN_OMEGA), ("|d delta| (rad)", TOL_CONN_DELTA),
+        ("connection residuals", TOL_CONN_RESID),
+    ], [case(*c) for c in ASYMMETRIC_CASES])
 
 
 def cubic_coefficient_fit(run, branch: str, ms: np.ndarray) -> tuple[float, float]:
     """(fitted, predicted) cubic tail coefficient of a symmetric run's plus
-    side: the phase-averaged s^3-scaled residual of sigma at s = ms against
-    the truncated tail model with the conjectured exact omega and delta,
-    and the model's 8 D1."""
+    side.  With the conjectured exact omega and delta, the m^3-scaled
+    residual of sigma at s = ms against asympt.sigma_model is averaged over
+    the phase, and the model's own cubic term 8 D1 (predicted) is added
+    back."""
     params = run.params
     om, rr = symmetric.conjecture_omega(params, branch)
-    delta = asympt.delta_from_re_rho(rr, om, params)
-    tail = asympt.make_tail(1, om, delta, params)
-    coeffs = asympt.expansion_coeffs(tail, params)
-    amp = abs(coeffs.A)
-    c2 = asympt.c2_coefficient(om, params)
-    u = (params.eps + 6.0 * om) / 3.0
-    sig = run.g(ms) @ params.a_vec
-    phis = 0.25 * ms * ms - 6.0 * om * np.log(ms / math.sqrt(2.0)) + delta
-    lead = u * ms + c2 / ms + 4.0 * amp * np.sin(phis) / (ms * ms)
-    resid = (sig - lead) * ms**3
+    tail = asympt.make_tail(1, om, asympt.delta_from_re_rho(rr, om, params), params)
+    predicted = 8.0 * asympt.d1_coefficient(om, params)
+    resid = (run.g(ms) @ params.a_vec - asympt.sigma_model(ms, tail, params)[0]) * ms**3
+    phis = asympt.tail_phase(ms, tail.omega, tail.delta)
     cols = np.stack([np.ones_like(ms), np.cos(phis), np.sin(phis)], axis=1)
-    return float(np.linalg.lstsq(cols, resid, rcond=None)[0][0]), 8.0 * coeffs.D1
+    return float(np.linalg.lstsq(cols, resid, rcond=None)[0][0]) + predicted, predicted
 
 
 def crit_cubic_truncation(cache: RunCache) -> CriterionResult:
@@ -352,15 +309,11 @@ def crit_cubic_truncation(cache: RunCache) -> CriterionResult:
     """
     run = cache.grid_run(1.0, 0.0, "odd", s_max=46.0, rel=2e-13)
     fitted, predicted = cubic_coefficient_fit(run, "odd", np.linspace(30.0, 45.0, 900))
-    rel_err = abs(fitted - predicted) / abs(predicted)
-    ok = rel_err <= TOL_CUBIC_REL
-    details = (
-        f"phase-averaged cubic coefficient {fitted:+.5f} vs predicted "
-        f"{predicted:+.5f} (rel err {rel_err:.2%} <= {TOL_CUBIC_REL:.0%})"
-    )
-    return CriterionResult("cubic tail truncation", ok, details,
-                           {"fitted": fitted, "predicted": predicted,
-                            "rel_err": rel_err})
+    return CriterionResult("cubic tail truncation", [
+        ("fitted cubic coefficient", fitted, None),
+        ("predicted 8 D1", predicted, None),
+        ("relative error", abs(fitted - predicted) / abs(predicted), TOL_CUBIC_REL),
+    ])
 
 
 SELFCHECK_CRITERIA = (

@@ -17,11 +17,14 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import ConfigError, DenominatorVanishesError
+from .flow import FlowParams, FlowState, make_initial_state
 
 __all__ = [
     "ZeroAParams",
     "AsymTangents",
     "ASYMPTOTIC_SWITCH_S",
+    "normalized_state",
+    "closed_form_gaps",
     "g_prime_hyp",
     "g_prime_pcf",
     "g_prime_jet",
@@ -57,6 +60,13 @@ class AsymTangents:
     T_minus: np.ndarray
     beta1: float
     beta2: float
+
+
+def normalized_state(params: FlowParams) -> FlowState:
+    """The normalized a = 0 Cauchy data G'(0) = e1, G''(0) = sqrt(eps) e2;
+    a ConfigError for eps < 0, which FlowParams admits up to rounding."""
+    eps = ZeroAParams(params.eps).eps
+    return make_initial_state(params, [1.0, 0.0, 0.0], [0.0, math.sqrt(eps), 0.0])
 
 
 def g_prime_regime(s: float) -> str:
@@ -137,6 +147,19 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
         den = 0.5 * (ep4 * (1.0 + u[1] * u[-1]) + em4 * (u[1] + u[-1]))
         out.append((1.0 - num / den).real)
     return np.array(out)
+
+
+def closed_form_gaps(grid, gps, params: ZeroAParams) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise maxima over s in grid of |closed form - G'| for the
+    tangents gps of a numerical run at grid, and of |hyp - pcf| between the
+    two exact closed-form representations."""
+    ode = np.zeros(3)
+    rep = np.zeros(3)
+    for s, gp in zip(grid, gps):
+        hyp = g_prime_hyp(float(s), params, exact=True)
+        ode = np.maximum(ode, np.abs(hyp - gp))
+        rep = np.maximum(rep, np.abs(hyp - g_prime_pcf(float(s), params, exact=True)))
+    return ode, rep
 
 
 def g_prime_jet(s: float, params: ZeroAParams) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ def _run(criterion, cache):
     result = criterion(cache)
     _TIMINGS[result.name] = time.perf_counter() - t0
     print(result.line())
-    assert result.passed, result.details
+    assert result.passed, result.line()
     return result
 
 

@@ -94,40 +94,48 @@ class TestRhoLaws:
 
 class TestSigmaModel:
     def test_secular_signs(self):
-        # with zero oscillation amplitude:
-        # sigma' = (eps+6w)/3 - (a^2 - 12 w^2 + eps^2/3)/s^2
+        # at a boundary omega R = 0, so the oscillation amplitude vanishes:
+        # sigma = (eps+6w)/3 s + c2/s + 8 D1/s^3, sigma' = (eps+6w)/3 - c2/s^2
+        # with c2 = a^2 - 12 w^2 + eps^2/3
         p = FlowParams(1.0, 0.3)
-        tail = asympt.make_tail(1, -0.15, 0.0, p)
-        coeffs = asympt.ExpansionCoeffs(0.0, 0.0, asympt.d1_coefficient(-0.15, p))
-        c2 = asympt.c2_coefficient(-0.15, p)
-        u = (p.eps + 6 * (-0.15)) / 3.0
-        for m in (20.0, 35.0):
-            _, sig_p, _ = asympt.sigma_model(m, tail, coeffs, p)
-            assert sig_p == pytest.approx(u - c2 / m**2, abs=1e-14)
+        w_hi = min(p.eps / 3.0, p.a / 2.0 - p.eps / 6.0)
+        tail = asympt.TailParams(1, w_hi, 0.0, complex(0.0, math.inf))
+        c2 = asympt.c2_coefficient(w_hi, p)
+        d1 = asympt.d1_coefficient(w_hi, p)
+        u = (p.eps + 6 * w_hi) / 3.0
+        ms = np.array([20.0, 35.0])
+        sig, sig_p, sig_pp = asympt.sigma_model(ms, tail, p)
+        np.testing.assert_allclose(sig, u * ms + c2 / ms + 8 * d1 / ms**3, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sig_p, u - c2 / ms**2, rtol=0, atol=1e-14)
+        assert np.all(sig_pp == 0.0)
 
     def test_wrong_side_raises(self):
         tail = odd_tail(P10, side=1)
-        coeffs = asympt.expansion_coeffs(tail, P10)
         with pytest.raises(ConfigError):
-            asympt.sigma_model(-30.0, tail, coeffs, P10)
+            asympt.sigma_model(-30.0, tail, P10)
+        with pytest.raises(ConfigError):
+            asympt.sigma_model(np.array([30.0, -30.0]), tail, P10)
 
     @pytest.mark.parametrize("side", [1, -1])
     def test_against_numeric_tail(self, runs, side):
         run = runs.grid_run(1.0, 0.0, "odd", s_max=46.0, rel=2e-13)
         p = run.params
         tail = odd_tail(p, side)
-        coeffs = asympt.expansion_coeffs(tail, p)
-        worst = {"sigma": 0.0, "sigma_p": 0.0, "sigma_pp": 0.0}
-        for m in np.linspace(30.0, 45.0, 240):
-            s = side * float(m)
-            jet = run.sigma_jet(s)
-            sig, sig_p, sig_pp = asympt.sigma_model(s, tail, coeffs, p)
-            worst["sigma"] = max(worst["sigma"], abs(jet.sigma - sig))
-            worst["sigma_p"] = max(worst["sigma_p"], abs(jet.sigma_p - sig_p))
-            worst["sigma_pp"] = max(worst["sigma_pp"], abs(jet.sigma_pp - sig_pp))
-        assert worst["sigma"] <= 1e-4
-        assert worst["sigma_p"] <= 1e-3
-        assert worst["sigma_pp"] <= 1e-3
+        ss = side * np.linspace(30.0, 45.0, 240)
+        jet = run.sigma_jet(ss)
+        sig, sig_p, sig_pp = asympt.sigma_model(ss, tail, p)
+        assert np.max(np.abs(jet.sigma - sig)) <= 1e-4
+        assert np.max(np.abs(jet.sigma_p - sig_p)) <= 1e-3
+        assert np.max(np.abs(jet.sigma_pp - sig_pp)) <= 1e-3
+
+    def test_array_matches_scalar(self):
+        tail = odd_tail(P10, side=-1)
+        ss = -np.linspace(25.0, 40.0, 7)
+        arrays = asympt.sigma_model(ss, tail, P10)
+        for k, s in enumerate(ss):
+            scalars = asympt.sigma_model(float(s), tail, P10)
+            np.testing.assert_allclose([v[k] for v in arrays], scalars,
+                                       rtol=1e-14, atol=1e-14)
 
 
 class TestCubicSign:
@@ -185,20 +193,19 @@ class TestFitTail:
     def test_synthetic_round_trip(self):
         p = FlowParams(1.0, 0.3)
         tail_true = asympt.make_tail(1, -0.19, 0.7, p)
-        coeffs = asympt.expansion_coeffs(tail_true, p)
 
         class FakeRun:
             params = p
             s_min, s_max = -50.0, 50.0
 
             def gp(self, s):  # s is the whole window grid
-                return np.array([[0.0, 0.0, asympt.sigma_model(si, tail_true, coeffs, p)[1]]
-                                 for si in s])
+                sig_p = asympt.sigma_model(s, tail_true, p)[1]
+                return np.stack([np.zeros_like(sig_p), np.zeros_like(sig_p), sig_p], axis=1)
 
         fr = asympt.fit_tail(FakeRun(), 1, (24.0, 40.0))
         assert abs(fr.tail.omega - (-0.19)) <= 1e-4
         assert abs(fr.tail.delta - 0.7) <= 1e-3
-        assert fr.amplitude == pytest.approx(2 * abs(coeffs.A), rel=1e-3)
+        assert fr.amplitude == pytest.approx(2 * asympt.r_of_omega(-0.19, p) / 9, rel=1e-3)
 
     def test_trivial_line_boundary_omega(self):
         p = FlowParams(1.0, 1.0)
@@ -279,7 +286,8 @@ class TestProfileMinimum:
 
     def test_sides_of_symmetric_runs_agree(self, runs):
         # both tails of a symmetric run carry the same sigma' samples
-        assert crit_symmetric_tails(runs).measures["sides"] <= 1e-12
+        rows = {label: value for label, value, _ in crit_symmetric_tails(runs).rows}
+        assert rows["side asymmetry"] <= 1e-12
 
     def test_few_profile_solves(self, runs):
         # the fits of selfcheck's symmetric-tail and connection criteria

@@ -28,6 +28,13 @@ def write_config(path, payload):
     return str(path)
 
 
+def parse_strict(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def read_csv(path):
     rows = []
     header = None
@@ -190,6 +197,8 @@ class TestErrors:
         # non-integral counts, which would be truncated
         ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 3.7}}, []),
         ("integrate", {"tolerances": {"max_steps": 2000.5}}, []),
+        # a = 0 with eps below zero by less than FlowParams' rounding slack
+        ("integrate", {"params": {"a": 0.0, "eps": -1e-13}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -240,6 +249,17 @@ class TestFit:
         assert max(payload["connfI_residuals"].values()) <= 1e-3
         assert all(abs(r - 1.0) <= 0.1 for r in payload["amp_consistency"])
 
+    def test_zero_axis_undefined_values_are_null(self, tmp_path):
+        # a = 0: R(omega) = 0 leaves the amplitude ratios undefined, and omega
+        # at its bound leaves Im rho undefined
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 0.0, "eps": 0.5}})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = parse_strict((out / "fit.json").read_text())
+        assert payload["amp_consistency"] == [None, None]
+        assert payload["plus"]["rho_im"] is None and payload["minus"]["rho_im"] is None
+        assert math.isfinite(payload["plus"]["rho_re"])
+
 
 class TestZeroA:
     def test_report_contents(self, tmp_path, zero_a_config):
@@ -248,7 +268,7 @@ class TestZeroA:
         rep = json.loads((out / "zero_a_report.json").read_text())
         assert max(rep["max_closed_vs_numeric"]) <= 1e-8
         assert max(rep["max_representation_gap"]) <= 1e-9
-        assert rep["parity_residual"] <= 1e-10
+        assert "parity_residual" not in rep
         assert rep["T_dot"] == pytest.approx(2.0 * math.exp(-math.pi) - 1.0, abs=1e-9)
 
     def test_zero_eps_exact(self, tmp_path):
@@ -337,18 +357,24 @@ class TestSelfcheckCommand:
         import filpiv.cli as cli_mod
         from filpiv.selfcheck import CriterionResult
 
-        fake = [CriterionResult("alpha", True, "fine"),
-                CriterionResult("beta", True, "also fine")]
+        # a row without a tolerance only reports, whatever its value
+        fake = [CriterionResult("alpha", [("x", 1.0, 2.0), ("y", 1e9, None)]),
+                CriterionResult("beta", [("z", 2.0, 2.0)])]
         monkeypatch.setattr(cli_mod, "run_selfcheck",
                             lambda **kw: fake)
         out = tmp_path / "o"
         assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
         stdout = capsys.readouterr().out
-        assert "[PASS] alpha" in stdout and "[PASS] beta" in stdout
-        report = json.loads((out / "selfcheck.json").read_text())
+        assert "[PASS] alpha: x 1 (<= 2), y 1e+09\n" in stdout
+        assert "[PASS] beta: z 2 (<= 2)\n" in stdout
+        report = parse_strict((out / "selfcheck.json").read_text())
         assert [r["name"] for r in report["results"]] == ["alpha", "beta"]
+        assert report["results"][0]["rows"] == [
+            {"label": "x", "measured": 1.0, "tolerance": 2.0},
+            {"label": "y", "measured": 1e9, "tolerance": None},
+        ]
 
-        fake[1] = CriterionResult("beta", False, "broke")
+        fake[1] = CriterionResult("beta", [("z", 2.5, 2.0)])
         rc = main(["selfcheck"])
         assert rc == 4
         assert "[FAIL] beta" in capsys.readouterr().out
@@ -363,10 +389,69 @@ class TestSelfcheckCommand:
                             lambda **kw: [sc.crit_conservation(runs)])
         out = tmp_path / "o"
         assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
-        (entry,) = json.loads((out / "selfcheck.json").read_text())["results"]
+        (entry,) = parse_strict((out / "selfcheck.json").read_text())["results"]
         assert entry["passed"] is True
-        assert set(entry["measures"]) == {"unit", "eps", "constraint", "sp4_ratio"}
-        assert entry["measures"]["sp4_ratio"] <= 1.0
+        assert [r["label"] for r in entry["rows"]] == [
+            "unit drift", "eps drift", "constraint drift", "sigma-PIV residual/bound"]
+        assert [r["tolerance"] for r in entry["rows"]] == [
+            sc.TOL_UNIT_DRIFT, sc.TOL_EPS_DRIFT, sc.TOL_CONSTRAINT_DRIFT, 1.0]
+        assert all(r["measured"] <= r["tolerance"] for r in entry["rows"])
+
+    def test_verdict_follows_the_tolerance(self, tmp_path, monkeypatch, capsys, runs):
+        # a tolerance below the measured drift fails the criterion, the
+        # command exits 4, and the JSON row carries that tolerance
+        import filpiv.cli as cli_mod
+        from filpiv import selfcheck as sc
+
+        monkeypatch.setattr(sc, "CONSERVATION_GRID_A", (0.5,))
+        unit = sc.crit_conservation(runs).rows[0][1]
+        assert unit > 0.0
+        monkeypatch.setattr(sc, "TOL_UNIT_DRIFT", 0.5 * unit)
+        result = sc.crit_conservation(runs)
+        assert not result.passed
+        assert result.line().startswith("[FAIL] conservation suite: unit drift ")
+        monkeypatch.setattr(cli_mod, "run_selfcheck",
+                            lambda **kw: [sc.crit_conservation(runs)])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["selfcheck", "--out", str(out)]) == 4
+        assert capsys.readouterr().out.startswith("[FAIL] conservation suite")
+        (entry,) = parse_strict((out / "selfcheck.json").read_text())["results"]
+        assert entry["passed"] is False
+        assert entry["rows"][0] == {"label": "unit drift", "measured": unit,
+                                    "tolerance": 0.5 * unit}
+        assert all(r["measured"] <= r["tolerance"] for r in entry["rows"][1:])
+
+
+_STRICT_CASES = [
+    ("integrate", {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
+                   "s_span": [-12.0, 12.0], "sample_step": 0.5}),
+    ("fit", {"params": {"a": 1.0, "eps": 0.5}}),
+    ("fit", {"params": {"a": 0.0, "eps": 2.7}}),
+    ("connect", {"params": {"a": 1.0, "eps": 0.3},
+                 "connect": {"side": 1, "omega": -0.1, "delta": 0.4}}),
+    ("zero-a", {"params": {"a": 0.0, "eps": 1.0}, "s_span": [-12.0, 12.0]}),
+    ("symmetric", {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"}}),
+    ("filament", {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
+                  "s_span": [-12.0, 12.0], "t_values": [1.0, 4.0],
+                  "x_grid": {"min": -5.0, "max": 5.0, "n": 21}}),
+    ("selfcheck", None),
+]
+
+
+@pytest.mark.parametrize("command, config", _STRICT_CASES,
+                         ids=["integrate", "fit", "fit_a0", "connect", "zero-a",
+                              "symmetric", "filament", "selfcheck"])
+def test_every_json_artefact_is_strict(tmp_path, command, config):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out)]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path / "c.json", config)]
+    assert main(argv) == EXIT_OK
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        parse_strict(path.read_text())
 
 
 class TestMisc:
