@@ -52,11 +52,15 @@ def _fmt(x) -> str:
 
 
 def _number(value, what: str) -> float:
-    """value as a float; a ConfigError naming the key otherwise."""
+    """value as a finite float; a ConfigError naming the key otherwise (json
+    reads NaN and Infinity, and an integer too large for a float)."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def _integer(value, what: str) -> int:
@@ -154,8 +158,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
 def _flow_params(cfg: dict) -> FlowParams:
     p = cfg["params"]
     try:
-        return FlowParams(float(p["a"]), float(p["eps"]),
-                          tuple(float(v) for v in p.get("axis", (0.0, 0.0, 1.0))))
+        return FlowParams(_number(p["a"], "params.a"), _number(p["eps"], "params.eps"),
+                          tuple(_vector3(p.get("axis", (0.0, 0.0, 1.0)), "params.axis")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params block: {exc}") from exc
 
@@ -183,7 +187,8 @@ def _integrator_cfg(cfg: dict) -> IntegratorConfig:
     t = cfg["tolerances"]
     try:
         return IntegratorConfig(
-            rel_tol=float(t["rel"]), abs_tol=float(t["abs"]),
+            rel_tol=_number(t["rel"], "tolerances.rel"),
+            abs_tol=_number(t["abs"], "tolerances.abs"),
             max_steps=_integer(t["max_steps"], "tolerances.max_steps"),
         )
     except (TypeError, ValueError) as exc:
@@ -269,6 +274,8 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "method": "taylor",
         "order": run.traj.order,
         "n_steps": run.traj.n_steps,
+        "n_steps_minus": run.traj.n_steps_minus,
+        "n_steps_plus": run.traj.n_steps - run.traj.n_steps_minus,
         "rhs_evals": run.traj.rhs_evals,
         "step_min": float(steps.min()),
         "step_median": float(np.median(steps)),

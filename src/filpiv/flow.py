@@ -63,6 +63,8 @@ class FlowParams:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.eps, *self.axis)):
+            raise ConfigError("a, eps and axis must be finite")
         if not (self.a >= 0.0):
             raise ConfigError("a must be >= 0")
         ax = np.asarray(self.axis, dtype=float)
@@ -130,25 +132,39 @@ def make_taylor(params: FlowParams):
     G_{k+1} = T_k / (k+1), with T = G'.  As W x T = T K(W) for the 3 x 3
     K(W) = np.cross(W, I), the sum is the flat row (T_k, ..., T_0), kept
     reversed in one buffer, times the stacked K(W_0), ..., K(W_k); K(W_k) =
-    skew T_{k-1} / k (skew G_0 for k = 0), with skew: G -> K(W) flattened."""
+    skew T_{k-1} / k (skew G_0 for k = 0), with skew: G -> K(W) flattened.
+
+    The returned closure owns its work buffers and binds each order's
+    operands (bound dot methods, views into the buffers, the scale) once,
+    here, so that a call runs three calls per order.  Each call returns a
+    fresh array, but the closure is not reentrant: use one closure per
+    integration, as integrate_flow does."""
     a1, a2, a3 = params.a_vec
     w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
     skew = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 9).T
-    skew_k = [skew / max(k, 1) for k in range(ORDER)]
     orders = np.arange(1.0, ORDER + 1)[:, None]
+    r = np.empty(3 * ORDER + 6)  # T_N, ..., T_0, then G_0
+    t_0, g_0 = r[3 * ORDER:3 * ORDER + 3], r[3 * ORDER + 3:]
+    t_rows = r[:3 * ORDER + 3].reshape(ORDER + 1, 3)[::-1]  # row k: T_k
+    kt = np.empty((ORDER, 9))  # row k: K(W_k) flattened
+    k_blocks = kt.reshape(3 * ORDER, 3)
+    # order k's operands, with T_k at r[i:i + 3]: (skew / k).dot, T_{k-1}
+    # (G_0 for k = 0), the K(W_k) row, (T_k, ..., T_0).dot, the stacked
+    # K(W_0), ..., K(W_k), the slot of T_{k+1} and its scale 1 / (2(k+1))
+    steps = tuple(
+        ((skew / max(k, 1)).dot, r[i + 3:i + 6], kt[k],
+         r[i:3 * ORDER + 3].dot, k_blocks[:3 * (k + 1)], r[i - 3:i], 0.5 / (k + 1))
+        for k, i in enumerate(range(3 * ORDER, 0, -3))
+    )
 
     def taylor(s, y):
-        r = np.empty(3 * ORDER + 6)  # T_N, ..., T_0, then G_0
-        r[3 * ORDER:3 * ORDER + 3], r[3 * ORDER + 3:] = y[3:], y[:3]
-        kt = np.empty((ORDER, 9))  # row k: K(W_k) flattened
-        k_blocks = kt.reshape(3 * ORDER, 3)
-        for k, i in enumerate(range(3 * ORDER, 0, -3)):  # T_k at r[i:i + 3]
-            np.dot(skew_k[k], r[i + 3:i + 6], out=kt[k])
-            t_next = r[i - 3:i]
-            np.dot(r[i:3 * ORDER + 3], k_blocks[:3 * (k + 1)], out=t_next)
-            t_next *= 0.5 / (k + 1)
+        t_0[:], g_0[:] = y[3:], y[:3]
+        for sk_dot, t_prev, k_row, t_row_dot, blocks, t_next, scale in steps:
+            sk_dot(t_prev, k_row)
+            t_row_dot(blocks, t_next)
+            t_next *= scale
         c = np.empty((ORDER + 1, 6))
-        c[:, 3:] = r[:3 * ORDER + 3].reshape(ORDER + 1, 3)[::-1]
+        c[:, 3:] = t_rows
         c[0, :3] = y[:3]
         np.divide(c[:ORDER, 3:], orders, out=c[1:, :3])
         return c

@@ -32,8 +32,8 @@ class IntegratorConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be finite and > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -58,6 +58,12 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.h)
+
+    @property
+    def n_steps_minus(self) -> int:
+        """Steps taken towards decreasing s: those whose origin is their
+        right end."""
+        return int(np.count_nonzero(self.origin > np.arange(self.n_steps)))
 
     @property
     def rhs_evals(self) -> int:
@@ -149,7 +155,9 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
     s_nodes = [s]
     states = [y]
     coeffs = []
-    powers = np.arange(ORDER + 1)[:, None]
+    powers = np.arange(ORDER + 1.0)[:, None]
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    root_prev, root_last = 1.0 / (ORDER - 1), 1.0 / ORDER
     min_step = 16.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(cfg.max_steps):
@@ -158,9 +166,8 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
             c = taylor(s, y)
             # all |c_k|_inf in one reduction (row 0 is y); numpy scalars: a zero row gives h = inf
             m = np.abs(c).max(axis=1)
-            tol = cfg.abs_tol + cfg.rel_tol * m[0]
-            h = float(_SAFETY * min((tol / m[-2]) ** (1.0 / (ORDER - 1)),
-                                    (tol / m[-1]) ** (1.0 / ORDER)))
+            tol = abs_tol + rel_tol * m[0]
+            h = float(_SAFETY * min((tol / m[-2]) ** root_prev, (tol / m[-1]) ** root_last))
             if h >= abs(s_to - s):
                 s_new = s_to
             elif h >= min_step * max(abs(s), 1.0):

@@ -94,6 +94,8 @@ class TestIntegrate:
         assert diag["order"] == ORDER
         assert "n_rejected" not in diag
         assert diag["rhs_evals"] == diag["n_steps"] >= 1
+        assert diag["n_steps_minus"] >= 1 and diag["n_steps_plus"] >= 1
+        assert diag["n_steps_minus"] + diag["n_steps_plus"] == diag["n_steps"]
         assert 0.0 < diag["step_min"] <= diag["step_median"] <= diag["step_max"] <= 20.0
         for name in ("unit", "eps", "constraint"):
             assert -10.0 <= diag["drifts"][f"{name}_drift_at"] <= 10.0
@@ -199,6 +201,13 @@ class TestErrors:
         ("integrate", {"tolerances": {"max_steps": 2000.5}}, []),
         # a = 0 with eps below zero by less than FlowParams' rounding slack
         ("integrate", {"params": {"a": 0.0, "eps": -1e-13}}, []),
+        # json reads NaN, Infinity and integers beyond the float range
+        ("fit", {"s_span": [-40.0, 40.0], "tolerances": {"rel": math.inf}}, []),
+        ("filament", {"t_values": [math.inf]}, []),
+        ("integrate", {"params": {"a": 1.0, "eps": math.nan}}, []),
+        ("integrate", {"params": {"a": math.inf, "eps": 0.5}}, []),
+        ("integrate", {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, math.nan, 1.0]}}, []),
+        ("integrate", {"tolerances": {"max_steps": 10**400}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):

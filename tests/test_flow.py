@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from filpiv import flow, symmetric
 from filpiv.errors import (
+    ConfigError,
     InconsistentCauchyDataError,
     IntegrandPoleError,
     RangeError,
@@ -25,6 +26,16 @@ def trivial_line_state(a=1.0, sign=-1.0, s=0.0):
     p = flow.FlowParams(a, sign * a)
     e3 = np.array([0.0, 0.0, 1.0])
     return p, flow.FlowState(sign * s * e3, sign * e3, s)
+
+
+class TestFlowParams:
+    @pytest.mark.parametrize("a, eps, axis", [
+        (math.inf, 0.5, (0.0, 0.0, 1.0)), (1.0, math.nan, (0.0, 0.0, 1.0)),
+        (1.0, math.inf, (0.0, 0.0, 1.0)), (1.0, 0.5, (0.0, math.nan, 1.0)),
+    ])
+    def test_non_finite_rejected(self, a, eps, axis):
+        with pytest.raises(ConfigError):
+            flow.FlowParams(a, eps, axis)
 
 
 class TestMakeInitialState:
@@ -171,6 +182,32 @@ class TestTaylor:
         p = flow.FlowParams(a, eps)
         run = flow.integrate_flow(p, symmetric.make_symmetric_ic(p, branch), -40.0, 40.0)
         assert run.traj.n_steps == n_steps
+
+    # the closure reuses its work buffers from call to call
+    def test_returned_coefficients_stay_unchanged(self):
+        taylor = flow.make_taylor(flow.FlowParams(1.7, 0.3, (0.6, 0.0, 0.8)))
+        rng = np.random.default_rng(5)
+        c = taylor(0.0, rng.standard_normal(6))
+        kept = c.copy()
+        for _ in range(3):
+            taylor(rng.uniform(-40.0, 40.0), rng.standard_normal(6))
+        assert np.array_equal(c, kept)
+
+    def test_closures_do_not_share_buffers(self):
+        params = (flow.FlowParams(1.0, 0.5), flow.FlowParams(10.0, 5.0, (0.6, 0.0, 0.8)))
+        ys = np.random.default_rng(8).standard_normal((4, 6))
+        alone = [[flow.make_taylor(p)(0.0, y) for y in ys] for p in params]
+        first, second = (flow.make_taylor(p) for p in params)
+        for k, y in enumerate(ys):
+            assert np.array_equal(first(0.0, y), alone[0][k])
+            assert np.array_equal(second(0.0, y), alone[1][k])
+
+    def test_rerun_bit_identical(self):
+        p = flow.FlowParams(1.0, 0.5)
+        state0 = symmetric.make_symmetric_ic(p, "odd")
+        runs = [flow.integrate_flow(p, state0, -20.0, 20.0).traj for _ in range(2)]
+        for name in ("s_nodes", "states", "coeffs"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
 
 
 class TestConservedEpsilon:

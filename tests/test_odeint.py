@@ -66,6 +66,13 @@ class TestBasics:
             integrate(square, np.array([1.0]), 0.0, 2.0, cfg)
         assert exc.value.s == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rel_tol, abs_tol", [
+        (math.inf, 1e-12), (1e-10, math.inf), (math.nan, 1e-12),
+    ])
+    def test_bad_tolerances_rejected(self, rel_tol, abs_tol):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             integrate(decay, np.array([1.0]), 0.5, 0.5)
@@ -183,6 +190,8 @@ class TestDenseOutput:
         both = integrate_span(harmonic, y0, s0, -4.0, 6.0, cfg)
         assert both.n_steps == minus.n_steps + plus.n_steps
         assert both.rhs_evals == minus.rhs_evals + plus.rhs_evals
+        assert (both.n_steps_minus, minus.n_steps_minus, plus.n_steps_minus) == (
+            minus.n_steps, minus.n_steps, 0)
         ss = np.concatenate([both.s_nodes, np.linspace(-4.0, 6.0, 2001)])
         assert {-4.0, s0, 6.0} <= set(both.s_nodes)
         ref = np.array([leg_state(plus if s >= s0 else minus, s) for s in ss])
