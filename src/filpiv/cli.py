@@ -38,6 +38,10 @@ _DEF_THRESHOLDS = {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8}
 _WHOLE_BLOCKS = {"initial": {"branch", "gp0", "gpp0", "s0"},
                  "connect": {"side", "omega", "delta", "tol"}}
 
+# the most rows a sample or x grid may have: a config asking for more is a
+# config error before anything runs, not a failed allocation after the run
+_MAX_ROWS = 10**7
+
 # rows formatted per %-operation: streaming by block keeps the peak memory at
 # one block's text instead of the whole file's
 _CSV_BLOCK = 512
@@ -152,6 +156,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         raise ConfigError("sample_step must be > 0")
     cfg["thresholds"] = {k: _number(v, f"thresholds.{k}")
                          for k, v in cfg["thresholds"].items()}
+    _sample_rows(cfg)
+    _x_grid_spec(cfg)
     return cfg
 
 
@@ -203,19 +209,36 @@ def _run_flow(cfg: dict):
     return params, run
 
 
+def _check_rows(rows: float, what: str) -> None:
+    if not rows <= _MAX_ROWS:  # also false for an infinite or NaN count
+        raise ConfigError(f"{what} asks for {rows:.6g} rows, more than {_MAX_ROWS}")
+
+
+def _sample_rows(cfg: dict) -> int:
+    lo, hi = cfg["s_span"]
+    steps = (hi - lo) / cfg["sample_step"]
+    # the count round(steps) + 1 exceeds steps + 1 by at most 1/2, so an
+    # integer count passes only if it is within the bound
+    _check_rows(steps + 1.0, "sample_step")
+    return int(round(steps)) + 1
+
+
 def _sample_grid(cfg: dict) -> np.ndarray:
     lo, hi = cfg["s_span"]
-    n = int(round((hi - lo) / cfg["sample_step"])) + 1
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, _sample_rows(cfg))
 
 
-def _x_grid(cfg: dict) -> np.ndarray:
+def _x_grid_spec(cfg: dict) -> tuple[float, float, int]:
     g = cfg["x_grid"]
     n = _integer(g["n"], "x_grid.n")
     if n < 1:
         raise ConfigError("x_grid.n must be >= 1")
-    return np.linspace(_number(g["min"], "x_grid.min"),
-                       _number(g["max"], "x_grid.max"), n)
+    _check_rows(n, "x_grid.n")
+    return _number(g["min"], "x_grid.min"), _number(g["max"], "x_grid.max"), n
+
+
+def _x_grid(cfg: dict) -> np.ndarray:
+    return np.linspace(*_x_grid_spec(cfg))
 
 
 def _t_values(cfg: dict) -> list[float]:
@@ -276,7 +299,6 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "n_steps": run.traj.n_steps,
         "n_steps_minus": run.traj.n_steps_minus,
         "n_steps_plus": run.traj.n_steps - run.traj.n_steps_minus,
-        "rhs_evals": run.traj.rhs_evals,
         "step_min": float(steps.min()),
         "step_median": float(np.median(steps)),
         "step_max": float(steps.max()),

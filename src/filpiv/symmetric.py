@@ -103,9 +103,6 @@ def x_roots(params: FlowParams) -> list[XRoot]:
     return out
 
 
-_BRANCH_ROOT = {"odd": 1, "mixed_plus": 2, "mixed_minus": 3}  # index into x_roots
-
-
 def conjecture_omega(params: FlowParams, branch: str) -> tuple[float, float]:
     """(omega, Re rho) conjectured for the symmetric branch:
 

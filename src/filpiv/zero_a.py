@@ -94,35 +94,21 @@ def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     return np.array([g1, w.real, w.imag])
 
 
-def _pcf_u_constants(eps: float):
-    """u_{+-} = e^{-2 lambda_{+-}} per component, from the tanh values."""
-    t = {}
-    for pm in (1, -1):
-        t[pm] = (
-            -2.0 * cmath.exp(pm * 0.25j * cmath.pi) / math.sqrt(eps)
-            * sf.cgamma(1.0 + pm * 0.25j * eps)
-            / sf.cgamma(0.5 + pm * 0.25j * eps)
-        )
-    u2 = {pm: (1.0 - t[pm]) / (1.0 + t[pm]) for pm in (1, -1)}
-    t3 = {pm: -pm * 1j * t[pm] for pm in (1, -1)}
-    u3 = {pm: (1.0 - t3[pm]) / (1.0 + t3[pm]) for pm in (1, -1)}
-    return {
-        1: {1: -1.0 + 0.0j, -1: -1.0 + 0.0j},
-        2: u2,
-        3: u3,
-    }
-
-
 def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
     """Tangent G'(s) from the parabolic-cylinder product representation
 
-        Gj' = 1 - kappa_j^{-1} prod_nu sum_mu e^{mu lambda_{nu,j}}
-                  D_{-i nu eps/2}(mu e^{i pi nu/4} s / sqrt(2)).
+        Gj' = 1 - |D_+ + u_j D_-|^2 / kappa_j,
+        D_+- = D_{-i eps/2}(+- e^{i pi/4} s / sqrt(2)),
+        kappa_j = (e^{pi eps/4} (1 + |u_j|^2) + 2 e^{-pi eps/4} Re u_j) / 2.
 
-    Only exponentials of the integration constants enter; they are derived
-    from tanh lambda values, with the j = 3 sign fixed by unit-norm
-    consistency of the full tangent.  Beyond |s| = 25 the large-s model is
-    returned unless exact=True.
+    For real s, D is real-analytic in its order and argument, so the factor
+    of order +i eps/2 on the conjugate ray is the conjugate of the one above
+    and each product is a squared modulus: two D and two Gamma evaluations
+    per point.  The constants u_j = e^{-2 lambda_j} come from one Gamma
+    ratio t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
+    u_1 = -1, u_2 = (1 - t)/(1 + t), u_3 = (1 + i t)/(1 - i t), with the
+    j = 3 sign fixed by unit-norm consistency of the full tangent.  Beyond
+    |s| = 25 the large-s model is returned unless exact=True.
     """
     s = float(s)
     if params.eps == 0.0:
@@ -130,22 +116,19 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
         return g_prime_asymptotic(s, params)
     eps = params.eps
-    d = {}
-    for nu in (1, -1):
-        for mu in (1, -1):
-            d[(nu, mu)] = sf.pcf_d(
-                -0.5j * nu * eps,
-                mu * cmath.exp(0.25j * cmath.pi * nu) * s / math.sqrt(2.0),
-            )
-    u_all = _pcf_u_constants(eps)
+    ray = cmath.exp(0.25j * cmath.pi)
+    z = ray * s / math.sqrt(2.0)
+    d_plus = sf.pcf_d(-0.5j * eps, z)
+    d_minus = sf.pcf_d(-0.5j * eps, -z)
+    t = (-2.0 * ray / math.sqrt(eps)
+         * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
     ep4 = math.exp(0.25 * math.pi * eps)
     em4 = math.exp(-0.25 * math.pi * eps)
     out = []
-    for jj in (1, 2, 3):
-        u = u_all[jj]
-        num = (d[(1, 1)] + u[1] * d[(1, -1)]) * (d[(-1, 1)] + u[-1] * d[(-1, -1)])
-        den = 0.5 * (ep4 * (1.0 + u[1] * u[-1]) + em4 * (u[1] + u[-1]))
-        out.append((1.0 - num / den).real)
+    for u in (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t)):
+        f = d_plus + u * d_minus
+        kappa = 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate()))
+        out.append((1.0 - f * f.conjugate() / kappa).real)
     return np.array(out)
 
 
@@ -224,26 +207,26 @@ def riccati_q(s: float, params: ZeroAParams):
     if abs(den) < 1e-12:
         raise DenominatorVanishesError("zeta' = 1: Riccati map undefined")
     n = 0.5j * (jet[0] * jet[2] - jet[1])
-    return (jet[3] + n) / den, (jet[3] - n) / den, jet
+    q_plus, q_minus = ((jet[3] + sign * n) / den for sign in (1, -1))
+    return q_plus, q_minus, jet
 
 
 def riccati_check(s: float, params: ZeroAParams) -> tuple[complex, complex]:
     """Residuals of 2 q_pm' = q_pm^2 +- i s q_pm + eps along the closed form."""
     if params.eps == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    qp_, qm_, jet = riccati_q(s, params)
+    *qs, jet = riccati_q(s, params)
     s0, z, zp, zpp = jet
     zppp = zeta_ppp(jet, params)
     den = 1.0 - zp
-    # d/ds of numerators and denominator
-    dn_p = zppp + 0.5j * s0 * zpp
-    dn_m = zppp - 0.5j * s0 * zpp
-    dden = -zpp
-    dq_p = dn_p / den - (zpp + 0.5j * (s0 * zp - z)) * dden / den**2
-    dq_m = dn_m / den - (zpp - 0.5j * (s0 * zp - z)) * dden / den**2
-    res_p = 2.0 * dq_p - (qp_ * qp_ + 1j * s0 * qp_ + params.eps)
-    res_m = 2.0 * dq_m - (qm_ * qm_ - 1j * s0 * qm_ + params.eps)
-    return res_p, res_m
+    res = []
+    for sign, q in zip((1, -1), qs):
+        # q = (zeta'' + sign n) / den with n = (i/2)(s zeta' - zeta), whose
+        # derivative is (i/2) s zeta''; den' = -zeta''
+        dq = ((zppp + sign * 0.5j * s0 * zpp) / den
+              - (zpp + sign * 0.5j * (s0 * zp - z)) * -zpp / den**2)
+        res.append(2.0 * dq - (q * q + sign * 1j * s0 * q + params.eps))
+    return tuple(res)
 
 
 def asym_tangents(params: ZeroAParams) -> AsymTangents:

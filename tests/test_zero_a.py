@@ -2,12 +2,67 @@
 parity, the scalar-projection equation, the Riccati structure and the
 limiting tangents."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from filpiv import specfun as sf
 from filpiv import zero_a
+
+
+def four_d_pcf(s, eps):
+    """Reference oracle: the parabolic-cylinder tangent with all four
+    D_{-i nu eps/2}(mu e^{i pi nu/4} s/sqrt 2) and the constants u_{nu,j}
+    built from four Gamma values, before the nu = -1 half was written as the
+    conjugate of the nu = +1 half."""
+    d = {}
+    for nu in (1, -1):
+        for mu in (1, -1):
+            d[(nu, mu)] = sf.pcf_d(
+                -0.5j * nu * eps,
+                mu * cmath.exp(0.25j * cmath.pi * nu) * s / math.sqrt(2.0),
+            )
+    t = {}
+    for pm in (1, -1):
+        t[pm] = (
+            -2.0 * cmath.exp(pm * 0.25j * cmath.pi) / math.sqrt(eps)
+            * sf.cgamma(1.0 + pm * 0.25j * eps)
+            / sf.cgamma(0.5 + pm * 0.25j * eps)
+        )
+    t3 = {pm: -pm * 1j * t[pm] for pm in (1, -1)}
+    u_all = {
+        1: {1: -1.0 + 0.0j, -1: -1.0 + 0.0j},
+        2: {pm: (1.0 - t[pm]) / (1.0 + t[pm]) for pm in (1, -1)},
+        3: {pm: (1.0 - t3[pm]) / (1.0 + t3[pm]) for pm in (1, -1)},
+    }
+    ep4 = math.exp(0.25 * math.pi * eps)
+    em4 = math.exp(-0.25 * math.pi * eps)
+    out = []
+    for jj in (1, 2, 3):
+        u = u_all[jj]
+        num = (d[(1, 1)] + u[1] * d[(1, -1)]) * (d[(-1, 1)] + u[-1] * d[(-1, -1)])
+        den = 0.5 * (ep4 * (1.0 + u[1] * u[-1]) + em4 * (u[1] + u[-1]))
+        out.append((1.0 - num / den).real)
+    return np.array(out)
+
+
+def pasted_riccati(s, p):
+    """Reference oracle: (q_+, q_-, residual_+, residual_-) with the formula
+    of each sign written out separately, before the loop over the sign."""
+    gp, gpp = zero_a.g_prime_jet(s, p)
+    g = s * gp + 2.0 * np.cross(gp, gpp)
+    jet = (s, g[0], float(gp[0]), float(gpp[0]))
+    s0, z, zp, zpp = jet
+    den = 1.0 - zp
+    n = 0.5j * (s0 * zp - z)
+    qp_, qm_ = (zpp + n) / den, (zpp - n) / den
+    zppp = zero_a.zeta_ppp(jet, p)
+    dq_p = (zppp + 0.5j * s0 * zpp) / den - (zpp + 0.5j * (s0 * zp - z)) * -zpp / den**2
+    dq_m = (zppp - 0.5j * s0 * zpp) / den - (zpp - 0.5j * (s0 * zp - z)) * -zpp / den**2
+    return (qp_, qm_, 2.0 * dq_p - (qp_ * qp_ + 1j * s0 * qp_ + p.eps),
+            2.0 * dq_m - (qm_ * qm_ - 1j * s0 * qm_ + p.eps))
 
 
 class TestGPrimeHyp:
@@ -89,6 +144,29 @@ class TestGPrimePcf:
             assert plus[2] == pytest.approx(-minus[2], abs=1e-10)
 
 
+    # |z| = s^2/4 of the 1F1 calls: series to |s| ~ 6.3, continuation to
+    # |s| ~ 11, asymptotic sums beyond
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_bit_identical_to_four_d_form(self, eps):
+        p = zero_a.ZeroAParams(eps)
+        for a in (0.0, 0.4, 2.5, 6.0, 6.5, 9.0, 11.5, 15.0, 21.0, 25.5, 28.0):
+            for s in (a, -a):
+                got = zero_a.g_prime_pcf(s, p, exact=True)
+                assert got.tobytes() == four_d_pcf(s, eps).tobytes(), (eps, s)
+
+    def test_two_d_evaluations_per_point(self, monkeypatch):
+        calls = []
+        pcf_d = sf.pcf_d
+        monkeypatch.setattr(zero_a.sf, "pcf_d", lambda *a: calls.append(a) or pcf_d(*a))
+        p = zero_a.ZeroAParams(1.3)
+        for s in (-9.0, 0.5, 17.0):
+            zero_a.g_prime_pcf(s, p, exact=True)
+        assert len(calls) == 6
+        # the second D of each point is the first one's at the mirrored argument
+        for (order, z), (order_m, z_m) in zip(calls[::2], calls[1::2]):
+            assert order == order_m == -0.65j and z_m == -z
+
+
 class TestReconstructG:
     def test_norm_identity_at_origin(self):
         p = zero_a.ZeroAParams(1.0)
@@ -167,6 +245,13 @@ class TestRiccati:
             qp_, qm_, jet = zero_a.riccati_q(s, p)
             ref = p.eps * (1.0 + jet[2]) / (1.0 - jet[2])
             assert abs(qp_ * qm_ - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("eps", [0.6, 2.7])
+    def test_sign_loop_matches_pasted_pair(self, eps):
+        p = zero_a.ZeroAParams(eps)
+        for s in (0.7, 3.3, 8.0):
+            qp_, qm_, _ = zero_a.riccati_q(s, p)
+            assert (qp_, qm_, *zero_a.riccati_check(s, p)) == pasted_riccati(s, p)
 
     def test_zero_eps_trivial(self):
         p = zero_a.ZeroAParams(0.0)
