@@ -201,12 +201,27 @@ def _integrator_cfg(cfg: dict) -> IntegratorConfig:
         raise ConfigError(f"invalid tolerances {t}: {exc}") from exc
 
 
-def _run_flow(cfg: dict):
+def _run_flow(cfg: dict, check: bool = True):
+    """The configured flow run; with check, an InvariantViolation when its
+    drifts exceed the thresholds (see _check_drifts)."""
     params = _flow_params(cfg)
     state0 = _initial_state(cfg, params)
     run = integrate_flow(params, state0, cfg["s_span"][0], cfg["s_span"][1],
                          _integrator_cfg(cfg))
+    if check:
+        _check_drifts(cfg, run)
     return params, run
+
+
+def _check_drifts(cfg: dict, run) -> None:
+    """An InvariantViolation unless every drift is within its threshold (a
+    NaN drift breaches too)."""
+    drifts = run.drift_diagnostics()
+    th = cfg["thresholds"]
+    if not all(drifts[f"{name}_drift_max"] <= limit for name, limit in th.items()):
+        raise InvariantViolation(
+            f"drift beyond thresholds: {drifts} vs {th}"
+        )
 
 
 def _check_rows(rows: float, what: str) -> None:
@@ -281,7 +296,8 @@ def _write_csv(path: Path, header_lines: list[str], columns) -> None:
 
 
 def cmd_integrate(cfg: dict, out: Path) -> int:
-    params, run = _run_flow(cfg)
+    # the artefacts of a breaching run are written first, to diagnose it
+    params, run = _run_flow(cfg, check=False)
     smp = run.sample(_sample_grid(cfg))
     cols = "s,G1,G2,G3,Gp1,Gp2,Gp3,sigma,sigma_p,sigma_pp,C,T,eps_drift,unit_drift"
     _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], [
@@ -304,13 +320,7 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "step_max": float(steps.max()),
     }
     _write_json(out / "diagnostics.json", diag)
-    th = cfg["thresholds"]
-    if (drifts["unit_drift_max"] > th["unit"]
-            or drifts["eps_drift_max"] > th["eps"]
-            or drifts["constraint_drift_max"] > th["constraint"]):
-        raise InvariantViolation(
-            f"drift beyond thresholds: {drifts} vs {th}"
-        )
+    _check_drifts(cfg, run)
     return EXIT_OK
 
 

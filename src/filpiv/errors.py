@@ -23,6 +23,10 @@ class InvariantViolation(FilpivError):
     """A monitored invariant drifted beyond its threshold."""
 
 
+class DomainError(NumericError):
+    """Argument outside the admissible mathematical domain of a formula."""
+
+
 # --- special functions -----------------------------------------------------
 
 class GammaPoleError(NumericError):
@@ -71,19 +75,11 @@ class VanishingCurvatureError(NumericError):
 
 # --- painleve --------------------------------------------------------------
 
-class DenominatorVanishesError(NumericError):
-    """Map denominator a -+ sigma' vanished (solution tangent to the bound)."""
-
-
 class InconsistentJetError(ConfigError):
     """Sigma jet does not satisfy the quadratic ODE for the given parameters."""
 
 
 # --- asympt ----------------------------------------------------------------
-
-class DomainError(NumericError):
-    """Argument outside the admissible mathematical domain of a formula."""
-
 
 class WindowTooShortError(ConfigError):
     """Fit window spans fewer oscillation periods than required."""

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     InconsistentCauchyDataError,
-    InconsistentJetError,
     IntegrandPoleError,
     VanishingCurvatureError,
     ZeroAxisError,
@@ -34,9 +33,6 @@ __all__ = [
     "make_rhs",
     "make_taylor",
     "axis_frame",
-    "conserved_epsilon",
-    "sigma_jet",
-    "state_from_sigma_jet",
     "integrate_flow",
     "curvature_torsion",
     "phi_accumulate",
@@ -215,26 +211,6 @@ def _invariants(params: FlowParams, s, y):
     return eps, unit, np.sum(w * gp, axis=-1) - s
 
 
-def conserved_epsilon(state: FlowState, params: FlowParams) -> float:
-    """The conserved quantity
-    eps = [ (a^2+1) |G|^2 - (a.G)^2 + 4 a.G' - s^2 ] / 4."""
-    return float(_invariants(params, state.s, state.y)[0])
-
-
-def sigma_jet(state: FlowState, params: FlowParams) -> SigmaJet:
-    """(s, sigma, sigma', sigma'') with sigma = a.G; requires a > 0."""
-    if params.a <= 0.0:
-        raise ZeroAxisError("sigma jet undefined for a = 0")
-    a_vec = params.a_vec
-    gpp = make_rhs(params)(state.s, state.y)[3:]
-    return SigmaJet(
-        state.s,
-        float(a_vec @ state.g),
-        float(a_vec @ state.gp),
-        float(a_vec @ gpp),
-    )
-
-
 def axis_frame(params: FlowParams):
     """Deterministic right-handed orthonormal frame (e1, e2, e3 = axis)."""
     e3 = np.asarray(params.axis)
@@ -244,51 +220,6 @@ def axis_frame(params: FlowParams):
     e1 = trial - float(trial @ e3) * e3
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(e3, e1), e3
-
-
-def state_from_sigma_jet(jet: SigmaJet, params: FlowParams) -> FlowState:
-    """Flow state reproducing a given sigma jet (up to rotation about the axis).
-
-    Solves the linear system fixed by the scalar constraint and sigma''; the
-    tangent-aligned case |sigma'| = a falls back to the mixed-type
-    construction.  Raises InconsistentJetError when no state matches.
-    """
-    if params.a <= 0.0:
-        raise ZeroAxisError("sigma jet undefined for a = 0")
-    a = params.a
-    e1, e2, e3 = axis_frame(params)
-
-    s0 = jet.s
-    cos_t = jet.sigma_p / a
-    if abs(cos_t) > 1.0 + 1e-12:
-        raise InconsistentJetError(f"|sigma'| = {abs(jet.sigma_p)} exceeds a = {a}")
-    if abs(abs(cos_t) - 1.0) <= 1e-12:
-        sign = 1.0 if cos_t > 0 else -1.0
-        if abs(jet.sigma - s0 * jet.sigma_p) > 1e-10 * max(1.0, abs(s0) * a):
-            raise InconsistentJetError("tangent-aligned jet requires sigma = s sigma'")
-        if abs(jet.sigma_pp) > 1e-10:
-            raise InconsistentJetError("tangent-aligned jet requires sigma'' = 0")
-        c2 = params.eps - jet.sigma_p
-        if c2 < -1e-12:
-            raise InconsistentJetError("eps - sigma' < 0")
-        gp = sign * e3
-        gpp = math.sqrt(max(c2, 0.0)) * e1
-        return make_initial_state(params, gp, gpp, s0)
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    gp = sin_t * e1 + cos_t * e3
-    u = (s0 - jet.sigma * jet.sigma_p / a**2) / sin_t
-    v = -2.0 * jet.sigma_pp / (a * sin_t)
-    g1 = (u + a * v) / (1.0 + a**2)
-    g2 = v - a * g1
-    g3 = jet.sigma / a
-    g = g1 * e1 + g2 * e2 + g3 * e3
-    state = FlowState(g, gp, s0)
-    eps_state = conserved_epsilon(state, params)
-    if abs(eps_state - params.eps) > 1e-8 * max(1.0, abs(params.eps)):
-        raise InconsistentJetError(
-            f"jet implies eps = {eps_state}, params say {params.eps}"
-        )
-    return state
 
 
 class FlowRun:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import GammaPoleError, NonConvergenceError
+from .errors import DomainError, GammaPoleError, NonConvergenceError
 
 __all__ = [
     "cgamma",
@@ -58,7 +58,7 @@ def _check_finite(*vals):
     for v in vals:
         v = complex(v)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("non-finite argument")
+            raise DomainError("non-finite argument")
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-13) -> bool:
@@ -124,7 +124,7 @@ def arg_gamma_one_plus_ix(x: float) -> float:
     """Continuous principal-branch arg Gamma(1 + i x); odd in x."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("non-finite argument")
+        raise DomainError("non-finite argument")
     if x == 0.0:
         return 0.0
     if x < 0.0:
@@ -268,13 +268,6 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
         return _continued_1f1(alpha, gamma, z)
     raise NonConvergenceError(
         f"no 1F1 regime met tolerance at z={z} (asymptotic rel err {relerr:.2e})"
-    )
-
-
-def hyp1f1_dz(alpha: complex, gamma: complex, z: complex) -> complex:
-    """d/dz 1F1(alpha, gamma, z) = (alpha/gamma) 1F1(alpha+1, gamma+1, z)."""
-    return complex(alpha) / complex(gamma) * hyp1f1(
-        complex(alpha) + 1.0, complex(gamma) + 1.0, z
     )
 
 

@@ -19,7 +19,6 @@ from .flow import FlowParams, FlowState, axis_frame, make_initial_state
 __all__ = [
     "BRANCHES",
     "XRoot",
-    "branch_sigma_p0",
     "make_symmetric_ic",
     "x_roots",
     "conjecture_omega",
@@ -48,12 +47,6 @@ def _check_branch(params: FlowParams, branch: str) -> None:
         raise BranchInfeasibleError(f"mixed_plus needs eps >= a, got eps={eps}, a={a}")
     if branch == "mixed_minus" and eps < -a:
         raise BranchInfeasibleError(f"mixed_minus needs eps >= -a, got eps={eps}, a={a}")
-
-
-def branch_sigma_p0(params: FlowParams, branch: str) -> float:
-    """sigma'(0) for the branch: eps (odd), -a (mixed_minus), +a (mixed_plus)."""
-    _check_branch(params, branch)
-    return {"odd": params.eps, "mixed_minus": -params.a, "mixed_plus": params.a}[branch]
 
 
 def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:

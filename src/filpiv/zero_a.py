@@ -1,7 +1,6 @@
-"""Closed-form zero-axis (a = 0) solution: hypergeometric and parabolic
-cylinder representations of the tangent, filament reconstruction, the
-scalar-projection quadratic equation with its Riccati structure, and the
-limiting tangent directions.
+"""Closed-form zero-axis (a = 0) solution: the hypergeometric and
+parabolic-cylinder representations of the tangent, their large-s model and
+the limiting tangent directions.
 
 Initial data are normalized to G'(0) = (1,0,0), G''(0) = (0, sqrt(eps), 0);
 G_1' is then even in s and G_2', G_3' odd.
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import ConfigError, DenominatorVanishesError
+from .errors import ConfigError
 from .flow import FlowParams, FlowState, make_initial_state
 
 __all__ = [
@@ -27,14 +26,8 @@ __all__ = [
     "closed_form_gaps",
     "g_prime_hyp",
     "g_prime_pcf",
-    "g_prime_jet",
     "g_prime_asymptotic",
     "g_prime_regime",
-    "reconstruct_g",
-    "zeta_residual",
-    "zeta_ppp",
-    "riccati_q",
-    "riccati_check",
     "asym_tangents",
 ]
 
@@ -143,90 +136,6 @@ def closed_form_gaps(grid, gps, params: ZeroAParams) -> tuple[np.ndarray, np.nda
         ode = np.maximum(ode, np.abs(hyp - gp))
         rep = np.maximum(rep, np.abs(hyp - g_prime_pcf(float(s), params, exact=True)))
     return ode, rep
-
-
-def g_prime_jet(s: float, params: ZeroAParams) -> tuple[np.ndarray, np.ndarray]:
-    """(G', G'') from the closed form, with G'' by analytic differentiation."""
-    s = float(s)
-    eps = params.eps
-    if eps == 0.0:
-        return np.array([1.0, 0.0, 0.0]), np.zeros(3)
-    z = 0.25j * s * s
-    dz = 0.5j * s  # dz/ds
-    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z)
-    f1p = sf.hyp1f1_dz(0.5 + 0.25j * eps, 1.5, z) * dz
-    f2 = sf.hyp1f1(-0.25j * eps, 0.5, -z)
-    f2p = sf.hyp1f1_dz(-0.25j * eps, 0.5, -z) * (-dz)
-    mod2 = (f1 * f1.conjugate()).real
-    dmod2 = 2.0 * (f1p * f1.conjugate()).real
-    g1 = 1.0 - 0.5 * eps * s * s * mod2
-    dg1 = -eps * s * mod2 - 0.5 * eps * s * s * dmod2
-    w = math.sqrt(eps) * s * f1 * f2
-    dw = math.sqrt(eps) * (f1 * f2 + s * f1p * f2 + s * f1 * f2p)
-    gp = np.array([g1, w.real, w.imag])
-    gpp = np.array([dg1, dw.real, dw.imag])
-    return gp, gpp
-
-
-def reconstruct_g(s: float, params: ZeroAParams) -> np.ndarray:
-    """G(s) = s G' + 2 G' x G'' from the closed-form jet; |G|^2 = s^2 + 4 eps."""
-    gp, gpp = g_prime_jet(s, params)
-    return float(s) * gp + 2.0 * np.cross(gp, gpp)
-
-
-def zeta_residual(jet, params: ZeroAParams, complex_null: bool = False) -> complex:
-    """Residual of the scalar-projection equation for zeta = e.G:
-
-        (zeta'')^2 + (s zeta' - zeta)^2/4 - eps (1 - zeta'^2)        (real e)
-        (zeta'')^2 + (s zeta' - zeta)^2/4 + eps zeta'^2              (null e)
-    """
-    s, z, zp, zpp = jet
-    base = zpp * zpp + 0.25 * (s * zp - z) ** 2
-    if complex_null:
-        return base + params.eps * zp * zp
-    return base - params.eps * (1.0 - zp * zp)
-
-
-def zeta_ppp(jet, params: ZeroAParams) -> complex:
-    """zeta''' from the differentiated projection equation (zeta'' cancels)."""
-    s, z, zp, _ = jet
-    return -params.eps * zp - 0.25 * s * (s * zp - z)
-
-
-def riccati_q(s: float, params: ZeroAParams):
-    """(q_plus, q_minus, zeta jet) built from the first-axis projection
-    zeta = G_1 of the closed form: q_pm = (zeta'' +- (i/2)(s zeta' - zeta))
-    / (1 - zeta')."""
-    if params.eps == 0.0:
-        # straight line: zeta' = 1 identically and both maps collapse to 0
-        return 0.0 + 0.0j, 0.0 + 0.0j, (float(s), float(s), 1.0, 0.0)
-    gp, gpp = g_prime_jet(s, params)
-    g = float(s) * gp + 2.0 * np.cross(gp, gpp)
-    jet = (float(s), g[0], float(gp[0]), float(gpp[0]))
-    den = 1.0 - jet[2]
-    if abs(den) < 1e-12:
-        raise DenominatorVanishesError("zeta' = 1: Riccati map undefined")
-    n = 0.5j * (jet[0] * jet[2] - jet[1])
-    q_plus, q_minus = ((jet[3] + sign * n) / den for sign in (1, -1))
-    return q_plus, q_minus, jet
-
-
-def riccati_check(s: float, params: ZeroAParams) -> tuple[complex, complex]:
-    """Residuals of 2 q_pm' = q_pm^2 +- i s q_pm + eps along the closed form."""
-    if params.eps == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    *qs, jet = riccati_q(s, params)
-    s0, z, zp, zpp = jet
-    zppp = zeta_ppp(jet, params)
-    den = 1.0 - zp
-    res = []
-    for sign, q in zip((1, -1), qs):
-        # q = (zeta'' + sign n) / den with n = (i/2)(s zeta' - zeta), whose
-        # derivative is (i/2) s zeta''; den' = -zeta''
-        dq = ((zppp + sign * 0.5j * s0 * zpp) / den
-              - (zpp + sign * 0.5j * (s0 * zp - z)) * -zpp / den**2)
-        res.append(2.0 * dq - (q * q + sign * 1j * s0 * q + params.eps))
-    return tuple(res)
 
 
 def asym_tangents(params: ZeroAParams) -> AsymTangents:

@@ -1,6 +1,7 @@
 """Public-API hygiene: every name a module exports exists, so a removal that
-leaves a stale `__all__` entry fails here, and every private module-level
-name is read in its own module, so dead constants and helpers fail too."""
+leaves a stale `__all__` entry fails here; every private module-level name
+is read in its own module, so dead constants and helpers fail too; and
+every error class is raised by the package, or is the base of one that is."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import filpiv
+from filpiv import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(filpiv.__path__))
 
@@ -63,3 +65,48 @@ def test_private_module_names_are_read(name):
 def test_unread_private_name_detected():
     tree = ast.parse("_USED = 1\n_DEAD = 2\ndef _f():\n    return _USED\n")
     assert _unread_private_names(tree) == ["_DEAD", "_f"]
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """Names of the exceptions that `raise X` or `raise X(...)` raise."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def _unraised_classes(classes, raised: set[str]) -> list[str]:
+    """The classes that are neither raised nor a base of a raised class."""
+    covered = {base for cls in classes if cls.__name__ in raised
+               for base in cls.__mro__}
+    return sorted(cls.__name__ for cls in classes if cls not in covered)
+
+
+def test_every_error_class_is_raised():
+    classes = [v for v in vars(errors).values()
+               if isinstance(v, type) and v.__module__ == errors.__name__]
+    raised = set()
+    for name in MODULES:
+        path = Path(filpiv.__file__).parent / f"{name}.py"
+        raised |= _raised_names(ast.parse(path.read_text()))
+    assert _unraised_classes(classes, raised) == []
+
+
+def test_unraised_class_detected():
+    class Base(Exception):
+        pass
+
+    class Raised(Base):
+        pass
+
+    class Dead(Base):
+        pass
+
+    raised = _raised_names(ast.parse("raise Raised('x') from None\nraise errors.Other\n"))
+    assert raised == {"Raised", "Other"}
+    assert _unraised_classes([Base, Raised, Dead], raised) == ["Dead"]

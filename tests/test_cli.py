@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from filpiv.cli import (_CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
-                        _fmt, _write_csv, main, resolve_config)
+from filpiv.cli import (_CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
+                        EXIT_NUMERIC, EXIT_OK, _fmt, _write_csv, main, resolve_config)
 from filpiv.errors import ConfigError
 from filpiv.odeint import ORDER
 
@@ -258,6 +258,44 @@ class TestErrors:
         })
         assert main(["connect", "--config", cfg2,
                      "--out", str(out)]) == EXIT_NUMERIC
+
+    def test_non_finite_special_function_argument_exits_3(self, tmp_path, capsys):
+        # 3 a overflows to inf in the argument of arg Gamma(1 + i x)
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1e308, "eps": 0.3},
+            "connect": {"side": 1, "omega": -0.12, "delta": 0.9},
+        })
+        assert main(["connect", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["type"] == "DomainError"
+
+    # runs whose drifts are far beyond the default thresholds of 1e-8
+    @pytest.mark.parametrize("command, params, tolerances", [
+        ("integrate", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
+        ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
+        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
+        ("filament", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
+        ("zero-a", {"a": 0.0, "eps": 1.0}, {"rel": 0.5}),
+        # with abs 1e308, fitting the run overflows a float
+        ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 0.5, "abs": 1e308}),
+        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 0.5, "abs": 1e308}),
+    ])
+    def test_drift_beyond_thresholds_exits_4(self, tmp_path, capsys,
+                                             command, params, tolerances):
+        cfg = write_config(tmp_path / "c.json",
+                           {"params": params, "tolerances": tolerances})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "invariant"
+        # integrate alone writes its artefacts before the check, to diagnose
+        # the run
+        expected = ["diagnostics.json", "trajectory.csv"] if command == "integrate" else []
+        assert sorted(p.name for p in out.iterdir()) == expected
+        if command == "integrate":
+            parse_strict((out / "diagnostics.json").read_text())
 
 
 class TestFit:

@@ -215,13 +215,16 @@ class TestConservedEpsilon:
         p = flow.FlowParams(0.0, 1.0)
         st = flow.make_initial_state(p, [1, 0, 0], [0, 1, 0])
         direct = 0.25 * (float(st.g @ st.g) - st.s**2)
-        assert flow.conserved_epsilon(st, p) == pytest.approx(direct, abs=1e-14)
+        run = flow.integrate_flow(p, st, -1.0, 1.0)
+        assert run.sample(st.s)["eps_drift"] == pytest.approx(direct - p.eps, abs=1e-14)
         gpp = flow.make_rhs(p)(st.s, st.y)[3:]
         assert direct == pytest.approx(float(gpp @ gpp), abs=1e-13)
 
     def test_trivial_line_value(self):
+        # eps of the line's state is -a = -1.5, its params' eps
         p, st = trivial_line_state(a=1.5, sign=-1.0, s=4.0)
-        assert flow.conserved_epsilon(st, p) == pytest.approx(-1.5, abs=1e-13)
+        run = flow.integrate_flow(p, st, 3.0, 5.0)
+        assert run.sample(st.s)["eps_drift"] == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_along_trajectory(self, runs):
         run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
@@ -240,7 +243,7 @@ class TestConservedEpsilon:
 class TestSigmaJet:
     def test_trivial_line_jet(self):
         p, st = trivial_line_state(a=1.0, sign=1.0, s=2.5)
-        jet = flow.sigma_jet(st, p)
+        jet = flow.integrate_flow(p, st, 2.0, 3.0).sigma_jet(2.5)
         assert (jet.sigma, jet.sigma_p, jet.sigma_pp) == pytest.approx(
             (2.5, 1.0, 0.0), abs=1e-13
         )
@@ -250,7 +253,7 @@ class TestSigmaJet:
         cos_t = 0.4
         sin_t = math.sqrt(1 - cos_t**2)
         st = flow.make_initial_state(p, [sin_t, 0, cos_t], [0, 0, 0])
-        jet = flow.sigma_jet(st, p)
+        jet = flow.integrate_flow(p, st, -1.0, 1.0).sigma_jet(0.0)
         assert jet.sigma == pytest.approx(0.0, abs=1e-14)
         assert jet.sigma_p == pytest.approx(p.eps, abs=1e-14)
         assert jet.sigma_pp == pytest.approx(0.0, abs=1e-14)
@@ -258,30 +261,9 @@ class TestSigmaJet:
     def test_zero_axis_raises(self):
         p = flow.FlowParams(0.0, 1.0)
         st = flow.make_initial_state(p, [1, 0, 0], [0, 1, 0])
+        run = flow.integrate_flow(p, st, -1.0, 1.0)
         with pytest.raises(ZeroAxisError):
-            flow.sigma_jet(st, p)
-
-
-class TestStateFromSigmaJet:
-    def test_round_trip_generic(self, runs):
-        run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
-        p = run.params
-        for s in (0.7, 5.0, -11.0):
-            jet = run.sigma_jet(s)
-            st = flow.state_from_sigma_jet(jet, p)
-            jet2 = flow.sigma_jet(st, p)
-            assert jet2.sigma == pytest.approx(jet.sigma, abs=1e-9)
-            assert jet2.sigma_p == pytest.approx(jet.sigma_p, abs=1e-9)
-            assert jet2.sigma_pp == pytest.approx(jet.sigma_pp, abs=1e-9)
-            assert flow.conserved_epsilon(st, p) == pytest.approx(p.eps, abs=1e-8)
-
-    def test_tangent_aligned_jet(self):
-        p = flow.FlowParams(1.0, 1.5)
-        jet = flow.SigmaJet(0.0, 0.0, 1.0, 0.0)  # mixed_plus-type data
-        st = flow.state_from_sigma_jet(jet, p)
-        assert np.allclose(st.gp, [0, 0, 1.0], atol=1e-14)
-        gpp = flow.make_rhs(p)(st.s, st.y)[3:]
-        assert float(gpp @ gpp) == pytest.approx(0.5, abs=1e-12)
+            run.sigma_jet(0.0)
 
 
 class TestCurvatureTorsion:

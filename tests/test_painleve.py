@@ -1,20 +1,114 @@
 """Sigma-equation tests: residuals along trajectories, the direct integrator
-with its degenerate-start fallback, the q/p maps and the conventional-PIV
-residual, including the tangent-aligned special-function family."""
+(also from the degenerate starts where sigma'' = 0), and the conventional-PIV
+maps q, p with their residual, including the tangent-aligned
+special-function family.  The maps and the derivative formulas they use are
+defined here, as the reference the tests check."""
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from filpiv import painleve
 from filpiv import specfun as sf
-from filpiv.errors import DenominatorVanishesError, InconsistentJetError
+from filpiv.errors import InconsistentJetError, NumericError
 from filpiv.flow import FlowParams, SigmaJet
 from filpiv.odeint import ORDER
 
 EIPI4 = cmath.exp(0.25j * cmath.pi)
+
+
+class DenominatorVanishesError(NumericError):
+    """Map denominator a -+ sigma', or q, vanished (solution tangent to the
+    bound)."""
+
+
+@dataclass(frozen=True)
+class PivParams:
+    """Conventional-PIV parameter pairs for the q and p reductions."""
+
+    alpha_q: complex
+    beta_q: complex
+    alpha_p: complex
+    beta_p: complex
+
+    @staticmethod
+    def from_flow(params: FlowParams) -> "PivParams":
+        a, eps = params.a, params.eps
+        return PivParams(
+            alpha_q=1.0 - 0.5j * (eps - 3.0 * a),
+            beta_q=0.5 * (a + eps) ** 2,
+            alpha_p=-1.0 - 0.5j * (eps + 3.0 * a),
+            beta_p=0.5 * (a - eps) ** 2,
+        )
+
+
+def sigma_ppp(jet: SigmaJet, params: FlowParams) -> float:
+    """sigma''' from the differentiated quadratic equation (sigma'' cancels)."""
+    s, sg, sp = jet.s, jet.sigma, jet.sigma_p
+    return 0.5 * (3.0 * sp**2 - 2.0 * params.eps * sp - params.a**2) - 0.25 * s * (
+        s * sp - sg
+    )
+
+
+def sigma_pppp(jet: SigmaJet, params: FlowParams) -> float:
+    """Fourth derivative by differentiating sigma''' once more."""
+    s, sg, sp, spp = jet.s, jet.sigma, jet.sigma_p, jet.sigma_pp
+    return (3.0 * sp - params.eps) * spp - 0.25 * (s * sp - sg) - 0.25 * s**2 * spp
+
+
+def _map_jet(jet: SigmaJet, params: FlowParams, upper: bool):
+    """(z, f, df/dz, d2f/dz2) for f = q (upper) or p along the ray, with q
+    and p at their native argument z = e^{-i pi/4} s / 2."""
+    s = jet.s
+    sg, sp, spp = jet.sigma, jet.sigma_p, jet.sigma_pp
+    sppp = sigma_ppp(jet, params)
+    spppp = sigma_pppp(jet, params)
+    sign = 1.0 if upper else -1.0
+    n = spp + sign * 0.5j * (s * sp - sg)
+    n1 = sppp + sign * 0.5j * s * spp
+    n2 = spppp + sign * 0.5j * (spp + s * sppp)
+    d = params.a - sign * sp
+    if abs(d) < 1e-12 * max(1.0, params.a):
+        raise DenominatorVanishesError("map denominator vanished")
+    d1 = -sign * spp
+    d2 = -sign * sppp
+    f = -EIPI4 * n / d
+    fs = -EIPI4 * (n1 / d - n * d1 / d**2)
+    fss = -EIPI4 * (
+        n2 / d - 2.0 * n1 * d1 / d**2 - n * d2 / d**2 + 2.0 * n * d1**2 / d**3
+    )
+    ds_dz = 2.0 * EIPI4  # z = e^{-i pi/4} s / 2
+    z = 0.5 * s / EIPI4
+    return z, f, fs * ds_dz, fss * ds_dz**2
+
+
+def q_jet(jet: SigmaJet, params: FlowParams):
+    """(z, q, q', q'') with derivatives in the conventional variable."""
+    return _map_jet(jet, params, upper=True)
+
+
+def p_jet(jet: SigmaJet, params: FlowParams):
+    """(z, p, p', p'') with derivatives in the conventional variable."""
+    return _map_jet(jet, params, upper=False)
+
+
+def cp4_residual(q: complex, qp: complex, qpp: complex, s: complex,
+                 alpha: complex, beta: complex) -> complex:
+    """Residual of the conventional PIV equation
+    q'' = q'^2/(2q) + (3/2) q^3 + 4 s q^2 + 2 (s^2 - alpha) q + beta / q."""
+    q = complex(q)
+    if abs(q) < 1e-300:
+        raise DenominatorVanishesError("q vanished in the PIV residual")
+    return qpp - (
+        qp**2 / (2.0 * q)
+        + 1.5 * q**3
+        + 4.0 * s * q**2
+        + 2.0 * (s**2 - alpha) * q
+        + beta / q
+    )
 
 
 class TestResidual:
@@ -51,7 +145,7 @@ class TestSigmaDerivatives:
             gppp = 0.5 * np.cross(np.cross(a_vec, gp) + gp, gp) \
                 + 0.5 * np.cross(w, gpp)
             jet = run.sigma_jet(float(s))
-            assert painleve.sigma_ppp(jet, p) == pytest.approx(
+            assert sigma_ppp(jet, p) == pytest.approx(
                 float(a_vec @ gppp), abs=1e-8
             )
 
@@ -61,10 +155,10 @@ class TestSigmaDerivatives:
         p = run.params
         h = 1e-3
         for s in (2.0, 7.5, -13.0):
-            f3 = [painleve.sigma_ppp(run.sigma_jet(s + k * h), p)
+            f3 = [sigma_ppp(run.sigma_jet(s + k * h), p)
                   for k in (-2, -1, 1, 2)]
             fd = (f3[0] - 8 * f3[1] + 8 * f3[2] - f3[3]) / (12 * h)
-            val = painleve.sigma_pppp(run.sigma_jet(s), p)
+            val = sigma_pppp(run.sigma_jet(s), p)
             assert val == pytest.approx(fd, abs=1e-6 * max(1.0, abs(val)))
 
     def test_direct_taylor_coefficients_match_jets(self):
@@ -75,11 +169,11 @@ class TestSigmaDerivatives:
                      (11.0, (-2.0, 0.9, 0.3))):
             jet = SigmaJet(s, *y)
             c = painleve._sp4_taylor(p)(s, np.array(y))
-            sppp = painleve.sigma_ppp(jet, p)
+            sppp = sigma_ppp(jet, p)
             assert np.array_equal(c[0], y)
             assert np.allclose(c[1], [y[1], y[2], sppp], rtol=1e-14, atol=0.0)
             assert 6.0 * c[3, 0] == pytest.approx(sppp, rel=1e-13)
-            assert 24.0 * c[4, 0] == pytest.approx(painleve.sigma_pppp(jet, p), rel=1e-13)
+            assert 24.0 * c[4, 0] == pytest.approx(sigma_pppp(jet, p), rel=1e-13)
 
 
 # rounding bound for two evaluations of one recurrence that sum in different
@@ -129,16 +223,25 @@ class TestSp4Taylor:
 
 
 class TestSp4Integrate:
-    def test_odd_start_uses_flow_fallback(self, runs):
-        p = FlowParams(1.0, 0.5)
-        jet0 = SigmaJet(0.0, 0.0, 0.5, 0.0)
-        path = painleve.sp4_integrate(jet0, p, (-15.0, 15.0))
-        run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
-        for s in np.linspace(-14.0, 14.0, 29):
-            ref = run.sigma_jet(float(s))
-            assert path.jet(float(s)).sigma == pytest.approx(ref.sigma, abs=1e-8)
-        res = painleve.sp4_residual(path.jet(np.linspace(-15.0, 15.0, 150)), p)
-        assert np.max(np.abs(res)) <= 1e-8 * (1 + 15.0**3)
+    # sigma''(0) = 0 at every symmetric start: odd data have G''(0) = 0,
+    # mixed data G''(0) orthogonal to the axis
+    @pytest.mark.parametrize("a, eps, branch", [
+        (1.0, 0.0, "odd"), (1.0, 0.5, "odd"), (1.0, -0.9, "odd"), (2.0, 1.0, "odd"),
+        (1.0, 1.5, "mixed_minus"), (1.0, -1.0, "mixed_minus"),
+        (1.0, 1.5, "mixed_plus"), (0.7, 0.7, "mixed_plus"),
+    ])
+    def test_degenerate_start_matches_flow(self, runs, a, eps, branch):
+        run = runs.grid_run(a, eps, branch, s_max=25.0)
+        p = run.params
+        jet0 = run.sigma_jet(0.0)
+        assert jet0.sigma_pp == pytest.approx(0.0, abs=1e-15)
+        path = painleve.sp4_integrate(jet0, p, (-20.0, 20.0))
+        grid = np.linspace(-20.0, 20.0, 401)
+        jet, ref = path.jet(grid), run.sigma_jet(grid)
+        assert np.max(np.abs(jet.sigma - ref.sigma)) <= 1e-10
+        assert np.max(np.abs(jet.sigma_p - ref.sigma_p)) <= 1e-10
+        res = painleve.sp4_residual(jet, p)
+        assert np.all(np.abs(res) <= 1e-8 * (1.0 + np.abs(grid) ** 3))
 
     def test_line_stays_line(self):
         # eps = a: the tangent-aligned jet continues as the straight line
@@ -181,9 +284,9 @@ class TestQPMaps:
     def test_line_gives_zero_p(self):
         p = FlowParams(1.0, 1.0)
         jet = SigmaJet(2.0, 2.0, 1.0, 0.0)
-        assert abs(painleve.p_jet(jet, p)[1]) == pytest.approx(0.0, abs=1e-14)
+        assert abs(p_jet(jet, p)[1]) == pytest.approx(0.0, abs=1e-14)
         with pytest.raises(DenominatorVanishesError):
-            painleve.q_jet(jet, p)
+            q_jet(jet, p)
 
     def test_reality_pairing(self, runs):
         # (a - sigma') conj(q) = -i (a + sigma') p for real sigma jets
@@ -191,8 +294,8 @@ class TestQPMaps:
         p = run.params
         for s in (0.5, 4.0, -9.0, 17.0):
             jet = run.sigma_jet(s)
-            qv = painleve.q_jet(jet, p)[1]
-            pv = painleve.p_jet(jet, p)[1]
+            qv = q_jet(jet, p)[1]
+            pv = p_jet(jet, p)[1]
             lhs = (p.a - jet.sigma_p) * qv.conjugate()
             rhs = -1j * (p.a + jet.sigma_p) * pv
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -203,22 +306,22 @@ class TestQPMaps:
         p = run.params
         for s in (1.0, 6.0, -12.0):
             jet = run.sigma_jet(s)
-            qv = painleve.q_jet(jet, p)[1]
-            pv = painleve.p_jet(jet, p)[1]
+            qv = q_jet(jet, p)[1]
+            pv = p_jet(jet, p)[1]
             assert abs(qv * pv - 1j * (p.eps - jet.sigma_p)) <= 1e-8
 
     def test_conventional_residual_via_chain_rule(self, runs):
         run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
         p = run.params
-        piv = painleve.PivParams.from_flow(p)
+        piv = PivParams.from_flow(p)
         worst_q = worst_p = 0.0
         for s in np.linspace(1.0, 20.0, 39):
             jet = run.sigma_jet(float(s))
-            z, qv, qd, qdd = painleve.q_jet(jet, p)
-            res = painleve.cp4_residual(qv, qd, qdd, z, piv.alpha_q, piv.beta_q)
+            z, qv, qd, qdd = q_jet(jet, p)
+            res = cp4_residual(qv, qd, qdd, z, piv.alpha_q, piv.beta_q)
             worst_q = max(worst_q, abs(res) / max(1.0, abs(qv) ** 3))
-            z, pv, pd, pdd = painleve.p_jet(jet, p)
-            res = painleve.cp4_residual(pv, pd, pdd, z, piv.alpha_p, piv.beta_p)
+            z, pv, pd, pdd = p_jet(jet, p)
+            res = cp4_residual(pv, pd, pdd, z, piv.alpha_p, piv.beta_p)
             worst_p = max(worst_p, abs(res) / max(1.0, abs(pv) ** 3))
         assert worst_q <= 1e-6
         assert worst_p <= 1e-6
@@ -234,13 +337,13 @@ class TestCp4Residual:
             alpha, beta = 1.0 - 0.5j, 2.0 + 0.0j
             qpp = (qp**2 / (2 * q) + 1.5 * q**3 + 4 * s * q**2
                    + 2 * (s**2 - alpha) * q + beta / q)
-            assert abs(painleve.cp4_residual(q, qp, qpp, s, alpha, beta)) < 1e-12
+            assert abs(cp4_residual(q, qp, qpp, s, alpha, beta)) < 1e-12
 
     def test_conjugation_symmetry(self):
         q, qp, qpp = 0.7 - 0.2j, 0.1 + 0.4j, -0.3 + 0.9j
         s, alpha, beta = 1.2 + 0.5j, 1.0 - 0.5j, 2.0 + 0.1j
-        r = painleve.cp4_residual(q, qp, qpp, s, alpha, beta)
-        rc = painleve.cp4_residual(
+        r = cp4_residual(q, qp, qpp, s, alpha, beta)
+        rc = cp4_residual(
             q.conjugate(), qp.conjugate(), qpp.conjugate(),
             s.conjugate(), alpha.conjugate(), beta.conjugate(),
         )
@@ -248,7 +351,7 @@ class TestCp4Residual:
 
     def test_q_vanishes_raises(self):
         with pytest.raises(DenominatorVanishesError):
-            painleve.cp4_residual(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+            cp4_residual(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("a,c_plus,c_minus", [
         (0.7, 1.0, 0.35), (1.4, 0.2, 1.0), (1.0, 1.0, 1.0),
@@ -277,5 +380,5 @@ class TestCp4Residual:
             q = -s + lf
             qp = -1.0 + ddf / f - lf * lf
             qpp = dddf / f - 3.0 * (ddf / f) * lf + 2.0 * lf**3
-            res = painleve.cp4_residual(q, qp, qpp, s, alpha, beta)
+            res = cp4_residual(q, qp, qpp, s, alpha, beta)
             assert abs(res) <= 1e-8 * max(1.0, abs(q) ** 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filpiv import specfun as sf
-from filpiv.errors import GammaPoleError
+from filpiv.errors import DomainError, GammaPoleError
 
 # Reference values computed once with mpmath at 40 digits.
 GAMMA_TABLE = [
@@ -257,3 +257,21 @@ class TestPcfD:
             d = sf.pcf_d(a, z)
             dc = sf.pcf_d(a.conjugate(), z.conjugate())
             assert abs(dc - d.conjugate()) <= 1e-10 * max(abs(d), 1e-12)
+
+
+class TestNonFinite:
+    """A non-finite argument is a DomainError, which the CLI reports as a
+    numeric failure (exit 3)."""
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_domain_error(self, x):
+        calls = (
+            lambda: sf.cgamma(x),
+            lambda: sf.cgamma(complex(1.0, x)),
+            lambda: sf.hyp1f1(0.5 + 0.25j, 1.5, complex(0.0, x)),
+            lambda: sf.hyp1f1(complex(0.5, x), 1.5, 1j),
+            lambda: sf.arg_gamma_one_plus_ix(x),
+        )
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()

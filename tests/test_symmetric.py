@@ -29,11 +29,15 @@ class TestInitialData:
         assert float(p.a_vec @ st.g) == pytest.approx(0.0, abs=1e-14)
 
     def test_branch_sigma_p0(self):
+        # sigma'(0) = a.G'(0): eps (odd), -a (mixed_minus), +a (mixed_plus)
+        def sigma_p0(p, branch):
+            return float(p.a_vec @ symmetric.make_symmetric_ic(p, branch).gp)
+
         p = FlowParams(1.5, 0.5)
-        assert symmetric.branch_sigma_p0(p, "odd") == 0.5
-        assert symmetric.branch_sigma_p0(p, "mixed_minus") == -1.5
+        assert sigma_p0(p, "odd") == pytest.approx(0.5, abs=1e-15)
+        assert sigma_p0(p, "mixed_minus") == -1.5
         p2 = FlowParams(1.5, 2.0)
-        assert symmetric.branch_sigma_p0(p2, "mixed_plus") == 1.5
+        assert sigma_p0(p2, "mixed_plus") == 1.5
 
     def test_infeasible_branches(self):
         with pytest.raises(BranchInfeasibleError):

@@ -1,6 +1,7 @@
 """Zero-axis closed-form tests: both tangent representations against the ODE,
 parity, the scalar-projection equation, the Riccati structure and the
-limiting tangents."""
+limiting tangents.  The closed-form jet, the projection equation and the
+Riccati maps are defined here, as the reference the tests check."""
 
 import cmath
 import math
@@ -10,6 +11,102 @@ import pytest
 
 from filpiv import specfun as sf
 from filpiv import zero_a
+from filpiv.errors import NumericError
+
+
+class DenominatorVanishesError(NumericError):
+    """zeta' = 1, where the Riccati maps are undefined."""
+
+
+def hyp1f1_dz(alpha: complex, gamma: complex, z: complex) -> complex:
+    """d/dz 1F1(alpha, gamma, z) = (alpha/gamma) 1F1(alpha+1, gamma+1, z)."""
+    return complex(alpha) / complex(gamma) * sf.hyp1f1(
+        complex(alpha) + 1.0, complex(gamma) + 1.0, z
+    )
+
+
+def g_prime_jet(s: float, params: zero_a.ZeroAParams) -> tuple[np.ndarray, np.ndarray]:
+    """(G', G'') from the closed form, with G'' by analytic differentiation."""
+    s = float(s)
+    eps = params.eps
+    if eps == 0.0:
+        return np.array([1.0, 0.0, 0.0]), np.zeros(3)
+    z = 0.25j * s * s
+    dz = 0.5j * s  # dz/ds
+    f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z)
+    f1p = hyp1f1_dz(0.5 + 0.25j * eps, 1.5, z) * dz
+    f2 = sf.hyp1f1(-0.25j * eps, 0.5, -z)
+    f2p = hyp1f1_dz(-0.25j * eps, 0.5, -z) * (-dz)
+    mod2 = (f1 * f1.conjugate()).real
+    dmod2 = 2.0 * (f1p * f1.conjugate()).real
+    g1 = 1.0 - 0.5 * eps * s * s * mod2
+    dg1 = -eps * s * mod2 - 0.5 * eps * s * s * dmod2
+    w = math.sqrt(eps) * s * f1 * f2
+    dw = math.sqrt(eps) * (f1 * f2 + s * f1p * f2 + s * f1 * f2p)
+    gp = np.array([g1, w.real, w.imag])
+    gpp = np.array([dg1, dw.real, dw.imag])
+    return gp, gpp
+
+
+def reconstruct_g(s: float, params: zero_a.ZeroAParams) -> np.ndarray:
+    """G(s) = s G' + 2 G' x G'' from the closed-form jet; |G|^2 = s^2 + 4 eps."""
+    gp, gpp = g_prime_jet(s, params)
+    return float(s) * gp + 2.0 * np.cross(gp, gpp)
+
+
+def zeta_residual(jet, params: zero_a.ZeroAParams, complex_null: bool = False) -> complex:
+    """Residual of the scalar-projection equation for zeta = e.G:
+
+        (zeta'')^2 + (s zeta' - zeta)^2/4 - eps (1 - zeta'^2)        (real e)
+        (zeta'')^2 + (s zeta' - zeta)^2/4 + eps zeta'^2              (null e)
+    """
+    s, z, zp, zpp = jet
+    base = zpp * zpp + 0.25 * (s * zp - z) ** 2
+    if complex_null:
+        return base + params.eps * zp * zp
+    return base - params.eps * (1.0 - zp * zp)
+
+
+def zeta_ppp(jet, params: zero_a.ZeroAParams) -> complex:
+    """zeta''' from the differentiated projection equation (zeta'' cancels)."""
+    s, z, zp, _ = jet
+    return -params.eps * zp - 0.25 * s * (s * zp - z)
+
+
+def riccati_q(s: float, params: zero_a.ZeroAParams):
+    """(q_plus, q_minus, zeta jet) built from the first-axis projection
+    zeta = G_1 of the closed form: q_pm = (zeta'' +- (i/2)(s zeta' - zeta))
+    / (1 - zeta')."""
+    if params.eps == 0.0:
+        # straight line: zeta' = 1 identically and both maps collapse to 0
+        return 0.0 + 0.0j, 0.0 + 0.0j, (float(s), float(s), 1.0, 0.0)
+    gp, gpp = g_prime_jet(s, params)
+    g = float(s) * gp + 2.0 * np.cross(gp, gpp)
+    jet = (float(s), g[0], float(gp[0]), float(gpp[0]))
+    den = 1.0 - jet[2]
+    if abs(den) < 1e-12:
+        raise DenominatorVanishesError("zeta' = 1: Riccati map undefined")
+    n = 0.5j * (jet[0] * jet[2] - jet[1])
+    q_plus, q_minus = ((jet[3] + sign * n) / den for sign in (1, -1))
+    return q_plus, q_minus, jet
+
+
+def riccati_check(s: float, params: zero_a.ZeroAParams) -> tuple[complex, complex]:
+    """Residuals of 2 q_pm' = q_pm^2 +- i s q_pm + eps along the closed form."""
+    if params.eps == 0.0:
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    *qs, jet = riccati_q(s, params)
+    s0, z, zp, zpp = jet
+    zppp = zeta_ppp(jet, params)
+    den = 1.0 - zp
+    res = []
+    for sign, q in zip((1, -1), qs):
+        # q = (zeta'' + sign n) / den with n = (i/2)(s zeta' - zeta), whose
+        # derivative is (i/2) s zeta''; den' = -zeta''
+        dq = ((zppp + sign * 0.5j * s0 * zpp) / den
+              - (zpp + sign * 0.5j * (s0 * zp - z)) * -zpp / den**2)
+        res.append(2.0 * dq - (q * q + sign * 1j * s0 * q + params.eps))
+    return tuple(res)
 
 
 def four_d_pcf(s, eps):
@@ -51,14 +148,14 @@ def four_d_pcf(s, eps):
 def pasted_riccati(s, p):
     """Reference oracle: (q_+, q_-, residual_+, residual_-) with the formula
     of each sign written out separately, before the loop over the sign."""
-    gp, gpp = zero_a.g_prime_jet(s, p)
+    gp, gpp = g_prime_jet(s, p)
     g = s * gp + 2.0 * np.cross(gp, gpp)
     jet = (s, g[0], float(gp[0]), float(gpp[0]))
     s0, z, zp, zpp = jet
     den = 1.0 - zp
     n = 0.5j * (s0 * zp - z)
     qp_, qm_ = (zpp + n) / den, (zpp - n) / den
-    zppp = zero_a.zeta_ppp(jet, p)
+    zppp = zeta_ppp(jet, p)
     dq_p = (zppp + 0.5j * s0 * zpp) / den - (zpp + 0.5j * (s0 * zp - z)) * -zpp / den**2
     dq_m = (zppp - 0.5j * s0 * zpp) / den - (zpp - 0.5j * (s0 * zp - z)) * -zpp / den**2
     return (qp_, qm_, 2.0 * dq_p - (qp_ * qp_ + 1j * s0 * qp_ + p.eps),
@@ -170,19 +267,19 @@ class TestGPrimePcf:
 class TestReconstructG:
     def test_norm_identity_at_origin(self):
         p = zero_a.ZeroAParams(1.0)
-        g = zero_a.reconstruct_g(0.0, p)
+        g = reconstruct_g(0.0, p)
         assert float(np.linalg.norm(g)) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_eps(self):
         p = zero_a.ZeroAParams(0.0)
-        assert np.allclose(zero_a.reconstruct_g(5.0, p), [5.0, 0.0, 0.0])
+        assert np.allclose(reconstruct_g(5.0, p), [5.0, 0.0, 0.0])
 
     def test_matches_flow(self, runs):
         run = runs.zero_a_run(1.0, s_max=20.0)
         p = zero_a.ZeroAParams(1.0)
-        assert np.max(np.abs(zero_a.reconstruct_g(5.0, p) - run.g(5.0))) <= 1e-8
+        assert np.max(np.abs(reconstruct_g(5.0, p) - run.g(5.0))) <= 1e-8
         for s in np.linspace(-15.0, 15.0, 31):
-            g = zero_a.reconstruct_g(float(s), p)
+            g = reconstruct_g(float(s), p)
             assert float(g @ g) == pytest.approx(s * s + 4.0, abs=1e-10)
 
 
@@ -201,12 +298,12 @@ class TestZetaEquation:
         e /= np.linalg.norm(e)
         for s in np.linspace(-12.0, 12.0, 25):
             jet = zeta_jet(run, float(s), e)
-            assert abs(zero_a.zeta_residual(jet, p)) <= 1e-8
+            assert abs(zeta_residual(jet, p)) <= 1e-8
 
     def test_line_zeta(self):
         p = zero_a.ZeroAParams(0.0)
         jet = (3.0, 3.0, 1.0, 0.0)  # zeta = s on the straight line
-        assert zero_a.zeta_residual(jet, p) == pytest.approx(0.0, abs=1e-14)
+        assert zeta_residual(jet, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_null_vector_variant(self, runs):
         run = runs.zero_a_run(1.0, s_max=20.0)
@@ -214,14 +311,14 @@ class TestZetaEquation:
         e = np.array([0.0, 1.0, 1j])
         for s in np.linspace(-12.0, 12.0, 25):
             jet = zeta_jet(run, float(s), e)
-            assert abs(zero_a.zeta_residual(jet, p, complex_null=True)) <= 1e-8
+            assert abs(zeta_residual(jet, p, complex_null=True)) <= 1e-8
 
 
 class TestRiccati:
     def test_residuals_small(self):
         p = zero_a.ZeroAParams(1.0)
         for s in np.linspace(1.0, 10.0, 19):
-            rp, rm = zero_a.riccati_check(float(s), p)
+            rp, rm = riccati_check(float(s), p)
             assert abs(rp) <= 1e-7
             assert abs(rm) <= 1e-7
 
@@ -230,9 +327,9 @@ class TestRiccati:
         p = zero_a.ZeroAParams(1.0)
         h = 1e-4
         for s in (2.0, 5.0):
-            qp_m, qm_m, _ = zero_a.riccati_q(s - h, p)
-            qp_p, qm_p, _ = zero_a.riccati_q(s + h, p)
-            qp0, qm0, _ = zero_a.riccati_q(s, p)
+            qp_m, qm_m, _ = riccati_q(s - h, p)
+            qp_p, qm_p, _ = riccati_q(s + h, p)
+            qp0, qm0, _ = riccati_q(s, p)
             for qd, q0, sign in (((qp_p - qp_m) / (2 * h), qp0, 1.0),
                                  ((qm_p - qm_m) / (2 * h), qm0, -1.0)):
                 res = 2.0 * qd - (q0 * q0 + sign * 1j * s * q0 + p.eps)
@@ -242,7 +339,7 @@ class TestRiccati:
         # q+ q- = eps (1 + zeta') / (1 - zeta')
         p = zero_a.ZeroAParams(1.0)
         for s in (0.7, 3.3, 8.0):
-            qp_, qm_, jet = zero_a.riccati_q(s, p)
+            qp_, qm_, jet = riccati_q(s, p)
             ref = p.eps * (1.0 + jet[2]) / (1.0 - jet[2])
             assert abs(qp_ * qm_ - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -250,14 +347,14 @@ class TestRiccati:
     def test_sign_loop_matches_pasted_pair(self, eps):
         p = zero_a.ZeroAParams(eps)
         for s in (0.7, 3.3, 8.0):
-            qp_, qm_, _ = zero_a.riccati_q(s, p)
-            assert (qp_, qm_, *zero_a.riccati_check(s, p)) == pasted_riccati(s, p)
+            qp_, qm_, _ = riccati_q(s, p)
+            assert (qp_, qm_, *riccati_check(s, p)) == pasted_riccati(s, p)
 
     def test_zero_eps_trivial(self):
         p = zero_a.ZeroAParams(0.0)
-        qp_, qm_, _ = zero_a.riccati_q(2.0, p)
+        qp_, qm_, _ = riccati_q(2.0, p)
         assert qp_ == 0.0 and qm_ == 0.0
-        rp, rm = zero_a.riccati_check(2.0, p)
+        rp, rm = riccati_check(2.0, p)
         assert rp == 0.0 and rm == 0.0
 
 
