@@ -28,7 +28,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .flow import FlowParams, FlowRun
-from .specfun import arg_gamma_one_plus_ix
+from .specfun import arg_gamma_one_plus_ix, check_exponents
 
 __all__ = [
     "TailParams",
@@ -107,8 +107,13 @@ def d1_coefficient(omega: float, params: FlowParams) -> float:
 def im_rho(omega: float, params: FlowParams) -> float:
     """Im rho from the reality constraint:
     e^{-2 Im rho} = 4 e^{-3 pi w} sinh(pi (eps - 3w)/3)
-                    (cosh(pi a) - cosh(pi (eps + 6w)/3))."""
+                    (cosh(pi a) - cosh(pi (eps + 6w)/3)).
+
+    A DomainError where the right-hand side is not positive, or where it or
+    one of its factors overflows a float."""
     a, eps = params.a, params.eps
+    check_exponents(-3.0 * math.pi * omega, abs(math.pi * (eps - 3.0 * omega) / 3.0),
+                    abs(math.pi * a), abs(math.pi * (eps + 6.0 * omega) / 3.0))
     arg = (
         4.0
         * math.exp(-3.0 * math.pi * omega)
@@ -119,6 +124,8 @@ def im_rho(omega: float, params: FlowParams) -> float:
         raise DomainError(
             f"reality constraint has non-positive argument at omega={omega}"
         )
+    if not arg < math.inf:
+        raise DomainError(f"reality constraint overflows a float at omega={omega}")
     return -0.5 * math.log(arg)
 
 
@@ -329,6 +336,7 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
 
 def _s_const(params: FlowParams) -> float:
     a, eps = params.a, params.eps
+    check_exponents(-math.pi * eps / 3.0, abs(math.pi * a), 2.0 * math.pi * eps / 3.0)
     return 2.0 * math.exp(-math.pi * eps / 3.0) * math.cosh(math.pi * a) \
         + math.exp(2.0 * math.pi * eps / 3.0)
 

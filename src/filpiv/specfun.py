@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import DomainError, GammaPoleError, NonConvergenceError
 
@@ -18,6 +19,7 @@ __all__ = [
     "clog_gamma",
     "rgamma",
     "arg_gamma_one_plus_ix",
+    "check_exponents",
     "hyp1f1",
     "pcf_d",
 ]
@@ -36,6 +38,13 @@ _TOL = 1e-13
 _DIRECT_RADIUS = 10.0
 _SWITCH_RADIUS = 30.0
 
+# A Maclaurin sum whose largest term exceeds the result by more than this
+# factor carries a rounding error (2^-52 of that term) above 1e-9 relative,
+# ten times the 1e-10 the package needs: the sum raises instead of returning
+# it.  On the zero-axis closed forms the sums' factor reaches 0.025 of this
+# at eps = 10, 0.67 at eps = 20 and 8 times it at eps = 30.
+_CANCEL_LIMIT = 10.0 * 1e-10 * 2.0**52
+
 # Lanczos coefficients, g = 7, 9 terms.
 _LANCZOS_G = 7.0
 _LANCZOS = (
@@ -52,6 +61,21 @@ _LANCZOS = (
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 _SQRT_2PI = 2.5066282746310005024157652848
+
+# e^x, cosh x and sinh x overflow a float beyond this x
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def check_exponents(*exponents: float) -> None:
+    """DomainError unless every exponent x is at most ln(float max), so that
+    e^x is a finite float.  Callers pass |x| for cosh and sinh, and call it
+    before the arithmetic it guards, so that values in range keep their bits."""
+    for x in exponents:
+        if not x <= _LOG_FLOAT_MAX:
+            raise DomainError(
+                f"exponent {x:.6g} exceeds ln(float max) = {_LOG_FLOAT_MAX:.6g}: "
+                "the value overflows a float"
+            )
 
 
 def _check_finite(*vals):
@@ -110,13 +134,17 @@ def clog_gamma(z: complex) -> complex:
 
 
 def rgamma(z: complex) -> complex:
-    """1/Gamma(z); entire, returns 0 at non-positive integers."""
+    """1/Gamma(z); entire, returns 0 at non-positive integers.  A DomainError
+    where 1/Gamma(z), or sin(pi z) of the reflection, overflows a float."""
     z = complex(z)
     _check_finite(z)
     if _is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real >= 0.5:
-        return cmath.exp(-clog_gamma(z))
+        log_rg = -clog_gamma(z)
+        check_exponents(log_rg.real)
+        return cmath.exp(log_rg)
+    check_exponents(abs(math.pi * z.imag))
     return cmath.sin(cmath.pi * z) * cgamma(1.0 - z) / cmath.pi
 
 
@@ -136,10 +164,12 @@ def arg_gamma_one_plus_ix(x: float) -> float:
 
 
 def _series_1f1(alpha, gamma, z):
-    """Maclaurin sum with compensated accumulation."""
+    """Maclaurin sum with compensated accumulation; a NonConvergenceError
+    when cancellation leaves less than the sum's target accuracy."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan compensation
+    largest = 1.0
     small = 0
     for k in range(_MAX_TERMS):
         term = term * (alpha + k) / ((gamma + k) * (k + 1)) * z
@@ -147,9 +177,17 @@ def _series_1f1(alpha, gamma, z):
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) <= _TOL * max(abs(total), 1e-290):
+        size = abs(term)
+        if size > largest:
+            largest = size
+        if size <= _TOL * max(abs(total), 1e-290):
             small += 1
             if small >= 3:
+                if largest > _CANCEL_LIMIT * abs(total):
+                    raise NonConvergenceError(
+                        f"1F1 series at z={z} cancels {largest / abs(total):.2e}-fold, "
+                        f"beyond the {_CANCEL_LIMIT:.2e} its accuracy allows"
+                    )
                 return total
         else:
             small = 0
@@ -274,15 +312,18 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
 # --- parabolic cylinder ------------------------------------------------------
 
 
-def pcf_d(order: complex, z: complex) -> complex:
-    """Parabolic cylinder D_order(z) via its even/odd 1F1 decomposition:
+def pcf_d(order: complex, z: complex) -> tuple[complex, complex]:
+    """Parabolic cylinder pair (D_order(z), D_order(-z)) via the even/odd 1F1
+    decomposition
 
-        D_a(z) = 2^{a/2} sqrt(pi) e^{-z^2/4} [ 1F1(-a/2, 1/2, z^2/2) / Gamma((1-a)/2)
-                 - sqrt(2) z 1F1(1/2 - a/2, 3/2, z^2/2) / Gamma(-a/2) ].
+        D_a(+-z) = 2^{a/2} sqrt(pi) e^{-z^2/4} [ 1F1(-a/2, 1/2, z^2/2) / Gamma((1-a)/2)
+                   -+ sqrt(2) z 1F1(1/2 - a/2, 3/2, z^2/2) / Gamma(-a/2) ].
 
-    Accurate on the imaginary-order / e^{+-i pi/4}-ray strips the package
-    uses; large real z suffers the usual even/odd cancellation and is out of
-    scope.
+    Both 1F1 values depend on z^2 only, so the mirrored value costs no
+    further evaluation; negating z is exact, so each member has the bits of
+    a separate evaluation at its own argument.  Accurate on the
+    imaginary-order / e^{+-i pi/4}-ray strips the package uses; large real z
+    suffers the usual even/odd cancellation and is out of scope.
     """
     a = complex(order)
     z = complex(z)
@@ -291,4 +332,4 @@ def pcf_d(order: complex, z: complex) -> complex:
     pref = cmath.exp(0.5 * a * math.log(2.0) - 0.25 * z * z) * math.sqrt(math.pi)
     even = rgamma(0.5 * (1.0 - a)) * hyp1f1(-0.5 * a, 0.5, half_z2)
     odd = rgamma(-0.5 * a) * z * math.sqrt(2.0) * hyp1f1(0.5 - 0.5 * a, 1.5, half_z2)
-    return pref * (even - odd)
+    return pref * (even - odd), pref * (even + odd)

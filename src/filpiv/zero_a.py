@@ -96,12 +96,15 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
 
     For real s, D is real-analytic in its order and argument, so the factor
     of order +i eps/2 on the conjugate ray is the conjugate of the one above
-    and each product is a squared modulus: two D and two Gamma evaluations
-    per point.  The constants u_j = e^{-2 lambda_j} come from one Gamma
-    ratio t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
+    and each product is a squared modulus.  D_+ and D_- come as one pcf_d
+    pair, from the same two 1F1 values: per point one pcf_d, two hyp1f1 and
+    two direct Gamma evaluations.  The constants u_j = e^{-2 lambda_j} come
+    from one Gamma ratio
+    t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
     u_1 = -1, u_2 = (1 - t)/(1 + t), u_3 = (1 + i t)/(1 - i t), with the
     j = 3 sign fixed by unit-norm consistency of the full tangent.  Beyond
-    |s| = 25 the large-s model is returned unless exact=True.
+    |s| = 25 the large-s model is returned unless exact=True.  A DomainError
+    where e^{pi eps/4} overflows a float (eps > 903.7).
     """
     s = float(s)
     if params.eps == 0.0:
@@ -109,10 +112,11 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
         return g_prime_asymptotic(s, params)
     eps = params.eps
+    # e^{pi eps/4} here and sin(pi z) of the Gamma reflection in pcf_d
+    sf.check_exponents(0.25 * math.pi * eps)
     ray = cmath.exp(0.25j * cmath.pi)
     z = ray * s / math.sqrt(2.0)
-    d_plus = sf.pcf_d(-0.5j * eps, z)
-    d_minus = sf.pcf_d(-0.5j * eps, -z)
+    d_plus, d_minus = sf.pcf_d(-0.5j * eps, z)
     t = (-2.0 * ray / math.sqrt(eps)
          * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
     ep4 = math.exp(0.25 * math.pi * eps)

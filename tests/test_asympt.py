@@ -72,6 +72,25 @@ class TestRhoLaws:
         vals = [asympt.im_rho(p.eps / 3.0 - h, p) for h in (1e-2, 1e-4, 1e-6)]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_overflowing_exponent_raises_before_arithmetic(self):
+        # cosh(pi a) at a = 300; e^{-3 pi omega} at the omega connect
+        # predicts for a = 155; cosh(pi a) of the connection constant at 230
+        with pytest.raises(DomainError, match="ln\\(float max\\)"):
+            asympt.im_rho(-0.05, FlowParams(300.0, 0.3))
+        with pytest.raises(DomainError, match="ln\\(float max\\)"):
+            asympt.im_rho(-77.5, FlowParams(155.0, 0.3))
+        with pytest.raises(DomainError, match="ln\\(float max\\)"):
+            asympt._s_const(FlowParams(230.0, 0.3))
+        # every factor in range, their product beyond it (connect at a = 150)
+        with pytest.raises(DomainError, match="overflows"):
+            asympt.im_rho(-74.83, FlowParams(150.0, 0.3))
+        # in range, the laws evaluate as before
+        a, eps = 220.0, 0.3
+        assert asympt._s_const(FlowParams(a, eps)) == (
+            2.0 * math.exp(-math.pi * eps / 3.0) * math.cosh(math.pi * a)
+            + math.exp(2.0 * math.pi * eps / 3.0))
+        assert math.isfinite(asympt.im_rho(-0.05, FlowParams(200.0, 0.3)))
+
     def test_amplitude_consistency_with_gamma_products(self):
         # e^{-Im rho} |Gamma product| law reproduces R/9 exactly
         for (a, eps, w) in ((1.0, 0.0, -0.22), (1.5, 0.4, -0.1), (2.0, -0.5, -0.35)):

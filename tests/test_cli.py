@@ -271,6 +271,32 @@ class TestErrors:
         assert len(err) == 1
         assert json.loads(err[0])["type"] == "DomainError"
 
+    _TAIL = {"side": 1, "omega": -0.12, "delta": 0.9}
+
+    # parameters whose closed-form laws overflow a float or lose their
+    # accuracy to cancellation: zero-a's 1F1 series (eps 400) and Gamma
+    # factors (eps 950, 3000), the reality constraint and connection
+    # constant (a = 300 through the fitted tails, a = 150-230 in connect;
+    # at a = 150 only the product of the constraint's factors overflows)
+    @pytest.mark.parametrize("command, config", [
+        ("zero-a", {"params": {"a": 0.0, "eps": 400.0}}),
+        ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
+        ("zero-a", {"params": {"a": 0.0, "eps": 3000.0}}),
+        ("fit", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
+        ("symmetric", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
+        ("connect", {"params": {"a": 150.0, "eps": 0.3}, "connect": _TAIL}),
+        ("connect", {"params": {"a": 155.0, "eps": 0.3}, "connect": _TAIL}),
+        ("connect", {"params": {"a": 220.0, "eps": 0.3}, "connect": _TAIL}),
+        ("connect", {"params": {"a": 230.0, "eps": 0.3}, "connect": _TAIL}),
+    ])
+    def test_out_of_range_closed_forms_exit_3(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path / "c.json", config)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "numeric"
+        assert list(out.iterdir()) == []
+
     # runs whose drifts are far beyond the default thresholds of 1e-8
     @pytest.mark.parametrize("command, params, tolerances", [
         ("integrate", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),

@@ -364,8 +364,8 @@ class TestCp4Residual:
         rt2 = math.sqrt(2.0)
 
         def d_and_deriv(w):
-            val = sf.pcf_d(order, w)
-            der = order * sf.pcf_d(order - 1, w) - 0.5 * w * val
+            val = sf.pcf_d(order, w)[0]
+            der = order * sf.pcf_d(order - 1, w)[0] - 0.5 * w * val
             return val, der
 
         for s in (0.4, 1.1, 2.3):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filpiv import specfun as sf
-from filpiv.errors import DomainError, GammaPoleError
+from filpiv.errors import DomainError, GammaPoleError, NonConvergenceError
 
 # Reference values computed once with mpmath at 40 digits.
 GAMMA_TABLE = [
@@ -72,6 +72,18 @@ def naive_pcf_d(order, z):
     pref = cmath.exp(0.5 * a * math.log(2.0) - 0.25 * z * z) * math.sqrt(math.pi)
     even = sf.rgamma(0.5 * (1 - a)) * naive_1f1(-a / 2, 0.5, z * z / 2)
     odd = sf.rgamma(-a / 2) * math.sqrt(2.0) * z * naive_1f1(0.5 - a / 2, 1.5, z * z / 2)
+    return pref * (even - odd)
+
+
+def scalar_pcf_d(order, z):
+    """Reference oracle: D_order(z) alone, as pcf_d evaluated it before it
+    returned the pair (D_order(z), D_order(-z))."""
+    a = complex(order)
+    z = complex(z)
+    half_z2 = 0.5 * z * z
+    pref = cmath.exp(0.5 * a * math.log(2.0) - 0.25 * z * z) * math.sqrt(math.pi)
+    even = sf.rgamma(0.5 * (1.0 - a)) * sf.hyp1f1(-0.5 * a, 0.5, half_z2)
+    odd = sf.rgamma(-0.5 * a) * z * math.sqrt(2.0) * sf.hyp1f1(0.5 - 0.5 * a, 1.5, half_z2)
     return pref * (even - odd)
 
 
@@ -192,19 +204,19 @@ class TestHyp1f1:
 class TestPcfD:
     @pytest.mark.parametrize("z", [0.4, 1.5j, -2.2 + 0.3j, 3.0 * cmath.exp(0.25j * cmath.pi)])
     def test_order_zero(self, z):
-        got = sf.pcf_d(0.0, z)
+        got = sf.pcf_d(0.0, z)[0]
         ref = cmath.exp(-z * z / 4)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("order", [0.35, -0.6 + 0.4j, 1j, -0.5j])
     def test_at_origin(self, order):
-        got = sf.pcf_d(order, 0.0)
+        got = sf.pcf_d(order, 0.0)[0]
         ref = 2 ** (complex(order) / 2) * math.sqrt(math.pi) * sf.rgamma((1 - complex(order)) / 2)
         assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-15)
 
     @pytest.mark.parametrize("order,z,ref", PCFD_TABLE)
     def test_frozen_table(self, order, z, ref):
-        got = sf.pcf_d(order, z)
+        got = sf.pcf_d(order, z)[0]
         assert abs(got - ref) <= 1e-10 * abs(ref)
 
     def test_recurrence_against_series_oracle(self):
@@ -216,8 +228,8 @@ class TestPcfD:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             ref = naive_pcf_d(a + 1, z) - z * naive_pcf_d(a, z) + a * naive_pcf_d(a - 1, z)
             assert abs(ref) < 1e-11
-            res = sf.pcf_d(a + 1, z) - z * sf.pcf_d(a, z) + a * sf.pcf_d(a - 1, z)
-            scale = max(abs(sf.pcf_d(a, z)), 1.0)
+            res = sf.pcf_d(a + 1, z)[0] - z * sf.pcf_d(a, z)[0] + a * sf.pcf_d(a - 1, z)[0]
+            scale = max(abs(sf.pcf_d(a, z)[0]), 1.0)
             assert abs(res) <= 1e-10 * scale
 
     def test_recurrence_on_working_rays(self):
@@ -225,8 +237,8 @@ class TestPcfD:
             for s in (3.0, 11.0, 19.0):
                 a = -0.5j * eps
                 z = cmath.exp(0.25j * cmath.pi) * s / math.sqrt(2)
-                res = sf.pcf_d(a + 1, z) - z * sf.pcf_d(a, z) + a * sf.pcf_d(a - 1, z)
-                scale = max(abs(sf.pcf_d(a, z)), abs(sf.pcf_d(a + 1, z)), 1e-6)
+                res = sf.pcf_d(a + 1, z)[0] - z * sf.pcf_d(a, z)[0] + a * sf.pcf_d(a - 1, z)[0]
+                scale = max(abs(sf.pcf_d(a, z)[0]), abs(sf.pcf_d(a + 1, z)[0]), 1e-6)
                 assert abs(res) <= 1e-9 * scale * max(1.0, abs(z))
 
     def test_sum_difference_1f1_identities(self):
@@ -235,8 +247,8 @@ class TestPcfD:
         for _ in range(15):
             a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             z = cmath.exp(0.25j * cmath.pi) * rng.uniform(0.2, 12.0)
-            dp = sf.pcf_d(a, z)
-            dm = sf.pcf_d(a, -z)
+            dp = sf.pcf_d(a, z)[0]
+            dm = sf.pcf_d(a, -z)[0]
             even_ref = (
                 2 ** (1 + a / 2) * math.sqrt(math.pi) * sf.rgamma((1 - a) / 2)
                 * cmath.exp(-z * z / 4) * sf.hyp1f1(-a / 2, 0.5, z * z / 2)
@@ -249,14 +261,70 @@ class TestPcfD:
             assert abs((dp + dm) - even_ref) <= 1e-9 * scale
             assert abs((dp - dm) - odd_ref) <= 1e-9 * scale
 
+    # |z^2/2| = s^2/4 on the rays: series to s ~ 6.3, continuation to
+    # s ~ 11, asymptotic sums beyond
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 3.0])
+    def test_pair_bit_identical_to_scalar_form(self, sign, eps):
+        # order -i eps/2 on e^{i pi/4}, its conjugate on e^{-i pi/4}
+        order = -0.5j * sign * eps
+        ray = cmath.exp(0.25j * cmath.pi * sign)
+        for s in (0.0, -0.0, 0.5, -2.5, 6.0, 6.5, -9.0, 11.5, -15.0, 21.0, 28.0):
+            z = ray * s / math.sqrt(2.0)
+            d_plus, d_minus = sf.pcf_d(order, z)
+            for got, ref in ((d_plus, scalar_pcf_d(order, z)),
+                             (d_minus, scalar_pcf_d(order, -z))):
+                assert np.complex128(got).tobytes() == np.complex128(ref).tobytes(), (s, got, ref)
+
     def test_conjugation(self):
         rng = np.random.RandomState(9)
         for _ in range(15):
             a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            d = sf.pcf_d(a, z)
-            dc = sf.pcf_d(a.conjugate(), z.conjugate())
+            d = sf.pcf_d(a, z)[0]
+            dc = sf.pcf_d(a.conjugate(), z.conjugate())[0]
             assert abs(dc - d.conjugate()) <= 1e-10 * max(abs(d), 1e-12)
+
+
+class TestOverflowAndCancellation:
+    """Where a value would overflow a float, or a series cancel beyond its
+    accuracy, the functions raise a NumericError instead of returning it."""
+
+    def test_check_exponents(self):
+        sf.check_exponents(-1e6, 0.0, 709.78)
+        for x in (709.79, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sf.check_exponents(1.0, x)
+
+    # exponential branch (1/Gamma ~ e^{pi |y|/2}) and the reflection's sin(pi z)
+    @pytest.mark.parametrize("z", [1.0 - 750j, 0.25 + 300j, -3.5 - 300j])
+    def test_rgamma_overflow(self, z):
+        with pytest.raises(DomainError):
+            sf.rgamma(z)
+
+    # the derivative seed 1F1(1 - i eps/4, 3/2, -10 i) of the continuation of
+    # 1F1(-i eps/4, 1/2, -i s^2/4), the zero-axis closed forms' first series
+    # to cancel beyond the limit: quiet to eps = 20, raising from eps = 21
+    @pytest.mark.parametrize("eps, trips", [
+        (5.0, False), (10.0, False), (20.0, False),
+        (21.0, True), (30.0, True), (400.0, True),
+    ])
+    def test_series_cancellation_guard(self, eps, trips):
+        alpha, gamma, z = 1.0 - 0.25j * eps, 1.5, -10j
+        term = total = 1.0 + 0.0j
+        largest = 1.0
+        for k in range(700):
+            term = term * (alpha + k) / ((gamma + k) * (k + 1)) * z
+            total += term
+            largest = max(largest, abs(term))
+            if abs(term) < 1e-20 * largest:
+                break
+        assert (largest > sf._CANCEL_LIMIT * abs(total)) == trips
+        if trips:
+            with pytest.raises(NonConvergenceError, match="cancels"):
+                sf.hyp1f1(alpha, gamma, z)
+        else:
+            assert abs(sf.hyp1f1(alpha, gamma, z) - total) <= 1e-9 * abs(total)
 
 
 class TestNonFinite:

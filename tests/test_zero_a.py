@@ -11,7 +11,7 @@ import pytest
 
 from filpiv import specfun as sf
 from filpiv import zero_a
-from filpiv.errors import NumericError
+from filpiv.errors import DomainError, NonConvergenceError, NumericError
 
 
 class DenominatorVanishesError(NumericError):
@@ -120,7 +120,7 @@ def four_d_pcf(s, eps):
             d[(nu, mu)] = sf.pcf_d(
                 -0.5j * nu * eps,
                 mu * cmath.exp(0.25j * cmath.pi * nu) * s / math.sqrt(2.0),
-            )
+            )[0]
     t = {}
     for pm in (1, -1):
         t[pm] = (
@@ -198,6 +198,13 @@ class TestGPrimeHyp:
             assert abs(plus[1] + minus[1]) <= 1e-12
             assert abs(plus[2] + minus[2]) <= 1e-12
 
+    # a direct series (s = 5) and a continuation seed (s = 10); the
+    # components would be about 1e9 at eps = 400
+    @pytest.mark.parametrize("eps, s", [(30.0, 10.0), (400.0, 5.0)])
+    def test_cancelling_series_raises(self, eps, s):
+        with pytest.raises(NonConvergenceError):
+            zero_a.g_prime_hyp(s, zero_a.ZeroAParams(eps), exact=True)
+
     def test_regime_switch(self):
         p = zero_a.ZeroAParams(1.0)
         assert zero_a.g_prime_regime(10.0) == "exact"
@@ -240,6 +247,12 @@ class TestGPrimePcf:
             assert plus[1] == pytest.approx(-minus[1], abs=1e-10)
             assert plus[2] == pytest.approx(-minus[2], abs=1e-10)
 
+    def test_overflowing_eps_raises_domain_error(self):
+        # e^{pi eps/4} overflows beyond eps = 4 ln(float max) / pi = 903.7,
+        # also at s = 0, where no series runs
+        for s in (0.0, 3.0):
+            with pytest.raises(DomainError):
+                zero_a.g_prime_pcf(s, zero_a.ZeroAParams(950.0), exact=True)
 
     # |z| = s^2/4 of the 1F1 calls: series to |s| ~ 6.3, continuation to
     # |s| ~ 11, asymptotic sums beyond
@@ -252,16 +265,20 @@ class TestGPrimePcf:
                 assert got.tobytes() == four_d_pcf(s, eps).tobytes(), (eps, s)
 
     def test_two_d_evaluations_per_point(self, monkeypatch):
-        calls = []
-        pcf_d = sf.pcf_d
-        monkeypatch.setattr(zero_a.sf, "pcf_d", lambda *a: calls.append(a) or pcf_d(*a))
+        # D_+ and D_- come as one pcf_d pair from the same two 1F1 values
+        pcf_calls, hyp_calls = [], []
+        pcf_d, hyp1f1 = sf.pcf_d, sf.hyp1f1
+        monkeypatch.setattr(sf, "pcf_d", lambda *a: pcf_calls.append(a) or pcf_d(*a))
+        monkeypatch.setattr(sf, "hyp1f1", lambda *a: hyp_calls.append(a) or hyp1f1(*a))
         p = zero_a.ZeroAParams(1.3)
-        for s in (-9.0, 0.5, 17.0):
+        points = (-9.0, 0.5, 17.0)
+        for s in points:
             zero_a.g_prime_pcf(s, p, exact=True)
-        assert len(calls) == 6
-        # the second D of each point is the first one's at the mirrored argument
-        for (order, z), (order_m, z_m) in zip(calls[::2], calls[1::2]):
-            assert order == order_m == -0.65j and z_m == -z
+        assert len(pcf_calls) == len(points)
+        assert len(hyp_calls) == 2 * len(points)
+        ray = cmath.exp(0.25j * cmath.pi)
+        for s, (order, z) in zip(points, pcf_calls):
+            assert order == -0.65j and z == ray * s / math.sqrt(2.0)
 
 
 class TestReconstructG:
