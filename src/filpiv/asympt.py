@@ -68,7 +68,6 @@ class TailParams:
 class FitResult:
     tail: TailParams
     amplitude: float       # fitted oscillation amplitude of sigma' (= 2|A|)
-    mean_sigma_p: float    # fitted limit (eps + 6 omega)/3
     residual_norm: float   # rms residual of the sigma' model over the window
     n_periods: float
     profile_solves: int    # _profile_fit calls made for this side
@@ -317,7 +316,6 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     ss_res, p, q, _ = fit
     amp = math.hypot(p, q)
     delta = math.atan2(-q, p) if amp > 0.0 else 0.0
-    mean_fit = (params.eps + 6.0 * omega) / 3.0
     at_boundary = min(omega - lo_b, hi_b - omega) <= slack
     if at_boundary:
         rho = complex(re_rho(delta, omega, params), math.inf)
@@ -327,7 +325,6 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     return FitResult(
         tail=tail,
         amplitude=amp,
-        mean_sigma_p=mean_fit,
         residual_norm=math.sqrt(ss_res / len(ms)),
         n_periods=(ms[-1] ** 2 - ms[0] ** 2) / (8.0 * math.pi),
         profile_solves=solves,
@@ -346,14 +343,17 @@ def connect(tail: TailParams, params: FlowParams,
     """Map one side's tail parameters to the other side.
 
     e^{-2 pi omega_out} comes from the first connection relation, e^{i rho_out}
-    from the second; delta_out then inverts the phase law.  The raw Im rho_out
-    is checked against the reality constraint (mismatch beyond
-    consistency_tol flags non-real monodromy) and the returned tail carries
-    the enforced value.
+    from the second; delta_out then inverts the phase law, and Im rho_out
+    comes from the reality constraint.  A NonRealMonodromyError where
+    e^{-2 pi omega_out} <= 0, where omega_out lies outside the open
+    omega_bounds (no real tail has that omega) or where the raw Im rho_out
+    misses the constraint by more than consistency_tol; a DomainError where
+    a term of either relation overflows a float.
     """
     w_in = tail.omega
     rho_in = tail.rho
     s_const = _s_const(params)
+    check_exponents(4.0 * math.pi * w_in, -rho_in.imag)
     e2w_in = math.exp(2.0 * math.pi * w_in)
     ea = 2.0 * e2w_in**2 * (math.exp(-rho_in.imag) * math.cos(rho_in.real) - 1.0) \
         + e2w_in * s_const
@@ -361,19 +361,25 @@ def connect(tail: TailParams, params: FlowParams,
         raise NonRealMonodromyError(
             f"non-positive e^(-2 pi omega) = {ea}: inconsistent input tail"
         )
+    if not ea < math.inf:
+        raise DomainError("e^(-2 pi omega_out) overflows a float")
     w_out = -math.log(ea) / (2.0 * math.pi)
+    lo, hi = omega_bounds(params)
+    if not lo < w_out < hi:
+        raise NonRealMonodromyError(
+            f"omega_out={w_out} outside ({lo}, {hi}) (non-real monodromy)"
+        )
     e2w_out = math.exp(2.0 * math.pi * w_out)
     ei_rho_out = 1.0 - (
         s_const
         - math.exp(-2.0 * math.pi * (w_in + w_out))
         - e2w_in * (1.0 - cmath.exp(1j * rho_in))
     ) / e2w_out
+    if not abs(ei_rho_out) < math.inf:
+        raise DomainError("e^(i rho_out) overflows a float")
     re_out = cmath.phase(ei_rho_out)
     im_out_raw = -math.log(abs(ei_rho_out))
-    try:
-        im_out = im_rho(w_out, params)
-    except DomainError as exc:
-        raise NonRealMonodromyError(str(exc)) from exc
+    im_out = im_rho(w_out, params)
     if abs(im_out_raw - im_out) > consistency_tol:
         raise NonRealMonodromyError(
             f"Im rho mismatch {abs(im_out_raw - im_out):.3e} "

@@ -111,7 +111,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         "params": {"a": 0.0, "eps": 1.0, "axis": [0.0, 0.0, 1.0]},
         "initial": {"branch": "odd"},
         "s_span": [-40.0, 40.0],
-        "tolerances": {"rel": 1e-12, "abs": 1e-14, "max_steps": 2_000_000},
+        "tolerances": {"rel": IntegratorConfig.rel_tol, "abs": IntegratorConfig.abs_tol,
+                       "max_steps": IntegratorConfig.max_steps},
         "thresholds": dict(_DEF_THRESHOLDS),
         "sample_step": 0.05,
         "fit_window": None,

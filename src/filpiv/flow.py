@@ -40,8 +40,6 @@ __all__ = [
     "hasimoto_psi",
 ]
 
-DEFAULT_FLOW_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-
 # curvature floor below which the torsion is reported absent (the torsion
 # formula divides by C^2)
 C2_FLOOR = 1e-10
@@ -251,9 +249,6 @@ class FlowRun:
     def gp(self, s) -> np.ndarray:
         return self.state_y(s)[..., 3:]
 
-    def gpp(self, s) -> np.ndarray:
-        return self.sample(s)["Gpp"]
-
     def sigma_jet(self, s) -> SigmaJet:
         if self.params.a <= 0.0:
             raise ZeroAxisError("sigma jet undefined for a = 0")
@@ -325,8 +320,6 @@ class FlowRun:
 def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
                    s_max: float, cfg: IntegratorConfig | None = None) -> FlowRun:
     """Integrate the flow from state0 over [s_min, s_max] (both directions)."""
-    if cfg is None:
-        cfg = DEFAULT_FLOW_CFG
     if not (s_min <= state0.s <= s_max and s_min < s_max):
         raise ConfigError("need s_min <= state0.s <= s_max and s_min < s_max")
     traj = integrate_span(make_taylor(params), state0.y, state0.s, s_min, s_max, cfg)

@@ -27,8 +27,8 @@ _SAFETY = 0.9
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     max_steps: int = 2_000_000
 
     def __post_init__(self):

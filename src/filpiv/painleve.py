@@ -61,8 +61,6 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
     s_lo, s_hi = float(min(s_span)), float(max(s_span))
     if not (s_lo <= jet0.s <= s_hi):
         raise InconsistentJetError("jet0.s must lie inside s_span")
-    if cfg is None:
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
     return SigmaPath(integrate_span(_sp4_taylor(params), y0, jet0.s, s_lo, s_hi, cfg))
 

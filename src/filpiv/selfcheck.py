@@ -90,10 +90,6 @@ class CriterionResult:
                          for label, value, tol in self.rows]}
 
 
-def _acc_cfg(rel: float = 1e-12) -> IntegratorConfig:
-    return IntegratorConfig(rel_tol=rel, abs_tol=1e-14)
-
-
 def symmetric_run_state(a: float, eps: float, branch: str):
     params = FlowParams(a, eps)
     return params, symmetric.make_symmetric_ic(params, branch)
@@ -125,24 +121,23 @@ class RunCache:
         return self._runs[key]
 
     def grid_run(self, a: float, eps: float, branch: str, s_max: float = 40.0,
-                 rel: float = 1e-12):
+                 rel: float = IntegratorConfig.rel_tol):
         def build():
             params, st = symmetric_run_state(a, eps, branch)
-            return integrate_flow(params, st, -s_max, s_max, _acc_cfg(rel))
+            return integrate_flow(params, st, -s_max, s_max, IntegratorConfig(rel_tol=rel))
         return self.get(("grid", a, eps, branch, s_max, rel), build)
 
     def zero_a_run(self, eps: float, s_max: float = 48.0):
         def build():
             params = FlowParams(0.0, eps)
-            return integrate_flow(params, zero_a.normalized_state(params),
-                                  -s_max, s_max, _acc_cfg())
+            return integrate_flow(params, zero_a.normalized_state(params), -s_max, s_max)
         return self.get(("zero_a", eps, s_max), build)
 
     def asymmetric_run(self, cos_t: float, ang: float, s_max: float = 42.0):
         def build():
             params = FlowParams(1.0, 0.3)
             st = asymmetric_state(params, cos_t, ang)
-            return integrate_flow(params, st, -s_max, s_max, _acc_cfg())
+            return integrate_flow(params, st, -s_max, s_max)
         return self.get(("asym", cos_t, ang, s_max), build)
 
 
@@ -230,7 +225,7 @@ def crit_planar_spiral(cache: RunCache) -> CriterionResult:
 
     def build():
         params, st = symmetric_run_state(a, eps, "odd")
-        return integrate_flow(params, st, -70.0, 70.0, _acc_cfg())
+        return integrate_flow(params, st, -70.0, 70.0)
 
     run = cache.get(("planar", a), build)
     eps6om = [abs(eps + 6.0 * asympt.fit_tail(run, side, (40.0, 70.0)).tail.omega)

@@ -1,6 +1,6 @@
 """Closed-form zero-axis (a = 0) solution: the hypergeometric and
-parabolic-cylinder representations of the tangent, their large-s model and
-the limiting tangent directions.
+parabolic-cylinder representations of the tangent, evaluated exactly at
+every s, and the limiting tangent directions.
 
 Initial data are normalized to G'(0) = (1,0,0), G''(0) = (0, sqrt(eps), 0);
 G_1' is then even in s and G_2', G_3' odd.
@@ -21,19 +21,12 @@ from .flow import FlowParams, FlowState, make_initial_state
 __all__ = [
     "ZeroAParams",
     "AsymTangents",
-    "ASYMPTOTIC_SWITCH_S",
     "normalized_state",
     "closed_form_gaps",
     "g_prime_hyp",
     "g_prime_pcf",
-    "g_prime_asymptotic",
-    "g_prime_regime",
     "asym_tangents",
 ]
-
-# beyond this |s| the tangent evaluators return the large-s asymptotic model
-# (the 1F1 kernel is only certified to |z| = s^2/4 <= 200)
-ASYMPTOTIC_SWITCH_S = 25.0
 
 
 @dataclass(frozen=True)
@@ -51,8 +44,6 @@ class ZeroAParams:
 class AsymTangents:
     T_plus: np.ndarray
     T_minus: np.ndarray
-    beta1: float
-    beta2: float
 
 
 def normalized_state(params: FlowParams) -> FlowState:
@@ -62,23 +53,18 @@ def normalized_state(params: FlowParams) -> FlowState:
     return make_initial_state(params, [1.0, 0.0, 0.0], [0.0, math.sqrt(eps), 0.0])
 
 
-def g_prime_regime(s: float) -> str:
-    return "asymptotic" if abs(s) > ASYMPTOTIC_SWITCH_S else "exact"
-
-
 def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
     """Tangent G'(s) from the hypergeometric representation
         G1' = 1 - (eps s^2/2) |1F1(1/2 + i eps/4, 3/2, i s^2/4)|^2,
         G2' + i G3' = sqrt(eps) s 1F1(1/2 + i eps/4, 3/2, i s^2/4)
                                  1F1(-i eps/4, 1/2, -i s^2/4).
 
-    Beyond |s| = 25 the large-s model is returned unless exact=True.
+    exact has no effect: every s is evaluated exactly.  The keyword stays
+    only because perfbench/workloads.py passes exact=True.
     """
     s = float(s)
     if params.eps == 0.0:
         return np.array([1.0, 0.0, 0.0])
-    if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
-        return g_prime_asymptotic(s, params)
     eps = params.eps
     z = 0.25j * s * s
     f1 = sf.hyp1f1(0.5 + 0.25j * eps, 1.5, z)
@@ -102,15 +88,15 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     from one Gamma ratio
     t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
     u_1 = -1, u_2 = (1 - t)/(1 + t), u_3 = (1 + i t)/(1 - i t), with the
-    j = 3 sign fixed by unit-norm consistency of the full tangent.  Beyond
-    |s| = 25 the large-s model is returned unless exact=True.  A DomainError
-    where e^{pi eps/4} overflows a float (eps > 903.7).
+    j = 3 sign fixed by unit-norm consistency of the full tangent.  A
+    DomainError where e^{pi eps/4} overflows a float (eps > 903.7).
+
+    exact has no effect: every s is evaluated exactly.  The keyword stays
+    only because perfbench/workloads.py passes exact=True.
     """
     s = float(s)
     if params.eps == 0.0:
         return np.array([1.0, 0.0, 0.0])
-    if not exact and abs(s) > ASYMPTOTIC_SWITCH_S:
-        return g_prime_asymptotic(s, params)
     eps = params.eps
     # e^{pi eps/4} here and sin(pi z) of the Gamma reflection in pcf_d
     sf.check_exponents(0.25 * math.pi * eps)
@@ -136,9 +122,9 @@ def closed_form_gaps(grid, gps, params: ZeroAParams) -> tuple[np.ndarray, np.nda
     ode = np.zeros(3)
     rep = np.zeros(3)
     for s, gp in zip(grid, gps):
-        hyp = g_prime_hyp(float(s), params, exact=True)
+        hyp = g_prime_hyp(float(s), params)
         ode = np.maximum(ode, np.abs(hyp - gp))
-        rep = np.maximum(rep, np.abs(hyp - g_prime_pcf(float(s), params, exact=True)))
+        rep = np.maximum(rep, np.abs(hyp - g_prime_pcf(float(s), params)))
     return ode, rep
 
 
@@ -153,36 +139,4 @@ def asym_tangents(params: ZeroAParams) -> AsymTangents:
     first = math.exp(-0.5 * math.pi * eps)
     t_plus = np.array([first, amp * c, amp * s_])
     t_minus = np.array([first, -amp * c, -amp * s_])
-    return AsymTangents(t_plus, t_minus, beta1, beta2)
-
-
-def g_prime_asymptotic(s: float, params: ZeroAParams) -> np.ndarray:
-    """Large-|s| tangent model (the O(s^-2) remainder is dropped):
-
-        G1' = e^{-pi eps/2} + 2 sqrt(eps (1 - e^{-pi eps})) cos(Omega - b1 - b2)/s,
-        G2' + i G3' = sqrt(1 - e^{-pi eps}) e^{i (b1 - b2)}
-            + (sqrt(eps)/s) [ (1 - e^{-pi eps/2}) e^{-i Omega + 2 i b1}
-                              - (1 + e^{-pi eps/2}) e^{ i Omega - 2 i b2} ],
-        Omega = s^2/4 + eps ln(s/2); negative s by parity.
-    """
-    s = float(s)
-    eps = params.eps
-    if eps == 0.0:
-        return np.array([1.0, 0.0, 0.0])
-    if s == 0.0:
-        raise ConfigError("asymptotic model undefined at s = 0")
-    if s < 0.0:
-        vec = g_prime_asymptotic(-s, params)
-        return np.array([vec[0], -vec[1], -vec[2]])
-    t = asym_tangents(params)
-    b1, b2 = t.beta1, t.beta2
-    omega = 0.25 * s * s + eps * math.log(0.5 * s)
-    e_half = math.exp(-0.5 * math.pi * eps)
-    g1 = t.T_plus[0] + 2.0 * math.sqrt(eps * (1.0 - e_half**2)) * math.cos(
-        omega - b1 - b2
-    ) / s
-    w = complex(t.T_plus[1], t.T_plus[2]) + (math.sqrt(eps) / s) * (
-        (1.0 - e_half) * cmath.exp(-1j * omega + 2j * b1)
-        - (1.0 + e_half) * cmath.exp(1j * omega - 2j * b2)
-    )
-    return np.array([g1, w.real, w.imag])
+    return AsymTangents(t_plus, t_minus)

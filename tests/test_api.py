@@ -1,11 +1,14 @@
 """Public-API hygiene: every name a module exports exists, so a removal that
-leaves a stale `__all__` entry fails here; every private module-level name
-is read in its own module, so dead constants and helpers fail too; and
+leaves a stale `__all__` entry fails here; every exported name is read
+somewhere other than its own definition, so a public name nothing reaches
+fails too, as does a private module-level name its module never reads; and
 every error class is raised by the package, or is the base of one that is."""
 
 import ast
+import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,87 @@ def test_private_module_names_are_read(name):
 def test_unread_private_name_detected():
     tree = ast.parse("_USED = 1\n_DEAD = 2\ndef _f():\n    return _USED\n")
     assert _unread_private_names(tree) == ["_DEAD", "_f"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# exported names that nothing reads yet, each with the reason it stays
+UNREFERENCED_EXPORTS = {
+    "asympt.model_curv_tors": "the C^2 and torsion limits for the planned scan "
+                              "of the admissible region (ROADMAP direction 5)",
+}
+
+
+def _read_names(tree: ast.Module, skip: str = "") -> set[str]:
+    """Names that tree reads (loads, attributes, from-imports), outside the
+    top-level function or class named skip."""
+    read = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and top.name == skip:
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return read
+
+
+def _unreferenced_exports(exported, own: ast.Module, others, text: str) -> list[str]:
+    """The exported names that neither their own module (outside their own
+    definition) nor any tree in others reads, and that text does not
+    mention as a word."""
+    read_elsewhere = set().union(*(_read_names(tree) for tree in others))
+    return sorted(name for name in exported
+                  if name not in read_elsewhere and name not in _read_names(own, name)
+                  and not re.search(rf"\b{re.escape(name)}\b", text))
+
+
+@functools.cache
+def _sources() -> tuple[dict, str]:
+    """The parsed modules of src/filpiv and perfbench/ by path, and README's
+    fenced code blocks: its quick start and examples."""
+    paths = sorted(Path(filpiv.__file__).parent.glob("*.py")) \
+        + sorted((REPO / "perfbench").glob("*.py"))
+    readme = (REPO / "README.md").read_text()
+    return ({p: ast.parse(p.read_text()) for p in paths},
+            "\n".join(re.findall(r"```[^\n]*\n(.*?)```", readme, re.DOTALL)))
+
+
+@functools.cache
+def _unreferenced_in(name: str) -> tuple[str, ...]:
+    trees, readme_code = _sources()
+    own = Path(filpiv.__file__).parent / f"{name}.py"
+    others = [tree for p, tree in trees.items() if p != own]
+    exported = getattr(importlib.import_module(f"filpiv.{name}"), "__all__", [])
+    return tuple(f"{name}.{e}" for e in
+                 _unreferenced_exports(exported, trees[own], others, readme_code))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_referenced(name):
+    # read in src/filpiv, in perfbench/ or in README's code, or listed with a reason
+    assert [e for e in _unreferenced_in(name) if e not in UNREFERENCED_EXPORTS] == []
+
+
+def test_unreferenced_allowlist_is_current():
+    unreferenced = {e for name in MODULES for e in _unreferenced_in(name)}
+    assert sorted(set(UNREFERENCED_EXPORTS) - unreferenced) == []
+
+
+def test_unreferenced_export_detected():
+    own = ast.parse("def used():\n    return 1\n"
+                    "def recursive(n):\n    return recursive(n - 1) + helper()\n"
+                    "def helper():\n    return 0\n"
+                    "def dead():\n    return used()\n"
+                    "def documented():\n    return 2\n")
+    other = ast.parse("from m import used\nimport m\nm.used()\n")
+    exported = ["used", "recursive", "helper", "dead", "documented"]
+    assert _unreferenced_exports(exported, own, [other], "m.documented()") \
+        == ["dead", "recursive"]
 
 
 def _raised_names(tree: ast.AST) -> set[str]:

@@ -396,6 +396,16 @@ class TestConnect:
         with pytest.raises(NonRealMonodromyError):
             asympt.connect(bad, p)
 
+    def test_omega_out_beyond_bounds_raises(self):
+        # e^{-2 pi omega_out} = 1e-3 puts omega_out = 1.1 past eps/3 and
+        # (3a - eps)/6, where the constraint's argument is positive again but
+        # C^2 -> 2 (eps - 3 omega)/3 < 0: no real tail
+        p = FlowParams(1.0, 0.3)
+        im = -math.log((asympt._s_const(p) - 1e-3) / 2.0 - 1.0)
+        bad = asympt.TailParams(1, 0.0, 0.0, complex(math.pi, im))
+        with pytest.raises(NonRealMonodromyError, match="outside"):
+            asympt.connect(bad, p)
+
     def test_im_rho_mismatch_flagged(self):
         p = FlowParams(1.0, 0.3)
         tail = asympt.make_tail(1, -0.12, 0.9, p)

@@ -277,7 +277,9 @@ class TestErrors:
     # accuracy to cancellation: zero-a's 1F1 series (eps 400) and Gamma
     # factors (eps 950, 3000), the reality constraint and connection
     # constant (a = 300 through the fitted tails, a = 150-230 in connect;
-    # at a = 150 only the product of the constraint's factors overflows)
+    # at a = 150 only the product of the constraint's factors overflows),
+    # and the connection relations on admissible tails (a = 120, 155: the
+    # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in})
     @pytest.mark.parametrize("command, config", [
         ("zero-a", {"params": {"a": 0.0, "eps": 400.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
@@ -288,6 +290,13 @@ class TestErrors:
         ("connect", {"params": {"a": 155.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 220.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 230.0, "eps": 0.3}, "connect": _TAIL}),
+        ("connect", {"params": {"a": 120.0, "eps": 0.3}, "connect": _TAIL}),
+        ("connect", {"params": {"a": 200.0, "eps": 232.36625455718672},
+                     "connect": {"side": 1, "omega": 48.025782914512746,
+                                 "delta": -2.4281887670856195}}),
+        ("connect", {"params": {"a": 200.0, "eps": 209.15180377177967},
+                     "connect": {"side": -1, "omega": 60.996514302712825,
+                                 "delta": -1.8423153992522763}}),
     ])
     def test_out_of_range_closed_forms_exit_3(self, tmp_path, capsys, command, config):
         cfg = write_config(tmp_path / "c.json", config)
@@ -295,6 +304,9 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "numeric"
+        if command == "connect":
+            # an overflow, not a non-real-monodromy verdict
+            assert json.loads(err[0])["type"] == "DomainError"
         assert list(out.iterdir()) == []
 
     # runs whose drifts are far beyond the default thresholds of 1e-8

@@ -177,7 +177,7 @@ class TestTaylor:
         (1.0, 0.5, "odd", 348), (10.0, 5.0, "odd", 574), (10.0, 20.0, "mixed_plus", 666),
     ])
     def test_pinned_step_counts(self, a, eps, branch, n_steps):
-        # exact counts at DEFAULT_FLOW_CFG over |s| <= 40: the step rule and
+        # exact counts at IntegratorConfig() over |s| <= 40: the step rule and
         # the recurrence decide them, not the hardware
         p = flow.FlowParams(a, eps)
         run = flow.integrate_flow(p, symmetric.make_symmetric_ic(p, branch), -40.0, 40.0)
@@ -515,7 +515,7 @@ class TestPropagatedIdentities:
         for s in np.linspace(-24.0, 24.0, 49):
             y = run.state_y(float(s))
             g, gp = y[:3], y[3:]
-            gpp = run.gpp(float(s))
+            gpp = run.sample(float(s))["Gpp"]
             sig = float(a_vec @ g)
             sig_p = float(a_vec @ gp)
             mixed = float(a_vec @ np.cross(gp, gpp))

@@ -140,7 +140,7 @@ class TestSigmaDerivatives:
         for s in np.linspace(-20.0, 20.0, 41):
             y = run.state_y(float(s))
             g, gp = y[:3], y[3:]
-            gpp = run.gpp(float(s))
+            gpp = run.sample(float(s))["Gpp"]
             w = np.cross(a_vec, g) + g
             gppp = 0.5 * np.cross(np.cross(a_vec, gp) + gp, gp) \
                 + 0.5 * np.cross(w, gpp)

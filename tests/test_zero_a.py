@@ -178,7 +178,7 @@ class TestGPrimeHyp:
         assert np.max(np.abs(zero_a.g_prime_hyp(3.0, p) - run.gp(3.0))) <= 1e-8
         worst = 0.0
         for s in np.linspace(-19.0, 19.0, 77):
-            d = np.abs(zero_a.g_prime_hyp(float(s), p, exact=True) - run.gp(float(s)))
+            d = np.abs(zero_a.g_prime_hyp(float(s), p) - run.gp(float(s)))
             worst = max(worst, float(d.max()))
         assert worst <= 1e-8
 
@@ -186,14 +186,23 @@ class TestGPrimeHyp:
         for eps in (0.5, 2.0):
             p = zero_a.ZeroAParams(eps)
             for s in np.linspace(-22.0, 22.0, 45):
-                v = zero_a.g_prime_hyp(float(s), p, exact=True)
+                v = zero_a.g_prime_hyp(float(s), p)
                 assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9
+
+    # the far end of the closed_form workload's |s| <= 28
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_large_s_is_exact(self, runs, eps):
+        run = runs.zero_a_run(eps, s_max=30.0)
+        p = zero_a.ZeroAParams(eps)
+        for s in (25.5, 26.0, 28.0, -25.5, -26.0, -28.0):
+            for g_prime in (zero_a.g_prime_hyp, zero_a.g_prime_pcf):
+                assert np.max(np.abs(g_prime(s, p) - run.gp(s))) <= 1e-8, (g_prime, s)
 
     def test_parity_exact(self):
         p = zero_a.ZeroAParams(1.7)
         for s in (0.3, 2.0, 9.5, 18.0):
-            plus = zero_a.g_prime_hyp(s, p, exact=True)
-            minus = zero_a.g_prime_hyp(-s, p, exact=True)
+            plus = zero_a.g_prime_hyp(s, p)
+            minus = zero_a.g_prime_hyp(-s, p)
             assert abs(plus[0] - minus[0]) <= 1e-12
             assert abs(plus[1] + minus[1]) <= 1e-12
             assert abs(plus[2] + minus[2]) <= 1e-12
@@ -203,16 +212,7 @@ class TestGPrimeHyp:
     @pytest.mark.parametrize("eps, s", [(30.0, 10.0), (400.0, 5.0)])
     def test_cancelling_series_raises(self, eps, s):
         with pytest.raises(NonConvergenceError):
-            zero_a.g_prime_hyp(s, zero_a.ZeroAParams(eps), exact=True)
-
-    def test_regime_switch(self):
-        p = zero_a.ZeroAParams(1.0)
-        assert zero_a.g_prime_regime(10.0) == "exact"
-        assert zero_a.g_prime_regime(30.0) == "asymptotic"
-        model = zero_a.g_prime_hyp(30.0, p)
-        exact = zero_a.g_prime_hyp(30.0, p, exact=True)
-        gap = float(np.max(np.abs(model - exact)))
-        assert 0.0 < gap <= 5e-3  # switched output differs by the O(s^-2) tail
+            zero_a.g_prime_hyp(s, zero_a.ZeroAParams(eps))
 
 
 class TestGPrimePcf:
@@ -221,8 +221,8 @@ class TestGPrimePcf:
         p = zero_a.ZeroAParams(eps)
         worst = 0.0
         for s in np.linspace(-20.0, 20.0, 41):
-            d = np.abs(zero_a.g_prime_pcf(float(s), p, exact=True)
-                       - zero_a.g_prime_hyp(float(s), p, exact=True))
+            d = np.abs(zero_a.g_prime_pcf(float(s), p)
+                       - zero_a.g_prime_hyp(float(s), p))
             worst = max(worst, float(d.max()))
         assert worst <= 1e-9
 
@@ -241,8 +241,8 @@ class TestGPrimePcf:
     def test_parity(self):
         p = zero_a.ZeroAParams(0.8)
         for s in (1.1, 6.0, 14.0):
-            plus = zero_a.g_prime_pcf(s, p, exact=True)
-            minus = zero_a.g_prime_pcf(-s, p, exact=True)
+            plus = zero_a.g_prime_pcf(s, p)
+            minus = zero_a.g_prime_pcf(-s, p)
             assert plus[0] == pytest.approx(minus[0], abs=1e-10)
             assert plus[1] == pytest.approx(-minus[1], abs=1e-10)
             assert plus[2] == pytest.approx(-minus[2], abs=1e-10)
@@ -252,7 +252,7 @@ class TestGPrimePcf:
         # also at s = 0, where no series runs
         for s in (0.0, 3.0):
             with pytest.raises(DomainError):
-                zero_a.g_prime_pcf(s, zero_a.ZeroAParams(950.0), exact=True)
+                zero_a.g_prime_pcf(s, zero_a.ZeroAParams(950.0))
 
     # |z| = s^2/4 of the 1F1 calls: series to |s| ~ 6.3, continuation to
     # |s| ~ 11, asymptotic sums beyond
@@ -261,7 +261,7 @@ class TestGPrimePcf:
         p = zero_a.ZeroAParams(eps)
         for a in (0.0, 0.4, 2.5, 6.0, 6.5, 9.0, 11.5, 15.0, 21.0, 25.5, 28.0):
             for s in (a, -a):
-                got = zero_a.g_prime_pcf(s, p, exact=True)
+                got = zero_a.g_prime_pcf(s, p)
                 assert got.tobytes() == four_d_pcf(s, eps).tobytes(), (eps, s)
 
     def test_two_d_evaluations_per_point(self, monkeypatch):
@@ -273,7 +273,7 @@ class TestGPrimePcf:
         p = zero_a.ZeroAParams(1.3)
         points = (-9.0, 0.5, 17.0)
         for s in points:
-            zero_a.g_prime_pcf(s, p, exact=True)
+            zero_a.g_prime_pcf(s, p)
         assert len(pcf_calls) == len(points)
         assert len(hyp_calls) == 2 * len(points)
         ray = cmath.exp(0.25j * cmath.pi)
@@ -396,7 +396,7 @@ class TestAsymTangents:
         p = zero_a.ZeroAParams(eps)
         t = zero_a.asym_tangents(p)
         # oracle: the exact tangent at large s via the hypergeometric form
-        devs = [abs(zero_a.g_prime_hyp(float(s), p, exact=True)[0] - t.T_plus[0])
+        devs = [abs(zero_a.g_prime_hyp(float(s), p)[0] - t.T_plus[0])
                 for s in np.linspace(38.0, 42.0, 160)]
         assert max(devs) <= 2.5 / 38.0  # within O(1/s)
         env = 2.0 * math.sqrt(eps * (1.0 - math.exp(-math.pi * eps))) / 40.0
