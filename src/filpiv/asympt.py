@@ -338,6 +338,22 @@ def _s_const(params: FlowParams) -> float:
         + math.exp(2.0 * math.pi * eps / 3.0)
 
 
+def _relation_a(tail: TailParams, s_const: float) -> tuple[float, float]:
+    """The terms (2 e^{4 pi w}(e^{-Im rho} cos Re rho - 1), e^{2 pi w} S) of the
+    first connection relation, which sum to the other side's e^{-2 pi w};
+    a DomainError where e^{4 pi w} or e^{-Im rho} overflows a float."""
+    check_exponents(4.0 * math.pi * tail.omega, -tail.rho.imag)
+    e2w = math.exp(2.0 * math.pi * tail.omega)
+    osc = math.exp(-tail.rho.imag) * math.cos(tail.rho.real) - 1.0
+    return 2.0 * e2w**2 * osc, e2w * s_const
+
+
+def _relation_b(tail: TailParams) -> complex:
+    """One side's term e^{2 pi w}(1 - e^{i rho}) of the second connection
+    relation, whose two sides' terms sum to S - e^{-2 pi (w_+ + w_-)}."""
+    return math.exp(2.0 * math.pi * tail.omega) * (1.0 - cmath.exp(1j * tail.rho))
+
+
 def connect(tail: TailParams, params: FlowParams,
             consistency_tol: float = 0.05) -> TailParams:
     """Map one side's tail parameters to the other side.
@@ -350,13 +366,9 @@ def connect(tail: TailParams, params: FlowParams,
     misses the constraint by more than consistency_tol; a DomainError where
     a term of either relation overflows a float.
     """
-    w_in = tail.omega
-    rho_in = tail.rho
     s_const = _s_const(params)
-    check_exponents(4.0 * math.pi * w_in, -rho_in.imag)
-    e2w_in = math.exp(2.0 * math.pi * w_in)
-    ea = 2.0 * e2w_in**2 * (math.exp(-rho_in.imag) * math.cos(rho_in.real) - 1.0) \
-        + e2w_in * s_const
+    term1, term2 = _relation_a(tail, s_const)
+    ea = term1 + term2
     if ea <= 0.0:
         raise NonRealMonodromyError(
             f"non-positive e^(-2 pi omega) = {ea}: inconsistent input tail"
@@ -371,9 +383,7 @@ def connect(tail: TailParams, params: FlowParams,
         )
     e2w_out = math.exp(2.0 * math.pi * w_out)
     ei_rho_out = 1.0 - (
-        s_const
-        - math.exp(-2.0 * math.pi * (w_in + w_out))
-        - e2w_in * (1.0 - cmath.exp(1j * rho_in))
+        s_const - math.exp(-2.0 * math.pi * (tail.omega + w_out)) - _relation_b(tail)
     ) / e2w_out
     if not abs(ei_rho_out) < math.inf:
         raise DomainError("e^(i rho_out) overflows a float")
@@ -397,23 +407,17 @@ def connfI_residuals(plus: TailParams, minus: TailParams, params: FlowParams) ->
 
     The first relation is evaluated in both orientations (predicting each
     side from the other); residuals are normalized by the largest additive
-    term of the corresponding equation.
+    term of the corresponding equation.  A DomainError where a term of the
+    first relation overflows a float.
     """
     s_const = _s_const(params)
     out = {}
     for name, t_in, t_out in (("a_upper", plus, minus), ("a_lower", minus, plus)):
-        e2w = math.exp(2.0 * math.pi * t_in.omega)
-        term1 = 2.0 * e2w**2 * (
-            math.exp(-t_in.rho.imag) * math.cos(t_in.rho.real) - 1.0
-        )
-        term2 = e2w * s_const
+        term1, term2 = _relation_a(t_in, s_const)
         lhs = math.exp(-2.0 * math.pi * t_out.omega)
         scale = max(abs(term1), abs(term2), abs(lhs), 1.0)
         out[name] = abs(lhs - (term1 + term2)) / scale
-    lhs_b = (
-        math.exp(2.0 * math.pi * plus.omega) * (1.0 - cmath.exp(1j * plus.rho))
-        + math.exp(2.0 * math.pi * minus.omega) * (1.0 - cmath.exp(1j * minus.rho))
-    )
+    lhs_b = _relation_b(plus) + _relation_b(minus)
     rhs_b = s_const - math.exp(-2.0 * math.pi * (plus.omega + minus.omega))
     scale = max(abs(lhs_b), abs(rhs_b), 1.0)
     out["b"] = abs(lhs_b - rhs_b) / scale

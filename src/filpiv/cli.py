@@ -47,17 +47,12 @@ _MAX_ROWS = 10**7
 _CSV_BLOCK = 512
 
 
-def _fmt(x) -> str:
-    """Fixed 17-significant-digit decimal rendering of one value, as in a CSV
-    cell; an absent value (None or NaN) is an empty string."""
-    if x is None or math.isnan(x):
-        return ""
-    return format(float(x), ".17g")
-
-
 def _number(value, what: str) -> float:
     """value as a finite float; a ConfigError naming the key otherwise (json
-    reads NaN and Infinity, and an integer too large for a float)."""
+    reads NaN and Infinity, and an integer too large for a float; true and
+    false are not numbers, although Python's bool is an int)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -325,12 +320,14 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _tail_fields(tail: asympt.TailParams) -> dict:
+    return {"omega": tail.omega, "delta": tail.delta,
+            "rho_re": tail.rho.real, "rho_im": tail.rho.imag}
+
+
 def _tail_payload(fr: asympt.FitResult) -> dict:
     return {
-        "omega": fr.tail.omega,
-        "delta": fr.tail.delta,
-        "rho_re": fr.tail.rho.real,
-        "rho_im": fr.tail.rho.imag,
+        **_tail_fields(fr.tail),
         "amplitude": fr.amplitude,
         "residual_norm": fr.residual_norm,
         "n_periods": fr.n_periods,
@@ -380,11 +377,8 @@ def cmd_connect(cfg: dict, out: Path) -> int:
     )
     payload = {
         **_meta(cfg),
-        "input": {"side": side, "omega": tail.omega, "delta": tail.delta,
-                  "rho_re": tail.rho.real, "rho_im": tail.rho.imag},
-        "predicted": {"side": predicted.side, "omega": predicted.omega,
-                      "delta": predicted.delta, "rho_re": predicted.rho.real,
-                      "rho_im": predicted.rho.imag},
+        "input": {"side": side, **_tail_fields(tail)},
+        "predicted": {"side": predicted.side, **_tail_fields(predicted)},
         "connfI_residuals": res,
     }
     _write_json(out / "connect.json", payload)
@@ -456,7 +450,7 @@ def cmd_filament(cfg: dict, out: Path) -> int:
         rt = math.sqrt(t)
         smp = run.sample(x_grid / rt)
         _write_csv(out / name, _csv_header_lines(cfg) + [
-            f"# t: {_fmt(t)}", "x,gamma1,gamma2,gamma3,curvature,torsion",
+            f"# t: {t:.17g}", "x,gamma1,gamma2,gamma3,curvature,torsion",
         ], [x_grid, curve, smp["C"] / rt, smp["T"] / rt])
         index.append({"t": t, "file": name})
     _write_json(out / "filament.json", {**_meta(cfg), "curves": index})

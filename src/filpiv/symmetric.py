@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BranchInfeasibleError, ConfigError
 from .flow import FlowParams, FlowState, axis_frame, make_initial_state
+from .specfun import check_exponents
 
 __all__ = [
     "BRANCHES",
@@ -26,6 +27,9 @@ __all__ = [
 ]
 
 BRANCHES = ("odd", "mixed_minus", "mixed_plus")
+
+# each branch's tail root (index into the x_roots table) and its Re rho
+_BRANCH_ROOTS = {"odd": (1, math.pi), "mixed_plus": (2, math.pi), "mixed_minus": (3, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,23 @@ def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:
     return make_initial_state(params, gp0, gpp0, 0.0)
 
 
+def _root_table(params: FlowParams) -> list[tuple[float, float]]:
+    """(X_j, f_j) for the four x_roots, X_j = e^{pi eps/2} f_j; a DomainError
+    where e^{pi eps/2} or cosh(pi a/2) overflows a float."""
+    a, eps = params.a, params.eps
+    check_exponents(0.5 * math.pi * eps, 0.5 * math.pi * a)
+    eh = math.exp(0.5 * math.pi * eps)
+    ch = math.cosh(0.5 * math.pi * a)
+    sh = math.sinh(0.5 * math.pi * a)
+    factors = (-eh - 2.0 * ch, 2.0 * ch - eh, eh - 2.0 * sh, eh + 2.0 * sh)
+    return [(eh * f, f) for f in factors]
+
+
+def _omega_of_factor(eps: float, f: float) -> float:
+    """omega = eps/3 - ln(X)/(2 pi) for X = e^{pi eps/2} f."""
+    return eps / 12.0 - math.log(f) / (2.0 * math.pi)
+
+
 def x_roots(params: FlowParams) -> list[XRoot]:
     """The four roots for X = e^{2 pi (eps - 3 omega)/3}, classified:
 
@@ -81,19 +102,13 @@ def x_roots(params: FlowParams) -> list[XRoot]:
         X2 = -e^{pi eps} + 2 e^{pi eps/2} cosh(pi a/2)   (>= 1 iff |eps| <= a)
         X3 =  e^{pi eps} - 2 e^{pi eps/2} sinh(pi a/2)   (>= 1 iff eps >= a)
         X4 =  e^{pi eps} + 2 e^{pi eps/2} sinh(pi a/2)   (always admissible)
+
+    Each is e^{pi eps/2} f_j (see _root_table), and omega comes from f_j,
+    so an admissible root's omega is finite also where its value is inf
+    (beyond the float range).
     """
-    a, eps = params.a, params.eps
-    e1 = math.exp(math.pi * eps)
-    eh = math.exp(0.5 * math.pi * eps)
-    ch = math.cosh(0.5 * math.pi * a)
-    sh = math.sinh(0.5 * math.pi * a)
-    values = [-e1 - 2 * eh * ch, -e1 + 2 * eh * ch, e1 - 2 * eh * sh, e1 + 2 * eh * sh]
-    out = []
-    for x in values:
-        ok = x >= 1.0
-        omega = eps / 3.0 - math.log(x) / (2.0 * math.pi) if ok else None
-        out.append(XRoot(x, ok, omega))
-    return out
+    return [XRoot(x, x >= 1.0, _omega_of_factor(params.eps, f) if x >= 1.0 else None)
+            for x, f in _root_table(params)]
 
 
 def conjecture_omega(params: FlowParams, branch: str) -> tuple[float, float]:
@@ -103,27 +118,20 @@ def conjecture_omega(params: FlowParams, branch: str) -> tuple[float, float]:
         mixed_plus:  omega = eps/12 - ln(e^{pi eps/2} - 2 sinh(pi a/2))/(2 pi),  Re rho = pi
         mixed_minus: omega = eps/12 - ln(e^{pi eps/2} + 2 sinh(pi a/2))/(2 pi),  Re rho = 0
 
-    These match the admissible tail roots X2, X3, X4 respectively.  The
-    values are conjectural: downstream outputs mark them as such and tests
-    treat them as numerics-grade expectations.
+    These match the admissible tail roots X2, X3, X4 respectively, and are
+    evaluated from the same factors f_j as x_roots.  The values are
+    conjectural: downstream outputs mark them as such and tests treat them
+    as numerics-grade expectations.
     """
     _check_branch(params, branch)
-    a, eps = params.a, params.eps
-    eh = math.exp(0.5 * math.pi * eps)
-    if branch == "odd":
-        arg = 2.0 * math.cosh(0.5 * math.pi * a) - eh
-        rr = math.pi
-    elif branch == "mixed_plus":
-        arg = eh - 2.0 * math.sinh(0.5 * math.pi * a)
-        rr = math.pi
-    else:
-        arg = eh + 2.0 * math.sinh(0.5 * math.pi * a)
-        rr = 0.0
+    j, rr = _BRANCH_ROOTS[branch]
+    arg = _root_table(params)[j][1]
     if arg <= 0.0:
         raise BranchInfeasibleError(
-            f"branch {branch} infeasible at a={a}, eps={eps}: log argument {arg} <= 0"
+            f"branch {branch} infeasible at a={params.a}, eps={params.eps}: "
+            f"log argument {arg} <= 0"
         )
-    return eps / 12.0 - math.log(arg) / (2.0 * math.pi), rr
+    return _omega_of_factor(params.eps, arg), rr
 
 
 def planar_spiral(a: float) -> tuple[float, float]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from filpiv.cli import (_CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
-                        EXIT_NUMERIC, EXIT_OK, _fmt, _write_csv, main, resolve_config)
+                        EXIT_NUMERIC, EXIT_OK, _write_csv, main, resolve_config)
 from filpiv.errors import ConfigError
 from filpiv.odeint import ORDER
 
@@ -135,6 +135,12 @@ class TestIntegrate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _cell(x) -> str:
+    """One value's 17-significant-digit rendering, NaN as an empty cell: the
+    per-cell reference for cli._write_csv's block formatter."""
+    return "" if math.isnan(x) else format(float(x), ".17g")
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("n_rows", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
     def test_matches_per_cell_reference(self, tmp_path, n_rows):
@@ -149,7 +155,7 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         _write_csv(path, header, [table[:, 0], table[:, 1:4], table[:, 4:]])
         # the per-cell rendering the block formatter replaced
-        rows = [",".join(_fmt(v) for v in row) for row in table]
+        rows = [",".join(_cell(v) for v in row) for row in table]
         assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
 
 
@@ -215,6 +221,12 @@ class TestErrors:
         ("integrate", {"sample_step": 5e-324}, []),
         ("integrate", {"sample_step": 1e-12}, []),
         ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 10**12}}, []),
+        # JSON true and false are not numbers, although Python's bool is an int
+        ("integrate", {"params": {"a": True, "eps": 0.5}}, []),
+        ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": True}}, []),
+        ("integrate", {"params": {"a": 1.0, "eps": False}}, []),
+        ("integrate", {"tolerances": {"max_steps": True}}, []),
+        ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "side": True}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -279,7 +291,10 @@ class TestErrors:
     # constant (a = 300 through the fitted tails, a = 150-230 in connect;
     # at a = 150 only the product of the constraint's factors overflows),
     # and the connection relations on admissible tails (a = 120, 155: the
-    # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in})
+    # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in}),
+    # and symmetric runs far out (eps = 300: the fitted tails' reality
+    # constraint, the tail roots being finite in factored form; a = 500:
+    # cosh(pi a/2) in the tail roots)
     @pytest.mark.parametrize("command, config", [
         ("zero-a", {"params": {"a": 0.0, "eps": 400.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
@@ -297,6 +312,9 @@ class TestErrors:
         ("connect", {"params": {"a": 200.0, "eps": 209.15180377177967},
                      "connect": {"side": -1, "omega": 60.996514302712825,
                                  "delta": -1.8423153992522763}}),
+        ("symmetric", {"params": {"a": 1.0, "eps": 300.0},
+                       "initial": {"branch": "mixed_plus"}}),
+        ("symmetric", {"params": {"a": 500.0, "eps": 0.0}, "initial": {"branch": "odd"}}),
     ])
     def test_out_of_range_closed_forms_exit_3(self, tmp_path, capsys, command, config):
         cfg = write_config(tmp_path / "c.json", config)

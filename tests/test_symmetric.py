@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from filpiv import asympt, flow, symmetric
-from filpiv.errors import BranchInfeasibleError, ConfigError
+from filpiv.errors import BranchInfeasibleError, ConfigError, DomainError
 from filpiv.flow import FlowParams
 
 
@@ -97,16 +97,47 @@ class TestXRoots:
                 assert roots[3].admissible
 
     def test_conjecture_matches_admissible_roots(self):
-        # X2 <-> odd, X3 <-> mixed_plus, X4 <-> mixed_minus
-        p = FlowParams(1.0, 0.5)
+        # X2 <-> odd, X3 <-> mixed_plus, X4 <-> mixed_minus: the same factor
+        # gives the same omega, to the last bit, inside each branch's region
+        # (on its boundary |eps| = a, where X = 1, rounding decides the flag)
+        root_of = {"odd": 1, "mixed_plus": 2, "mixed_minus": 3}
+        checked = {branch: 0 for branch in root_of}
+        for a in (0.2, 0.5, 1.0, 1.7, 3.0, 6.0, 12.0):
+            for ratio in (-0.95, -0.6, -0.2, 0.0, 0.3, 0.7, 0.97, 1.03, 1.5, 2.4, 4.0):
+                p = FlowParams(a, ratio * a)
+                roots = symmetric.x_roots(p)
+                for branch, j in root_of.items():
+                    try:
+                        omega, _ = symmetric.conjecture_omega(p, branch)
+                    except BranchInfeasibleError:
+                        assert not roots[j].admissible
+                        continue
+                    assert roots[j].admissible
+                    assert roots[j].omega == omega
+                    checked[branch] += 1
+        assert min(checked.values()) >= 25
+
+    def test_large_eps_roots_keep_finite_omegas(self):
+        # e^{pi eps} is past the float range at eps = 300; X3 and X4 are inf,
+        # their omegas come from the factors and stay finite
+        p = FlowParams(1.0, 300.0)
         roots = symmetric.x_roots(p)
-        om_odd, _ = symmetric.conjecture_omega(p, "odd")
-        om_mm, _ = symmetric.conjecture_omega(p, "mixed_minus")
-        assert om_odd == pytest.approx(roots[1].omega, abs=1e-13)
-        assert om_mm == pytest.approx(roots[3].omega, abs=1e-13)
-        p2 = FlowParams(1.0, 1.5)
-        om_mp, _ = symmetric.conjecture_omega(p2, "mixed_plus")
-        assert om_mp == pytest.approx(symmetric.x_roots(p2)[2].omega, abs=1e-13)
+        for j, branch in ((2, "mixed_plus"), (3, "mixed_minus")):
+            assert roots[j].value == math.inf and roots[j].admissible
+            assert math.isfinite(roots[j].omega)
+            assert roots[j].omega == symmetric.conjecture_omega(p, branch)[0]
+            # omega = eps/12 - ln(e^{pi eps/2} -+ 2 sinh(pi/2))/(2 pi) = -eps/6
+            # up to e^{-pi eps/2}
+            assert roots[j].omega == pytest.approx(-50.0, abs=1e-12)
+        assert roots[0].value == -math.inf and not roots[0].admissible
+        assert not roots[1].admissible and roots[1].omega is None
+
+    def test_out_of_range_roots_raise_domain_error(self):
+        for a, eps in ((1.0, 460.0), (500.0, 0.0)):
+            with pytest.raises(DomainError):
+                symmetric.x_roots(FlowParams(a, eps))
+        with pytest.raises(DomainError):
+            symmetric.conjecture_omega(FlowParams(500.0, 0.0), "odd")
 
 
 class TestConjectureOmega:
