@@ -385,10 +385,14 @@ def connect(tail: TailParams, params: FlowParams,
     ei_rho_out = 1.0 - (
         s_const - math.exp(-2.0 * math.pi * (tail.omega + w_out)) - _relation_b(tail)
     ) / e2w_out
-    if not abs(ei_rho_out) < math.inf:
+    # math.hypot and math.atan2, not abs() and cmath.phase, which raise
+    # OverflowError where the modulus overflows or the angle underflows
+    modulus = math.hypot(ei_rho_out.real, ei_rho_out.imag)
+    if not modulus < math.inf:
         raise DomainError("e^(i rho_out) overflows a float")
-    re_out = cmath.phase(ei_rho_out)
-    im_out_raw = -math.log(abs(ei_rho_out))
+    re_out = math.atan2(ei_rho_out.imag, ei_rho_out.real)
+    # a zero modulus, an exact cancellation at a tiny a, is Im rho = +inf
+    im_out_raw = -math.log(modulus) if modulus else math.inf
     im_out = im_rho(w_out, params)
     if abs(im_out_raw - im_out) > consistency_tol:
         raise NonRealMonodromyError(

@@ -9,6 +9,7 @@ tuned for that regime.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
@@ -61,6 +62,12 @@ _LANCZOS = (
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 _SQRT_2PI = 2.5066282746310005024157652848
+
+# Entries of each per-parameter cache below.  The callers use a few parameter
+# sets at a time (one eps of the zero-axis closed forms needs three 1F1
+# parameter pairs and one pcf order), and the bound keeps a long process from
+# growing without limit.
+_CACHE_SIZE = 64
 
 # e^x, cosh x and sinh x overflow a float beyond this x
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -256,6 +263,15 @@ def _asymptotic_sum(a, b, w):
     return total, t_min
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _connection_coeffs(alpha, gamma):
+    """(Gamma(gamma)/Gamma(gamma - alpha), Gamma(gamma)/Gamma(alpha)), the
+    prefactors of the two exponential branches of the 1F1 asymptotics; they
+    depend on the parameters only, so each pair is computed once."""
+    g = cgamma(gamma)
+    return g * rgamma(gamma - alpha), g * rgamma(alpha)
+
+
 def _asymptotic_1f1(alpha, gamma, z):
     """Large-|z| compound expansion with both exponential branches.
 
@@ -265,9 +281,9 @@ def _asymptotic_1f1(alpha, gamma, z):
     s2, t2_min = _asymptotic_sum(gamma - alpha, 1.0 - alpha, z)  # e^z z^{alpha-gamma}
     sign = 1.0 if z.imag >= 0.0 else -1.0
     logz = cmath.log(z)
-    g = cgamma(gamma)
-    p1 = g * rgamma(gamma - alpha) * cmath.exp(sign * 1j * cmath.pi * alpha - alpha * logz)
-    p2 = g * rgamma(alpha) * cmath.exp(z + (alpha - gamma) * logz)
+    c1, c2 = _connection_coeffs(alpha, gamma)
+    p1 = c1 * cmath.exp(sign * 1j * cmath.pi * alpha - alpha * logz)
+    p2 = c2 * cmath.exp(z + (alpha - gamma) * logz)
     val = p1 * s1 + p2 * s2
     err = abs(p1) * t1_min + abs(p2) * t2_min
     scale = max(abs(val), 1e-290)
@@ -312,6 +328,13 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
 # --- parabolic cylinder ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pcf_rgammas(a):
+    """(1/Gamma((1 - a)/2), 1/Gamma(-a/2)) of pcf_d's even and odd parts,
+    computed once per order a."""
+    return rgamma(0.5 * (1.0 - a)), rgamma(-0.5 * a)
+
+
 def pcf_d(order: complex, z: complex) -> tuple[complex, complex]:
     """Parabolic cylinder pair (D_order(z), D_order(-z)) via the even/odd 1F1
     decomposition
@@ -330,6 +353,7 @@ def pcf_d(order: complex, z: complex) -> tuple[complex, complex]:
     _check_finite(a, z)
     half_z2 = 0.5 * z * z
     pref = cmath.exp(0.5 * a * math.log(2.0) - 0.25 * z * z) * math.sqrt(math.pi)
-    even = rgamma(0.5 * (1.0 - a)) * hyp1f1(-0.5 * a, 0.5, half_z2)
-    odd = rgamma(-0.5 * a) * z * math.sqrt(2.0) * hyp1f1(0.5 - 0.5 * a, 1.5, half_z2)
+    rg_even, rg_odd = _pcf_rgammas(a)
+    even = rg_even * hyp1f1(-0.5 * a, 0.5, half_z2)
+    odd = rg_odd * z * math.sqrt(2.0) * hyp1f1(0.5 - 0.5 * a, 1.5, half_z2)
     return pref * (even - odd), pref * (even + odd)

@@ -80,14 +80,23 @@ def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:
 
 def _root_table(params: FlowParams) -> list[tuple[float, float]]:
     """(X_j, f_j) for the four x_roots, X_j = e^{pi eps/2} f_j; a DomainError
-    where e^{pi eps/2} or cosh(pi a/2) overflows a float."""
+    where e^{pi eps/2} or cosh(pi a/2) overflows a float.
+
+    f_2 = 2 cosh(pi a/2) - e^{pi eps/2} and f_3 = e^{pi eps/2} - 2 sinh(pi a/2)
+    both equal e^{-pi a/2} at eps = a, where the direct forms cancel two
+    e^{pi a/2}-sized terms.  They are e^{-pi a/2} -+ d instead, with
+    d = e^{pi a/2} expm1(pi (eps - a)/2) small there, and X_2, X_3 are
+    e^{pi (eps - a)/2} -+ e^{pi eps/2} d, exactly 1 at eps = a.
+    """
     a, eps = params.a, params.eps
     check_exponents(0.5 * math.pi * eps, 0.5 * math.pi * a)
     eh = math.exp(0.5 * math.pi * eps)
-    ch = math.cosh(0.5 * math.pi * a)
-    sh = math.sinh(0.5 * math.pi * a)
-    factors = (-eh - 2.0 * ch, 2.0 * ch - eh, eh - 2.0 * sh, eh + 2.0 * sh)
-    return [(eh * f, f) for f in factors]
+    f1 = -eh - 2.0 * math.cosh(0.5 * math.pi * a)
+    f4 = eh + 2.0 * math.sinh(0.5 * math.pi * a)
+    ea = math.exp(-0.5 * math.pi * a)
+    d = math.exp(0.5 * math.pi * a) * math.expm1(0.5 * math.pi * (eps - a))
+    xa = math.exp(0.5 * math.pi * (eps - a))
+    return [(eh * f1, f1), (xa - eh * d, ea - d), (xa + eh * d, ea + d), (eh * f4, f4)]
 
 
 def _omega_of_factor(eps: float, f: float) -> float:

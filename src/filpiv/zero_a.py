@@ -9,6 +9,7 @@ G_1' is then even in s and G_2', G_3' odd.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ __all__ = [
     "g_prime_pcf",
     "asym_tangents",
 ]
+
+
+# e^{i pi/4}: the parabolic-cylinder argument's ray
+_RAY = cmath.exp(0.25j * cmath.pi)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,20 @@ def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     return np.array([g1, w.real, w.imag])
 
 
+@functools.lru_cache(maxsize=64)
+def _pcf_constants(eps: float) -> tuple[tuple[complex, complex], ...]:
+    """The pairs (u_j, kappa_j) of g_prime_pcf, computed once per eps > 0."""
+    # e^{pi eps/4} here and sin(pi z) of the Gamma reflection in pcf_d
+    sf.check_exponents(0.25 * math.pi * eps)
+    t = (-2.0 * _RAY / math.sqrt(eps)
+         * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
+    ep4 = math.exp(0.25 * math.pi * eps)
+    em4 = math.exp(-0.25 * math.pi * eps)
+    return tuple(
+        (u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
+        for u in (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t)))
+
+
 def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
     """Tangent G'(s) from the parabolic-cylinder product representation
 
@@ -83,9 +102,9 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     For real s, D is real-analytic in its order and argument, so the factor
     of order +i eps/2 on the conjugate ray is the conjugate of the one above
     and each product is a squared modulus.  D_+ and D_- come as one pcf_d
-    pair, from the same two 1F1 values: per point one pcf_d, two hyp1f1 and
-    two direct Gamma evaluations.  The constants u_j = e^{-2 lambda_j} come
-    from one Gamma ratio
+    pair, from the same two 1F1 values: per point one pcf_d and two hyp1f1.
+    The constants u_j = e^{-2 lambda_j} and kappa_j depend on eps only and
+    are computed once per eps, from one Gamma ratio
     t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
     u_1 = -1, u_2 = (1 - t)/(1 + t), u_3 = (1 + i t)/(1 - i t), with the
     j = 3 sign fixed by unit-norm consistency of the full tangent.  A
@@ -97,20 +116,11 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     s = float(s)
     if params.eps == 0.0:
         return np.array([1.0, 0.0, 0.0])
-    eps = params.eps
-    # e^{pi eps/4} here and sin(pi z) of the Gamma reflection in pcf_d
-    sf.check_exponents(0.25 * math.pi * eps)
-    ray = cmath.exp(0.25j * cmath.pi)
-    z = ray * s / math.sqrt(2.0)
-    d_plus, d_minus = sf.pcf_d(-0.5j * eps, z)
-    t = (-2.0 * ray / math.sqrt(eps)
-         * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
-    ep4 = math.exp(0.25 * math.pi * eps)
-    em4 = math.exp(-0.25 * math.pi * eps)
+    constants = _pcf_constants(params.eps)  # first: its exponent check guards pcf_d
+    d_plus, d_minus = sf.pcf_d(-0.5j * params.eps, _RAY * s / math.sqrt(2.0))
     out = []
-    for u in (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t)):
+    for u, kappa in constants:
         f = d_plus + u * d_minus
-        kappa = 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate()))
         out.append((1.0 - f * f.conjugate() / kappa).real)
     return np.array(out)
 

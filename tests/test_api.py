@@ -1,8 +1,10 @@
 """Public-API hygiene: every name a module exports exists, so a removal that
 leaves a stale `__all__` entry fails here; every exported name is read
 somewhere other than its own definition, so a public name nothing reaches
-fails too, as does a private module-level name its module never reads; and
-every error class is raised by the package, or is the base of one that is."""
+fails too, as does a private module-level name its module never reads;
+every error class is raised by the package, or is the base of one that is;
+and every memoizing cache has a finite size, so a long process cannot grow
+without bound."""
 
 import ast
 import functools
@@ -194,3 +196,68 @@ def test_unraised_class_detected():
     raised = _raised_names(ast.parse("raise Raised('x') from None\nraise errors.Other\n"))
     assert raised == {"Raised", "Other"}
     assert _unraised_classes([Base, Raised, Dead], raised) == ["Dead"]
+
+
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """The functools caches in tree without an explicit finite size, as
+    "line: reason": any functools.cache, and any lru_cache whose maxsize is
+    missing, None or not an integer literal or module-level integer constant."""
+    constants = {t.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for t in node.targets if isinstance(t, ast.Name)}
+    imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for a in node.names}
+
+    def kind(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            return node.attr
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    called = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        what = kind(node)
+        if what == "cache":
+            found.append((node.lineno, "functools.cache has no size bound"))
+        elif what == "lru_cache":
+            call = called.get(id(node))
+            sizes = [] if call is None else \
+                call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = constants.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if type(size) is not int:
+                found.append((node.lineno, "lru_cache without an integer maxsize"))
+    return [f"{line}: {reason}" for line, reason in sorted(found)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_caches_are_bounded(name):
+    path = Path(filpiv.__file__).parent / f"{name}.py"
+    assert _unbounded_caches(ast.parse(path.read_text())) == []
+
+
+def test_unbounded_cache_detected():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache as memo, lru_cache\n"
+        "_SIZE = 8\n_NONE = None\n"
+        "@functools.lru_cache(maxsize=16)\ndef a(x): return x\n"
+        "@lru_cache(_SIZE)\ndef b(x): return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef c(x): return x\n"
+        "@lru_cache\ndef d(x): return x\n"
+        "@functools.lru_cache(maxsize=_NONE)\ndef e(x): return x\n"
+        "@functools.cache\ndef f(x): return x\n"
+        "@memo\ndef g(x): return x\n"
+        "h = functools.lru_cache(typed=True)(len)\n")
+    assert _unbounded_caches(tree) == [
+        "9: lru_cache without an integer maxsize",
+        "11: lru_cache without an integer maxsize",
+        "13: lru_cache without an integer maxsize",
+        "15: functools.cache has no size bound",
+        "17: functools.cache has no size bound",
+        "19: lru_cache without an integer maxsize",
+    ]

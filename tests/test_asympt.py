@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filpiv import asympt, flow, symmetric
 from filpiv.errors import (
     ConfigError,
     DomainError,
+    FilpivError,
     NonRealMonodromyError,
     OmegaOutOfBoundsError,
     WindowTooShortError,
@@ -406,6 +408,31 @@ class TestConnect:
         with pytest.raises(NonRealMonodromyError, match="outside"):
             asympt.connect(bad, p)
 
+    def test_vanishing_ei_rho_out_raises_domain_error(self):
+        # at a = eps = 1e-20 the second relation cancels exactly, e^{i rho_out}
+        # = 0; its log ended in ValueError("math domain error")
+        p = FlowParams(1e-20, 1e-20)
+        tail = asympt.TailParams(1, asympt.omega_bounds(p)[0], 0.0, complex(0.0, 38.0))
+        with pytest.raises(DomainError, match="non-positive"):
+            asympt.connect(tail, p)
+
+    def test_underflowing_re_rho_out_raises_domain_error(self):
+        # e^{i rho_out} = 1.7e293 - 1.4e-93 i: its angle underflows, and
+        # cmath.phase raised OverflowError("math range error")
+        a = 224.27269492858338
+        tail = asympt.TailParams(-1, -37.37878248809723, 2.8771676054412403,
+                                 complex(2.8771676054412403, 213.1878926561452))
+        with pytest.raises(DomainError, match="overflows"):
+            asympt.connect(tail, FlowParams(a, a))
+
+    def test_overflowing_ei_rho_out_modulus_raises_domain_error(self):
+        # an admissible tail whose e^{i rho_out} has finite parts and a
+        # modulus beyond the float range: abs() raised OverflowError
+        p = FlowParams(157.19238489723514, 141.67786057078112)
+        tail = asympt.make_tail(1, 6.886252630568521, -0.12933380081799584, p)
+        with pytest.raises(DomainError, match=r"e\^\(i rho_out\) overflows"):
+            asympt.connect(tail, p)
+
     def test_im_rho_mismatch_flagged(self):
         p = FlowParams(1.0, 0.3)
         tail = asympt.make_tail(1, -0.12, 0.9, p)
@@ -413,3 +440,54 @@ class TestConnect:
                                    complex(tail.rho.real, tail.rho.imag + 0.3))
         with pytest.raises(NonRealMonodromyError):
             asympt.connect(skewed, p, consistency_tol=1e-3)
+
+
+def _finite(x) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(x, dtype=complex))))
+
+
+class TestConnectionLaws:
+    """Properties of the laws themselves, over the admissible region rather
+    than at a few runs."""
+
+    @given(a=st.floats(0.2, 3.0), eps_frac=st.floats(0.001, 0.999),
+           omega_frac=st.floats(0.02, 0.98), delta=st.floats(-math.pi, math.pi),
+           side=st.sampled_from([1, -1]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_round_trip(self, a, eps_frac, omega_frac, delta, side):
+        # eps in (-a, 2a), omega at least 2% of its bound interval inside
+        p = FlowParams(a, -a + 3.0 * a * eps_frac)
+        lo, hi = asympt.omega_bounds(p)
+        tail = asympt.make_tail(side, lo + (hi - lo) * omega_frac, delta, p)
+        back = asympt.connect(asympt.connect(tail, p), p)
+        assert back.side == side
+        assert abs(back.omega - tail.omega) <= 1e-8
+        assert abs(math.remainder(back.delta - tail.delta, 2 * math.pi)) <= 1e-8
+
+    @given(a=st.floats(0.0, 1e3), eps_ratio=st.floats(-1.0, 3.0),
+           omega_frac=st.floats(-0.5, 1.5), delta=st.floats(-math.pi, math.pi),
+           im=st.floats(-800.0, 800.0), side=st.sampled_from([1, -1]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_finite_or_filpiv_error(self, a, eps_ratio, omega_frac, delta, im, side):
+        # every law returns finite values or raises a FilpivError, also for
+        # omega outside its bounds and for an arbitrary Im rho
+        p = FlowParams(a, max(eps_ratio * a, -a))
+        lo, hi = asympt.omega_bounds(p)
+        assert _finite([lo, hi])
+        omega = lo + (hi - lo) * omega_frac
+        tails = [asympt.TailParams(side, omega, delta, complex(delta, im))]
+        for law in (asympt.r_of_omega, asympt.im_rho):
+            try:
+                assert _finite(law(omega, p))
+            except FilpivError:
+                pass
+        try:
+            tails.append(asympt.make_tail(side, omega, delta, p))
+        except FilpivError:
+            pass
+        for tail in tails:
+            try:
+                out = asympt.connect(tail, p)
+            except FilpivError:
+                continue
+            assert _finite([out.omega, out.delta, out.rho])

@@ -294,7 +294,8 @@ class TestErrors:
     # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in}),
     # and symmetric runs far out (eps = 300: the fitted tails' reality
     # constraint, the tail roots being finite in factored form; a = 500:
-    # cosh(pi a/2) in the tail roots)
+    # cosh(pi a/2) in the tail roots); last, an admissible tail at a = 157
+    # whose e^{i rho_out} has finite parts and an overflowing modulus
     @pytest.mark.parametrize("command, config", [
         ("zero-a", {"params": {"a": 0.0, "eps": 400.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
@@ -315,6 +316,9 @@ class TestErrors:
         ("symmetric", {"params": {"a": 1.0, "eps": 300.0},
                        "initial": {"branch": "mixed_plus"}}),
         ("symmetric", {"params": {"a": 500.0, "eps": 0.0}, "initial": {"branch": "odd"}}),
+        ("connect", {"params": {"a": 157.19238489723514, "eps": 141.67786057078112},
+                     "connect": {"side": 1, "omega": 6.886252630568521,
+                                 "delta": -0.12933380081799584}}),
     ])
     def test_out_of_range_closed_forms_exit_3(self, tmp_path, capsys, command, config):
         cfg = write_config(tmp_path / "c.json", config)

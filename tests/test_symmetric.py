@@ -81,6 +81,17 @@ class TestXRoots:
         assert roots[2].value == pytest.approx(1.0, abs=1e-12)
         assert roots[1].omega == pytest.approx(p.eps / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [5.0, 10.0, 12.0, 20.0])
+    def test_strong_axis_boundary_is_exact(self, a):
+        # at eps = a the root factors f2 = 2 cosh(pi a/2) - e^{pi eps/2} and
+        # f3 = e^{pi eps/2} - 2 sinh(pi a/2) both equal e^{-pi a/2}; as direct
+        # differences they lost 4e-4 of omega at a = 10 and rounded to 0 (no
+        # admissible root) from a = 12
+        roots = symmetric.x_roots(FlowParams(a, a))
+        for j in (1, 2):
+            assert roots[j].value == 1.0 and roots[j].admissible
+            assert abs(roots[j].omega - a / 3.0) <= 1e-12
+
     def test_example_value(self):
         # (a, eps) = (1, 0): X4 = 1 + 2 sinh(pi/2)
         roots = symmetric.x_roots(FlowParams(1.0, 0.0))
@@ -99,7 +110,7 @@ class TestXRoots:
     def test_conjecture_matches_admissible_roots(self):
         # X2 <-> odd, X3 <-> mixed_plus, X4 <-> mixed_minus: the same factor
         # gives the same omega, to the last bit, inside each branch's region
-        # (on its boundary |eps| = a, where X = 1, rounding decides the flag)
+        # (on the boundary eps = -a, where X2 = 1, rounding decides the flag)
         root_of = {"odd": 1, "mixed_plus": 2, "mixed_minus": 3}
         checked = {branch: 0 for branch in root_of}
         for a in (0.2, 0.5, 1.0, 1.7, 3.0, 6.0, 12.0):
@@ -157,6 +168,15 @@ class TestConjectureOmega:
         om_lo, _ = symmetric.conjecture_omega(FlowParams(a, a - h), "mixed_minus")
         om_hi, _ = symmetric.conjecture_omega(FlowParams(a, a + h), "mixed_minus")
         assert abs(om_hi - om_lo) <= 1e-5
+
+    @pytest.mark.parametrize("branch", ["odd", "mixed_plus"])
+    @pytest.mark.parametrize("a", [5.0, 10.0, 12.0, 20.0])
+    def test_equal_parameters_give_eps_over_3(self, a, branch):
+        # both branches admit eps = a, where omega = eps/3 exactly; the
+        # cancelling root factors returned 3.333151 at a = 10 and raised
+        # BranchInfeasibleError from a = 12
+        omega, _ = symmetric.conjecture_omega(FlowParams(a, a), branch)
+        assert abs(omega - a / 3.0) <= 1e-12
 
     def test_infeasible_branch_raises(self):
         with pytest.raises(BranchInfeasibleError):

@@ -11,7 +11,7 @@ import pytest
 
 from filpiv import specfun as sf
 from filpiv import zero_a
-from filpiv.errors import DomainError, NonConvergenceError, NumericError
+from filpiv.errors import DomainError, GammaPoleError, NonConvergenceError, NumericError
 
 
 class DenominatorVanishesError(NumericError):
@@ -279,6 +279,67 @@ class TestGPrimePcf:
         ray = cmath.exp(0.25j * cmath.pi)
         for s, (order, z) in zip(points, pcf_calls):
             assert order == -0.65j and z == ray * s / math.sqrt(2.0)
+
+
+def clear_parameter_caches():
+    for cached in (sf._connection_coeffs, sf._pcf_rgammas, zero_a._pcf_constants):
+        cached.cache_clear()
+
+
+class TestParameterCaches:
+    """The Gamma work that depends on the parameters only is done once per
+    parameter set, changes no bit of any output and caches no error."""
+
+    def test_no_gamma_calls_after_first_point(self, monkeypatch):
+        clear_parameter_caches()
+        calls = []
+        for name in ("cgamma", "clog_gamma"):
+            fn = getattr(sf, name)
+            monkeypatch.setattr(sf, name, lambda z, fn=fn: calls.append(z) or fn(z))
+        p = zero_a.ZeroAParams(1.7)
+        # the first point, s = -28, runs every 1F1 in its asymptotic regime
+        per_point = []
+        for s in np.linspace(-28.0, 28.0, 50):
+            before = len(calls)
+            zero_a.g_prime_hyp(float(s), p)
+            zero_a.g_prime_pcf(float(s), p)
+            per_point.append(len(calls) - before)
+        assert per_point[0] > 0
+        assert per_point[1:] == [0] * 49
+
+    # the three 1F1 regimes (|z| = s^2/4 up to 10, 30 and beyond), both signs
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, 3.0, 10.0, 20.0])
+    def test_cold_and_warm_caches_give_same_bits(self, eps):
+        p = zero_a.ZeroAParams(eps)
+        points = [sign * a for a in (0.0, 0.4, 2.5, 6.0, 6.5, 9.0, 11.5, 15.0, 21.0, 28.0)
+                  for sign in (1.0, -1.0)]
+
+        def outputs(s):
+            return zero_a.g_prime_hyp(s, p).tobytes() + zero_a.g_prime_pcf(s, p).tobytes()
+
+        cold = []
+        for s in points:
+            clear_parameter_caches()
+            cold.append(outputs(s))
+        assert [outputs(s) for s in points] == cold
+
+    def test_errors_are_not_cached(self):
+        clear_parameter_caches()
+        calls = (
+            # e^{pi eps/4} overflows
+            (DomainError, lambda: zero_a.g_prime_pcf(3.0, zero_a.ZeroAParams(950.0))),
+            # 1/Gamma(1/2 - 750 i) overflows: pcf_d's and the asymptotic 1F1's
+            (DomainError, lambda: sf.pcf_d(1500j, 1.0)),
+            (DomainError, lambda: sf.hyp1f1(1.0 - 750j, 1.5, 100j)),
+            (DomainError, lambda: sf._connection_coeffs(1.0 - 750j, 1.5)),
+            # the 1F1 Gamma pole, in hyp1f1 and in its coefficients
+            (GammaPoleError, lambda: sf.hyp1f1(1.0, -2.0, 1.0)),
+            (GammaPoleError, lambda: sf._connection_coeffs(1.0, -2.0)),
+        )
+        for error, call in calls:
+            for _ in range(2):
+                with pytest.raises(error):
+                    call()
 
 
 class TestReconstructG:
