@@ -331,6 +331,11 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     )
 
 
+# the most the raw Im rho_out may miss the reality constraint; admissible
+# tails miss it by rounding only, about 1e-11 at most
+_IM_RHO_TOL = 1e-6
+
+
 def _s_const(params: FlowParams) -> float:
     a, eps = params.a, params.eps
     check_exponents(-math.pi * eps / 3.0, abs(math.pi * a), 2.0 * math.pi * eps / 3.0)
@@ -350,21 +355,23 @@ def _relation_a(tail: TailParams, s_const: float) -> tuple[float, float]:
 
 def _relation_b(tail: TailParams) -> complex:
     """One side's term e^{2 pi w}(1 - e^{i rho}) of the second connection
-    relation, whose two sides' terms sum to S - e^{-2 pi (w_+ + w_-)}."""
+    relation, whose two sides' terms sum to S - e^{-2 pi (w_+ + w_-)}.
+    Eliminating that sum with the first relation leaves the conjugate form:
+    the two sides' terms are complex conjugates, with no S left to cancel."""
     return math.exp(2.0 * math.pi * tail.omega) * (1.0 - cmath.exp(1j * tail.rho))
 
 
-def connect(tail: TailParams, params: FlowParams,
-            consistency_tol: float = 0.05) -> TailParams:
+def connect(tail: TailParams, params: FlowParams) -> TailParams:
     """Map one side's tail parameters to the other side.
 
     e^{-2 pi omega_out} comes from the first connection relation, e^{i rho_out}
-    from the second; delta_out then inverts the phase law, and Im rho_out
-    comes from the reality constraint.  A NonRealMonodromyError where
-    e^{-2 pi omega_out} <= 0, where omega_out lies outside the open
-    omega_bounds (no real tail has that omega) or where the raw Im rho_out
-    misses the constraint by more than consistency_tol; a DomainError where
-    a term of either relation overflows a float.
+    from the conjugate form of the second (see _relation_b); delta_out then
+    inverts the phase law, and Im rho_out comes from the reality constraint.
+    A NonRealMonodromyError where e^{-2 pi omega_out} <= 0, where omega_out
+    lies outside the open omega_bounds (no real tail has that omega) or where
+    the raw Im rho_out misses the constraint by more than _IM_RHO_TOL (an
+    input whose rho breaks the reality constraint); a DomainError where a
+    term of either relation overflows a float.
     """
     s_const = _s_const(params)
     term1, term2 = _relation_a(tail, s_const)
@@ -381,10 +388,7 @@ def connect(tail: TailParams, params: FlowParams,
         raise NonRealMonodromyError(
             f"omega_out={w_out} outside ({lo}, {hi}) (non-real monodromy)"
         )
-    e2w_out = math.exp(2.0 * math.pi * w_out)
-    ei_rho_out = 1.0 - (
-        s_const - math.exp(-2.0 * math.pi * (tail.omega + w_out)) - _relation_b(tail)
-    ) / e2w_out
+    ei_rho_out = 1.0 - _relation_b(tail).conjugate() / math.exp(2.0 * math.pi * w_out)
     # math.hypot and math.atan2, not abs() and cmath.phase, which raise
     # OverflowError where the modulus overflows or the angle underflows
     modulus = math.hypot(ei_rho_out.real, ei_rho_out.imag)
@@ -394,10 +398,10 @@ def connect(tail: TailParams, params: FlowParams,
     # a zero modulus, an exact cancellation at a tiny a, is Im rho = +inf
     im_out_raw = -math.log(modulus) if modulus else math.inf
     im_out = im_rho(w_out, params)
-    if abs(im_out_raw - im_out) > consistency_tol:
+    if abs(im_out_raw - im_out) > _IM_RHO_TOL:
         raise NonRealMonodromyError(
             f"Im rho mismatch {abs(im_out_raw - im_out):.3e} "
-            f"exceeds {consistency_tol} (non-real monodromy)"
+            f"exceeds {_IM_RHO_TOL} (non-real monodromy)"
         )
     delta_out = delta_from_re_rho(re_out, w_out, params)
     delta_out = math.remainder(delta_out, 2.0 * math.pi)
@@ -410,9 +414,10 @@ def connfI_residuals(plus: TailParams, minus: TailParams, params: FlowParams) ->
     """Relative residuals of both connection relations on a tail pair.
 
     The first relation is evaluated in both orientations (predicting each
-    side from the other); residuals are normalized by the largest additive
-    term of the corresponding equation.  A DomainError where a term of the
-    first relation overflows a float.
+    side from the other), the second in its conjugate form (see
+    _relation_b); residuals are normalized by the largest additive term of
+    the corresponding equation.  A DomainError where a term of the first
+    relation overflows a float.
     """
     s_const = _s_const(params)
     out = {}
@@ -421,8 +426,6 @@ def connfI_residuals(plus: TailParams, minus: TailParams, params: FlowParams) ->
         lhs = math.exp(-2.0 * math.pi * t_out.omega)
         scale = max(abs(term1), abs(term2), abs(lhs), 1.0)
         out[name] = abs(lhs - (term1 + term2)) / scale
-    lhs_b = _relation_b(plus) + _relation_b(minus)
-    rhs_b = s_const - math.exp(-2.0 * math.pi * (plus.omega + minus.omega))
-    scale = max(abs(lhs_b), abs(rhs_b), 1.0)
-    out["b"] = abs(lhs_b - rhs_b) / scale
+    b_plus, b_minus = _relation_b(plus), _relation_b(minus)
+    out["b"] = abs(b_minus - b_plus.conjugate()) / max(abs(b_plus), abs(b_minus), 1.0)
     return out

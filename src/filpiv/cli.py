@@ -36,7 +36,7 @@ _DEF_THRESHOLDS = {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8}
 # the blocks a config gives whole (no default merges into them), with the
 # keys each may hold
 _WHOLE_BLOCKS = {"initial": {"branch", "gp0", "gpp0", "s0"},
-                 "connect": {"side", "omega", "delta", "tol"}}
+                 "connect": {"side", "omega", "delta"}}
 
 # the most rows a sample or x grid may have: a config asking for more is a
 # config error before anything runs, not a failed allocation after the run
@@ -367,9 +367,8 @@ def cmd_connect(cfg: dict, out: Path) -> int:
     side = int(side)
     omega = _number(spec["omega"], "connect.omega")
     delta = _number(spec["delta"], "connect.delta")
-    tol = _number(spec.get("tol", 0.05), "connect.tol")
     tail = asympt.make_tail(side, omega, delta, params)
-    predicted = asympt.connect(tail, params, consistency_tol=tol)
+    predicted = asympt.connect(tail, params)
     res = asympt.connfI_residuals(
         tail if side == 1 else predicted,
         predicted if side == 1 else tail,

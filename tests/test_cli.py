@@ -227,6 +227,7 @@ class TestErrors:
         ("integrate", {"params": {"a": 1.0, "eps": False}}, []),
         ("integrate", {"tolerances": {"max_steps": True}}, []),
         ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "side": True}}, []),
+        ("connect", {"connect": {"omega": 0.1, "delta": 0.0, "tol": 0.05}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -258,7 +259,7 @@ class TestErrors:
         # a connection input violating the reality surface
         cfg = write_config(tmp_path / "c.json", {
             "params": {"a": 1.0, "eps": 0.3},
-            "connect": {"side": 1, "omega": -0.12, "delta": 0.9, "tol": 1e-9},
+            "connect": {"side": 1, "omega": -0.12, "delta": 0.9},
         })
         out = tmp_path / "o"
         rc = main(["connect", "--config", cfg, "--out", str(out)])
@@ -382,6 +383,28 @@ class TestFit:
         assert payload["amp_consistency"] == [None, None]
         assert payload["plus"]["rho_im"] is None and payload["minus"]["rho_im"] is None
         assert math.isfinite(payload["plus"]["rho_re"])
+
+
+class TestConnect:
+    @pytest.mark.parametrize("a", [20.0, 50.0, 70.0])
+    def test_strong_axis_tail_maps(self, tmp_path, a):
+        # exited 3 with an Im rho mismatch of 0.33, 46 and 78, although each
+        # tail has a real image; at a = 20, mpmath at 200 digits maps it to
+        # omega -9.83, delta -3.066101189
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": a, "eps": 0.3},
+            "connect": {"side": 1, "omega": -0.12, "delta": 0.9},
+        })
+        out = tmp_path / "o"
+        assert main(["connect", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert [f.name for f in out.iterdir()] == ["connect.json"]
+        payload = parse_strict((out / "connect.json").read_text())
+        assert payload["predicted"]["side"] == -1
+        if a == 20.0:
+            assert payload["predicted"]["omega"] == pytest.approx(-9.83, abs=1e-12)
+            assert abs(math.remainder(payload["predicted"]["delta"] + 3.066101189,
+                                      2 * math.pi)) <= 1e-9
+            assert payload["connfI_residuals"]["b"] <= 1e-12
 
 
 class TestZeroA:

@@ -202,7 +202,7 @@ class TestConjectureOmega:
             om, rr = symmetric.conjecture_omega(p, branch)
             delta = asympt.delta_from_re_rho(rr, om, p)
             tail = asympt.make_tail(1, om, delta, p)
-            out = asympt.connect(tail, p, consistency_tol=1e-6)
+            out = asympt.connect(tail, p)
             assert out.omega == pytest.approx(om, abs=1e-9)
             res = asympt.connfI_residuals(tail, out, p)
             assert max(res.values()) <= 1e-8
