@@ -35,15 +35,28 @@ _TOL = 1e-13
 # precision; between this and _SWITCH_RADIUS the series is carried outward by
 # Taylor re-expansion steps along the ray (the direct sum loses ~|z|/ln(10)
 # digits to cancellation on the imaginary axis); beyond it the compound
-# asymptotic expansion takes over.
+# asymptotic expansion takes over.  Both the sum and a step's local expansion
+# cancel more as m = max(|alpha|, |gamma - alpha|) grows, so the series
+# radius is min(10, 12.5/m) and a step moves at most min(0.35, 4.375/m) |z|
+# (and 6); with m <= 1.25 (the zero-axis closed forms at eps <= 3) that is
+# 10 and 0.35 |z|.
 _DIRECT_RADIUS = 10.0
+_SERIES_REACH = 12.5
+_STEP_REACH = 4.375
 _SWITCH_RADIUS = 30.0
+
+# Largest m at which 1F1 was measured against mpmath: within 1.3e-12 relative
+# on the zero-axis closed forms' parameters up to eps = 1600 (m = 400), and
+# within 1e-10 on random parameters with m up to 300 wherever it returns.
+# Beyond it 1F1 raises a DomainError.
+_MAX_PARAM = 400.0
 
 # A Maclaurin sum whose largest term exceeds the result by more than this
 # factor carries a rounding error (2^-52 of that term) above 1e-9 relative,
 # ten times the 1e-10 the package needs: the sum raises instead of returning
-# it.  On the zero-axis closed forms the sums' factor reaches 0.025 of this
-# at eps = 10, 0.67 at eps = 20 and 8 times it at eps = 30.
+# it.  With the series radius above, the zero-axis closed forms' sums stay
+# below 0.003 of this factor at every eps (with radius 10 at every m they
+# passed it from eps = 21).
 _CANCEL_LIMIT = 10.0 * 1e-10 * 2.0**52
 
 # Lanczos coefficients, g = 7, 9 terms.
@@ -61,7 +74,8 @@ _LANCZOS = (
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
-_SQRT_2PI = 2.5066282746310005024157652848
+_LOG_PI = math.log(math.pi)
+_LOG_HALF_I = cmath.log(0.5j)
 
 # Entries of each per-parameter cache below.  The callers use a few parameter
 # sets at a time (one eps of the zero-axis closed forms needs three 1F1
@@ -108,63 +122,58 @@ def _lanczos_sum(zz: complex) -> complex:
     return acc
 
 
-def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z, >= 12 significant digits on the working strip."""
-    z = complex(z)
-    _check_finite(z)
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return cmath.pi / (cmath.sin(cmath.pi * z) * cgamma(1.0 - z))
-    zz = z - 1.0
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * _lanczos_sum(zz)
+def _log_sin_pi(z: complex) -> complex:
+    """log sin(pi z) modulo 2 pi i, from sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2iw})
+    with w = pi (z - n), n the integer nearest Re z: for Im z >= 0 (the
+    conjugate serves below) no factor leaves float range, and 1 - e^{2iw}
+    keeps its digits near w = 0 in the form 2 sin^2 - expm1 cos."""
+    if z.imag < 0.0:
+        return _log_sin_pi(z.conjugate()).conjugate()
+    w = cmath.pi * (z - round(z.real))
+    x, y = w.real, w.imag
+    one_minus = complex(2.0 * math.sin(x) ** 2 - math.expm1(-2.0 * y) * math.cos(2.0 * x),
+                        -math.exp(-2.0 * y) * math.sin(2.0 * x))
+    return _LOG_HALF_I - 1j * cmath.pi * z + cmath.log(one_minus)
 
 
 def clog_gamma(z: complex) -> complex:
-    """log Gamma(z), continuous in Im z for Re z >= 0.5 (principal on reals)."""
+    """log Gamma(z), continuous in Im z for Re z >= 0.5 (principal on reals);
+    for Re z < 0.5 by the reflection Gamma(z) Gamma(1 - z) = pi / sin(pi z),
+    with an imaginary part correct modulo 2 pi."""
     z = complex(z)
     _check_finite(z)
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        # principal-branch reflection; may jump across Im z = 0 for Re z < 0.5
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(cmath.pi * z))
-            - clog_gamma(1.0 - z)
-        )
+        return _LOG_PI - _log_sin_pi(z) - clog_gamma(1.0 - z)
     zz = z - 1.0
     t = zz + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(zz))
 
 
+def _exp_checked(w: complex) -> complex:
+    check_exponents(w.real)
+    return cmath.exp(w)
+
+
+def cgamma(z: complex) -> complex:
+    """Gamma(z) = e^{clog_gamma(z)}, >= 12 significant digits on the working
+    strip; a DomainError where it overflows a float."""
+    return _exp_checked(clog_gamma(z))
+
+
 def rgamma(z: complex) -> complex:
-    """1/Gamma(z); entire, returns 0 at non-positive integers.  A DomainError
-    where 1/Gamma(z), or sin(pi z) of the reflection, overflows a float."""
-    z = complex(z)
-    _check_finite(z)
-    if _is_nonpositive_integer(z):
+    """1/Gamma(z) = e^{-clog_gamma(z)}; entire, returns 0 at non-positive
+    integers.  A DomainError where 1/Gamma(z) overflows a float."""
+    try:
+        return _exp_checked(-clog_gamma(z))
+    except GammaPoleError:
         return 0.0 + 0.0j
-    if z.real >= 0.5:
-        log_rg = -clog_gamma(z)
-        check_exponents(log_rg.real)
-        return cmath.exp(log_rg)
-    check_exponents(abs(math.pi * z.imag))
-    return cmath.sin(cmath.pi * z) * cgamma(1.0 - z) / cmath.pi
 
 
 def arg_gamma_one_plus_ix(x: float) -> float:
     """Continuous principal-branch arg Gamma(1 + i x); odd in x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("non-finite argument")
-    if x == 0.0:
-        return 0.0
-    if x < 0.0:
-        return -arg_gamma_one_plus_ix(-x)
-    return clog_gamma(complex(1.0, x)).imag
+    return clog_gamma(complex(1.0, float(x))).imag
 
 
 # --- confluent hypergeometric 1F1 ------------------------------------------
@@ -231,15 +240,16 @@ def _taylor_step(alpha, gamma, z0, w, wp, h):
     raise NonConvergenceError(f"1F1 Taylor step did not converge at z0={z0}")
 
 
-def _continued_1f1(alpha, gamma, z):
-    """Series seed at |z| = _DIRECT_RADIUS continued outward along the ray."""
+def _continued_1f1(alpha, gamma, z, radius, m):
+    """Series seed at |z| = radius continued outward along the ray."""
     r = abs(z)
     ray = z / r
-    z_cur = _DIRECT_RADIUS * ray
+    z_cur = radius * ray
+    frac = min(0.35, _STEP_REACH / m)
     w = _series_1f1(alpha, gamma, z_cur)
     wp = alpha / gamma * _series_1f1(alpha + 1.0, gamma + 1.0, z_cur)
     while abs(z_cur) < r:
-        step = min(0.35 * abs(z_cur), 6.0, r - abs(z_cur))
+        step = min(frac * abs(z_cur), 6.0, r - abs(z_cur))
         z_next = z_cur + step * ray
         w, wp = _taylor_step(alpha, gamma, z_cur, w, wp, z_next - z_cur)
         z_cur = z_next
@@ -293,9 +303,11 @@ def _asymptotic_1f1(alpha, gamma, z):
 def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
     """Kummer's 1F1(alpha, gamma, z) for complex arguments.
 
-    Power series up to |z| = 10, Taylor continuation along the ray up to
-    |z| = 30, compound asymptotic expansion beyond.  Tuned for the
-    imaginary axis where the package needs 1e-10 relative accuracy.
+    Power series up to |z| = min(10, 12.5/m) with m = max(|alpha|,
+    |gamma - alpha|), Taylor continuation along the ray up to |z| = 30,
+    compound asymptotic expansion beyond.  Tuned for the imaginary axis where
+    the package needs 1e-10 relative accuracy; a DomainError for m > 400,
+    beyond the measured range.
     """
     alpha = complex(alpha)
     gamma = complex(gamma)
@@ -310,16 +322,20 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
     if z.real < 0.0:
         # Kummer transform keeps the continuation direction dominant
         return cmath.exp(z) * hyp1f1(gamma - alpha, gamma, -z)
+    m = max(abs(alpha), abs(gamma - alpha))
+    if m > _MAX_PARAM:
+        raise DomainError(f"1F1 parameter size {m:.6g} beyond the measured {_MAX_PARAM:g}")
     r = abs(z)
-    if r <= _DIRECT_RADIUS:
+    radius = min(_DIRECT_RADIUS, _SERIES_REACH / m)
+    if r <= radius:
         return _series_1f1(alpha, gamma, z)
     if r <= _SWITCH_RADIUS:
-        return _continued_1f1(alpha, gamma, z)
+        return _continued_1f1(alpha, gamma, z, radius, m)
     val, relerr = _asymptotic_1f1(alpha, gamma, z)
     if relerr < 1e-11:
         return val
     if r <= 500.0:
-        return _continued_1f1(alpha, gamma, z)
+        return _continued_1f1(alpha, gamma, z, radius, m)
     raise NonConvergenceError(
         f"no 1F1 regime met tolerance at z={z} (asymptotic rel err {relerr:.2e})"
     )

@@ -134,13 +134,8 @@ def conjecture_omega(params: FlowParams, branch: str) -> tuple[float, float]:
     """
     _check_branch(params, branch)
     j, rr = _BRANCH_ROOTS[branch]
-    arg = _root_table(params)[j][1]
-    if arg <= 0.0:
-        raise BranchInfeasibleError(
-            f"branch {branch} infeasible at a={params.a}, eps={params.eps}: "
-            f"log argument {arg} <= 0"
-        )
-    return _omega_of_factor(params.eps, arg), rr
+    # each branch's factor is at least e^{-pi a/2} > 0 where _check_branch passes
+    return _omega_of_factor(params.eps, _root_table(params)[j][1]), rr
 
 
 def planar_spiral(a: float) -> tuple[float, float]:

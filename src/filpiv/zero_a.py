@@ -81,15 +81,17 @@ def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
 @functools.lru_cache(maxsize=64)
 def _pcf_constants(eps: float) -> tuple[tuple[complex, complex], ...]:
     """The pairs (u_j, kappa_j) of g_prime_pcf, computed once per eps > 0."""
-    # e^{pi eps/4} here and sin(pi z) of the Gamma reflection in pcf_d
+    # e^{pi eps/4}; checked first, as it also keeps the Gamma ratio finite
     sf.check_exponents(0.25 * math.pi * eps)
     t = (-2.0 * _RAY / math.sqrt(eps)
          * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
+    us = (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t))
+    # 2 kappa_j, about e^{pi eps/4} (1 + |u_j|^2), bounds |D_+ + u_j D_-|^2
+    sf.check_exponents(*(0.25 * math.pi * eps + math.log1p((u * u.conjugate()).real) for u in us))
     ep4 = math.exp(0.25 * math.pi * eps)
     em4 = math.exp(-0.25 * math.pi * eps)
-    return tuple(
-        (u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
-        for u in (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t)))
+    return tuple((u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
+                 for u in us)
 
 
 def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:
@@ -108,7 +110,7 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
     t = -2 e^{i pi/4} Gamma(1 + i eps/4) / (sqrt(eps) Gamma(1/2 + i eps/4)):
     u_1 = -1, u_2 = (1 - t)/(1 + t), u_3 = (1 + i t)/(1 - i t), with the
     j = 3 sign fixed by unit-norm consistency of the full tangent.  A
-    DomainError where e^{pi eps/4} overflows a float (eps > 903.7).
+    DomainError where kappa_j leaves the float range (eps > 882.9).
 
     exact has no effect: every s is evaluated exactly.  The keyword stays
     only because perfbench/workloads.py passes exact=True.

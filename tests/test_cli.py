@@ -256,14 +256,15 @@ class TestErrors:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_numeric_failure_exits_3(self, tmp_path):
-        # a connection input violating the reality surface
+        # an admissible tail maps: the control for the failure below
         cfg = write_config(tmp_path / "c.json", {
             "params": {"a": 1.0, "eps": 0.3},
             "connect": {"side": 1, "omega": -0.12, "delta": 0.9},
         })
         out = tmp_path / "o"
-        rc = main(["connect", "--config", cfg, "--out", str(out)])
-        assert rc in (EXIT_OK, EXIT_NUMERIC)
+        assert main(["connect", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == ["connect.json"]
+        out = tmp_path / "o2"
         cfg2 = write_config(tmp_path / "c2.json", {
             "params": {"a": 1.0, "eps": 0.3},
             # omega at the admissibility boundary: Im rho undefined
@@ -271,6 +272,7 @@ class TestErrors:
         })
         assert main(["connect", "--config", cfg2,
                      "--out", str(out)]) == EXIT_NUMERIC
+        assert list(out.iterdir()) == []
 
     def test_non_finite_special_function_argument_exits_3(self, tmp_path, capsys):
         # 3 a overflows to inf in the argument of arg Gamma(1 + i x)
@@ -286,9 +288,10 @@ class TestErrors:
 
     _TAIL = {"side": 1, "omega": -0.12, "delta": 0.9}
 
-    # parameters whose closed-form laws overflow a float or lose their
-    # accuracy to cancellation: zero-a's 1F1 series (eps 400) and Gamma
-    # factors (eps 950, 3000), the reality constraint and connection
+    # parameters whose closed-form laws overflow a float or leave their
+    # measured range: zero-a's parabolic-cylinder constants (eps 883, just
+    # past the limit of 882.9), e^{pi eps/4} (eps 950) and 1F1 parameters
+    # (eps 3000), the reality constraint and connection
     # constant (a = 300 through the fitted tails, a = 150-230 in connect;
     # at a = 150 only the product of the constraint's factors overflows),
     # and the connection relations on admissible tails (a = 120, 155: the
@@ -298,7 +301,7 @@ class TestErrors:
     # cosh(pi a/2) in the tail roots); last, an admissible tail at a = 157
     # whose e^{i rho_out} has finite parts and an overflowing modulus
     @pytest.mark.parametrize("command, config", [
-        ("zero-a", {"params": {"a": 0.0, "eps": 400.0}}),
+        ("zero-a", {"params": {"a": 0.0, "eps": 883.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 3000.0}}),
         ("fit", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
@@ -427,6 +430,17 @@ class TestZeroA:
         rep = json.loads((out / "zero_a_report.json").read_text())
         assert max(rep["max_closed_vs_numeric"]) <= 1e-12
         assert rep["T_dot"] == 1.0
+
+    # the closed forms hold up to eps = 882.9, where the parabolic-cylinder
+    # constants leave the float range
+    @pytest.mark.parametrize("eps", [200.0, 882.0])
+    def test_far_corner_angles(self, tmp_path, eps):
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 0.0, "eps": eps}})
+        out = tmp_path / "o"
+        assert main(["zero-a", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "zero_a_report.json").read_text())
+        assert max(rep["max_closed_vs_numeric"]) <= 1e-10
+        assert max(rep["max_representation_gap"]) <= 1e-10
 
 
 class TestSymmetricCommand:

@@ -1,14 +1,24 @@
 """Special-function kernel tests: frozen references, identities, recurrences."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filpiv import specfun as sf
-from filpiv.errors import DomainError, GammaPoleError, NonConvergenceError
+from filpiv.errors import DomainError, FilpivError, GammaPoleError, NonConvergenceError
+
+# mpmath values frozen once; the file's "source" field describes how
+ORACLE = json.loads((Path(__file__).parent / "data" / "specfun_oracle.json").read_text())
+GAMMA_ORACLE = ORACLE["gamma"]
+HYP1F1_ORACLE = {
+    (complex(r[0], r[1]), complex(r[2], r[3]), complex(r[4], r[5])): complex(r[6], r[7])
+    for r in ORACLE["hyp1f1"]
+}
 
 # Reference values computed once with mpmath at 40 digits.
 GAMMA_TABLE = [
@@ -120,6 +130,47 @@ class TestCgamma:
         assert abs(sf.cgamma(z.conjugate()) - g.conjugate()) <= 1e-11 * abs(g)
 
 
+def gamma_id(row):
+    return str(complex(*row["z"]))
+
+
+class TestGammaOracle:
+    """cgamma, rgamma and clog_gamma against the frozen mpmath table, which
+    includes the points where an overflowing sin(pi z) or Lanczos product
+    once made them raise: large Re z, and Re z < 0.5 with |Im z| of 230 to
+    450."""
+
+    @pytest.mark.parametrize("row", GAMMA_ORACLE, ids=gamma_id)
+    def test_matches_table(self, row):
+        z = complex(*row["z"])
+        log_gamma = complex(*row["log_gamma"])
+        diff = sf.clog_gamma(z) - log_gamma
+        if z.real < 0.5:
+            # the reflection's imaginary part is correct modulo 2 pi
+            diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+        assert abs(diff) <= 1e-12 * max(abs(log_gamma), 1.0)
+        for key, fn in (("gamma", sf.cgamma), ("rgamma", sf.rgamma)):
+            ref = row.get(key)
+            if ref == "overflow":
+                with pytest.raises(DomainError):
+                    fn(z)
+            elif ref is not None:
+                ref = complex(*ref)
+                assert abs(fn(z) - ref) <= 1e-12 * abs(ref), key
+
+    @given(st.floats(-200.0, 200.0),
+           st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6)))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_finite_or_filpiv_error(self, x, y):
+        z = complex(x, y)
+        for fn in (sf.cgamma, sf.clog_gamma, sf.rgamma):
+            try:
+                v = fn(z)
+            except FilpivError:
+                continue
+            assert math.isfinite(v.real) and math.isfinite(v.imag), (fn.__name__, z, v)
+
+
 class TestArgGamma:
     def test_zero(self):
         assert sf.arg_gamma_one_plus_ix(0.0) == 0.0
@@ -170,6 +221,25 @@ class TestHyp1f1:
     def test_frozen_table(self, alpha, gamma, z, ref):
         got = sf.hyp1f1(alpha, gamma, z)
         assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_matches_mpmath_table(self):
+        # the zero-axis closed forms' parameters for eps up to 880 on both
+        # half-axes and in all three regimes, and generic parameters on the
+        # e^{+-i pi/4} rays
+        bad = []
+        for (alpha, gamma, z), ref in HYP1F1_ORACLE.items():
+            got = sf.hyp1f1(alpha, gamma, z)
+            if not abs(got - ref) <= 1e-10 * abs(ref):
+                bad.append((alpha, gamma, z, got, ref))
+        assert bad == []
+
+    def test_parameters_beyond_measured_range_raise(self):
+        # max(|alpha|, |gamma - alpha|) up to 400 returns, beyond it raises
+        assert abs(sf.hyp1f1(399.9j, 0.5, 20j)) > 0.0
+        for alpha, gamma, z in ((401j, 0.5, 20j), (0.5 + 425j, 1.5, 1j),
+                                (-425j, 0.5, -0.01j)):
+            with pytest.raises(DomainError, match="measured"):
+                sf.hyp1f1(alpha, gamma, z)
 
     def test_gamma_pole_raises(self):
         with pytest.raises(GammaPoleError):
@@ -296,15 +366,17 @@ class TestOverflowAndCancellation:
             with pytest.raises(DomainError):
                 sf.check_exponents(1.0, x)
 
-    # exponential branch (1/Gamma ~ e^{pi |y|/2}) and the reflection's sin(pi z)
-    @pytest.mark.parametrize("z", [1.0 - 750j, 0.25 + 300j, -3.5 - 300j])
+    # 1/Gamma ~ e^{pi |y|/2} overflows, on either side of Re z = 1/2
+    @pytest.mark.parametrize("z", [1.0 - 750j, 0.25 + 460j])
     def test_rgamma_overflow(self, z):
         with pytest.raises(DomainError):
             sf.rgamma(z)
 
     # the derivative seed 1F1(1 - i eps/4, 3/2, -10 i) of the continuation of
     # 1F1(-i eps/4, 1/2, -i s^2/4), the zero-axis closed forms' first series
-    # to cancel beyond the limit: quiet to eps = 20, raising from eps = 21
+    # to cancel beyond the limit: quiet to eps = 20, raising from eps = 21;
+    # hyp1f1 shrinks its series radius with the parameters and returns the
+    # value at every eps
     @pytest.mark.parametrize("eps, trips", [
         (5.0, False), (10.0, False), (20.0, False),
         (21.0, True), (30.0, True), (400.0, True),
@@ -322,9 +394,9 @@ class TestOverflowAndCancellation:
         assert (largest > sf._CANCEL_LIMIT * abs(total)) == trips
         if trips:
             with pytest.raises(NonConvergenceError, match="cancels"):
-                sf.hyp1f1(alpha, gamma, z)
-        else:
-            assert abs(sf.hyp1f1(alpha, gamma, z) - total) <= 1e-9 * abs(total)
+                sf._series_1f1(alpha, gamma, z)
+        ref = HYP1F1_ORACLE[(alpha, gamma, z)]
+        assert abs(sf.hyp1f1(alpha, gamma, z) - ref) <= 1e-10 * abs(ref)
 
 
 class TestNonFinite:

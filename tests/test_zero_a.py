@@ -4,7 +4,9 @@ limiting tangents.  The closed-form jet, the projection equation and the
 Riccati maps are defined here, as the reference the tests check."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,10 @@ import pytest
 from filpiv import specfun as sf
 from filpiv import zero_a
 from filpiv.errors import DomainError, GammaPoleError, NonConvergenceError, NumericError
+
+# G'(s) from mpmath, frozen once; the file's "source" field describes how
+TANGENT_ORACLE = json.loads(
+    (Path(__file__).parent / "data" / "specfun_oracle.json").read_text())["tangent"]
 
 
 class DenominatorVanishesError(NumericError):
@@ -207,12 +213,42 @@ class TestGPrimeHyp:
             assert abs(plus[1] + minus[1]) <= 1e-12
             assert abs(plus[2] + minus[2]) <= 1e-12
 
-    # a direct series (s = 5) and a continuation seed (s = 10); the
-    # components would be about 1e9 at eps = 400
+    # a direct series (s = 5) and a continuation seed (s = 10) where the
+    # Maclaurin sum at the fixed radius 10 cancels past its accuracy (about
+    # 1e16-fold at eps = 400); the sum still raises there, and g_prime_hyp,
+    # whose series radius shrinks as eps grows, returns the tangent instead
     @pytest.mark.parametrize("eps, s", [(30.0, 10.0), (400.0, 5.0)])
     def test_cancelling_series_raises(self, eps, s):
-        with pytest.raises(NonConvergenceError):
+        z = 0.25j * s * s
+        seed = z if abs(z) <= 10.0 else 10.0 * z / abs(z)
+        with pytest.raises(NonConvergenceError, match="cancels"):
+            sf._series_1f1(0.5 + 0.25j * eps, 1.5, seed)
+        with pytest.raises(NonConvergenceError, match="cancels"):
+            sf._series_1f1(-0.25j * eps, 0.5, -seed)
+        ref = next(row[2:] for row in TANGENT_ORACLE if row[:2] == [eps, s])
+        got = zero_a.g_prime_hyp(s, zero_a.ZeroAParams(eps))
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+    # 1F1 parameters of size sqrt(1 + eps^2/16) > 400, beyond the range
+    # hyp1f1 was measured in
+    @pytest.mark.parametrize("eps, s", [(1700.0, 5.0), (3000.0, 10.0)])
+    def test_beyond_measured_parameters_raises(self, eps, s):
+        with pytest.raises(DomainError, match="measured"):
             zero_a.g_prime_hyp(s, zero_a.ZeroAParams(eps))
+
+
+class TestClosedFormOracle:
+    # eps from 0.5 to 880 and |s| up to 30: the 1F1 series, continuation and
+    # asymptotic regimes, with series radius and Taylor steps that shrink as
+    # the parameters grow
+    @pytest.mark.parametrize("g_prime", [zero_a.g_prime_hyp, zero_a.g_prime_pcf])
+    def test_tangents_match_table(self, g_prime):
+        bad = []
+        for eps, s, *ref in TANGENT_ORACLE:
+            got = g_prime(s, zero_a.ZeroAParams(eps))
+            if not np.max(np.abs(got - ref)) <= 1e-10:
+                bad.append((eps, s, got, ref))
+        assert bad == []
 
 
 class TestGPrimePcf:
@@ -248,11 +284,13 @@ class TestGPrimePcf:
             assert plus[2] == pytest.approx(-minus[2], abs=1e-10)
 
     def test_overflowing_eps_raises_domain_error(self):
-        # e^{pi eps/4} overflows beyond eps = 4 ln(float max) / pi = 903.7,
-        # also at s = 0, where no series runs
-        for s in (0.0, 3.0):
-            with pytest.raises(DomainError):
-                zero_a.g_prime_pcf(s, zero_a.ZeroAParams(950.0))
+        # kappa_3 ~ e^{pi eps/4} |u_3|^2 overflows from eps = 882.9 (it made
+        # the tangent nan), e^{pi eps/4} itself beyond 4 ln(float max) / pi =
+        # 903.7; also at s = 0, where no series runs
+        for eps in (883.0, 950.0):
+            for s in (0.0, 3.0):
+                with pytest.raises(DomainError):
+                    zero_a.g_prime_pcf(s, zero_a.ZeroAParams(eps))
 
     # |z| = s^2/4 of the 1F1 calls: series to |s| ~ 6.3, continuation to
     # |s| ~ 11, asymptotic sums beyond
@@ -328,7 +366,8 @@ class TestParameterCaches:
         calls = (
             # e^{pi eps/4} overflows
             (DomainError, lambda: zero_a.g_prime_pcf(3.0, zero_a.ZeroAParams(950.0))),
-            # 1/Gamma(1/2 - 750 i) overflows: pcf_d's and the asymptotic 1F1's
+            # 1/Gamma(1/2 - 750 i) overflows: pcf_d's and the asymptotic
+            # 1F1's; hyp1f1 refuses the parameters before
             (DomainError, lambda: sf.pcf_d(1500j, 1.0)),
             (DomainError, lambda: sf.hyp1f1(1.0 - 750j, 1.5, 100j)),
             (DomainError, lambda: sf._connection_coeffs(1.0 - 750j, 1.5)),
