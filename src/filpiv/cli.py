@@ -4,9 +4,9 @@ CSV/JSON outputs.
 Subcommands: integrate | fit | connect | zero-a | symmetric | filament |
 selfcheck.  Exit codes: 0 success, 2 config error, 3 numeric failure,
 4 invariant violation beyond thresholds.  Every output embeds the fully
-resolved config and the artifact version; reruns are byte-identical (there
-is no randomness anywhere).  Every CSV cell is the value's `%.17g` rendering,
-and every undefined value (NaN) is an empty cell.
+resolved and typed config and the artifact version; reruns are
+byte-identical (there is no randomness anywhere).  Every CSV cell is the
+value's `%.17g` rendering, and every undefined value (NaN) is an empty cell.
 """
 
 from __future__ import annotations
@@ -69,16 +69,11 @@ def _integer(value, what: str) -> int:
     return int(x)
 
 
-def _pair(value, what: str) -> list[float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{what} must be [lo, hi]")
+def _numbers(value, what: str, n: int | None = None) -> list[float]:
+    """value as a list of finite floats, of length n when n is given."""
+    if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+        raise ConfigError(f"{what} must be a list of {n or 'finite'} numbers")
     return [_number(v, what) for v in value]
-
-
-def _vector3(value, what: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{what} must be a list of 3 numbers")
-    return np.array([_number(v, what) for v in value])
 
 
 def _finite_or_null(obj):
@@ -99,7 +94,11 @@ def _canonical_json(obj) -> str:
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
-    """Fill defaults, apply CLI overrides, validate types and ranges."""
+    """Fill defaults, apply CLI overrides, then validate and type every key:
+    the result, which the subcommands read and the artefacts echo, holds
+    finite floats, the integers max_steps and x_grid.n, a branch name and a
+    connect side of +-1.  Checks that depend on the physics stay with the
+    code they protect."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = {
@@ -129,41 +128,74 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             cfg[key] = dict(val) if key in _WHOLE_BLOCKS else {**cfg[key], **val}
         else:
             cfg[key] = val
-    if "branch" in cfg["initial"] and len(cfg["initial"]) > 1:
-        raise ConfigError("initial gives either a branch or gp0/gpp0/s0, not both")
 
-    if overrides.get("tol_rel") is not None:
-        cfg["tolerances"]["rel"] = overrides["tol_rel"]
-    if overrides.get("tol_abs") is not None:
-        cfg["tolerances"]["abs"] = overrides["tol_abs"]
+    for flag, sub in (("tol_rel", "rel"), ("tol_abs", "abs")):
+        if overrides.get(flag) is not None:
+            cfg["tolerances"][sub] = overrides[flag]
     if overrides.get("s_max") is not None:
         s = abs(float(overrides["s_max"]))
         cfg["s_span"] = [-s, s]
 
-    cfg["s_span"] = _pair(cfg["s_span"], "s_span")
-    if not cfg["s_span"][0] < cfg["s_span"][1]:
+    def floats(key, *subs):
+        return {sub: _number(cfg[key][sub], f"{key}.{sub}") for sub in subs}
+
+    cfg["params"] = {**floats("params", "a", "eps"),
+                     "axis": _numbers(cfg["params"]["axis"], "params.axis", 3)}
+    init = cfg["initial"]
+    if "branch" in init:
+        if len(init) > 1:
+            raise ConfigError("initial gives either a branch or gp0/gpp0/s0, not both")
+        if init["branch"] not in symmetric.BRANCHES:
+            raise ConfigError(f"initial.branch must be one of {symmetric.BRANCHES}, "
+                              f"got {init['branch']!r}")
+    elif {"gp0", "gpp0"} <= init.keys():
+        cfg["initial"] = {"gp0": _numbers(init["gp0"], "initial.gp0", 3),
+                          "gpp0": _numbers(init["gpp0"], "initial.gpp0", 3),
+                          "s0": _number(init.get("s0", 0.0), "initial.s0")}
+    else:
+        raise ConfigError("initial must give either a branch or gp0/gpp0")
+    cfg["tolerances"] = tol = {
+        **floats("tolerances", "rel", "abs"),
+        "max_steps": _integer(cfg["tolerances"]["max_steps"], "tolerances.max_steps")}
+    if not (tol["rel"] > 0.0 and tol["abs"] > 0.0 and tol["max_steps"] >= 1):
+        raise ConfigError(f"tolerances must be > 0 and max_steps >= 1, got {tol}")
+
+    lo, hi = cfg["s_span"] = _numbers(cfg["s_span"], "s_span", 2)
+    if not lo < hi:
         raise ConfigError("s_span must be [lo, hi] with lo < hi")
     if cfg["fit_window"] is None:
-        s_max = max(abs(cfg["s_span"][0]), abs(cfg["s_span"][1]))
+        s_max = max(abs(lo), abs(hi))
         cfg["fit_window"] = [0.6 * s_max, s_max]
-    cfg["fit_window"] = _pair(cfg["fit_window"], "fit_window")
+    cfg["fit_window"] = _numbers(cfg["fit_window"], "fit_window", 2)
     cfg["sample_step"] = _number(cfg["sample_step"], "sample_step")
     if not cfg["sample_step"] > 0.0:
         raise ConfigError("sample_step must be > 0")
-    cfg["thresholds"] = {k: _number(v, f"thresholds.{k}")
-                         for k, v in cfg["thresholds"].items()}
-    _sample_rows(cfg)
-    _x_grid_spec(cfg)
+    cfg["thresholds"] = floats("thresholds", *cfg["thresholds"])
+    cfg["t_values"] = _numbers(cfg["t_values"], "t_values")
+    if not all(t > 0.0 for t in cfg["t_values"]):
+        raise ConfigError("t values must be positive")
+    n = _integer(cfg["x_grid"]["n"], "x_grid.n")
+    cfg["x_grid"] = {**floats("x_grid", "min", "max"), "n": n}
+    if n < 1:
+        raise ConfigError("x_grid.n must be >= 1")
+    # the integrate command samples round(steps) + 1 rows, at most 1/2 more
+    # than steps + 1, so an integer count passes only if it is within the bound
+    for rows, what in (((hi - lo) / cfg["sample_step"] + 1.0, "sample_step"), (n, "x_grid.n")):
+        if not rows <= _MAX_ROWS:  # also false for an infinite or NaN count
+            raise ConfigError(f"{what} asks for {rows:.6g} rows, more than {_MAX_ROWS}")
+    if cfg["connect"] is not None:
+        if not {"omega", "delta"} <= cfg["connect"].keys():
+            raise ConfigError("connect must give omega and delta")
+        side = _integer(cfg["connect"].get("side", 1), "connect.side")
+        if side not in (1, -1):
+            raise ConfigError(f"connect.side must be 1 or -1, got {side}")
+        cfg["connect"] = {**floats("connect", "omega", "delta"), "side": side}
     return cfg
 
 
 def _flow_params(cfg: dict) -> FlowParams:
     p = cfg["params"]
-    try:
-        return FlowParams(_number(p["a"], "params.a"), _number(p["eps"], "params.eps"),
-                          tuple(_vector3(p.get("axis", (0.0, 0.0, 1.0)), "params.axis")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params block: {exc}") from exc
+    return FlowParams(p["a"], p["eps"], tuple(p["axis"]))
 
 
 def _initial_state(cfg: dict, params: FlowParams):
@@ -175,26 +207,7 @@ def _initial_state(cfg: dict, params: FlowParams):
                                   "(branch 'odd' maps to it)")
             return zero_a.normalized_state(params)
         return symmetric.make_symmetric_ic(params, init["branch"])
-    if "gp0" in init and "gpp0" in init:
-        return make_initial_state(
-            params,
-            _vector3(init["gp0"], "initial.gp0"),
-            _vector3(init["gpp0"], "initial.gpp0"),
-            _number(init.get("s0", 0.0), "initial.s0"),
-        )
-    raise ConfigError("initial must give either a branch or gp0/gpp0")
-
-
-def _integrator_cfg(cfg: dict) -> IntegratorConfig:
-    t = cfg["tolerances"]
-    try:
-        return IntegratorConfig(
-            rel_tol=_number(t["rel"], "tolerances.rel"),
-            abs_tol=_number(t["abs"], "tolerances.abs"),
-            max_steps=_integer(t["max_steps"], "tolerances.max_steps"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid tolerances {t}: {exc}") from exc
+    return make_initial_state(params, init["gp0"], init["gpp0"], init["s0"])
 
 
 def _run_flow(cfg: dict, check: bool = True):
@@ -202,8 +215,9 @@ def _run_flow(cfg: dict, check: bool = True):
     drifts exceed the thresholds (see _check_drifts)."""
     params = _flow_params(cfg)
     state0 = _initial_state(cfg, params)
+    t = cfg["tolerances"]
     run = integrate_flow(params, state0, cfg["s_span"][0], cfg["s_span"][1],
-                         _integrator_cfg(cfg))
+                         IntegratorConfig(t["rel"], t["abs"], t["max_steps"]))
     if check:
         _check_drifts(cfg, run)
     return params, run
@@ -218,47 +232,6 @@ def _check_drifts(cfg: dict, run) -> None:
         raise InvariantViolation(
             f"drift beyond thresholds: {drifts} vs {th}"
         )
-
-
-def _check_rows(rows: float, what: str) -> None:
-    if not rows <= _MAX_ROWS:  # also false for an infinite or NaN count
-        raise ConfigError(f"{what} asks for {rows:.6g} rows, more than {_MAX_ROWS}")
-
-
-def _sample_rows(cfg: dict) -> int:
-    lo, hi = cfg["s_span"]
-    steps = (hi - lo) / cfg["sample_step"]
-    # the count round(steps) + 1 exceeds steps + 1 by at most 1/2, so an
-    # integer count passes only if it is within the bound
-    _check_rows(steps + 1.0, "sample_step")
-    return int(round(steps)) + 1
-
-
-def _sample_grid(cfg: dict) -> np.ndarray:
-    lo, hi = cfg["s_span"]
-    return np.linspace(lo, hi, _sample_rows(cfg))
-
-
-def _x_grid_spec(cfg: dict) -> tuple[float, float, int]:
-    g = cfg["x_grid"]
-    n = _integer(g["n"], "x_grid.n")
-    if n < 1:
-        raise ConfigError("x_grid.n must be >= 1")
-    _check_rows(n, "x_grid.n")
-    return _number(g["min"], "x_grid.min"), _number(g["max"], "x_grid.max"), n
-
-
-def _x_grid(cfg: dict) -> np.ndarray:
-    return np.linspace(*_x_grid_spec(cfg))
-
-
-def _t_values(cfg: dict) -> list[float]:
-    if not isinstance(cfg["t_values"], list):
-        raise ConfigError("t_values must be a list")
-    t_values = [_number(t, "t_values") for t in cfg["t_values"]]
-    if not all(t > 0.0 for t in t_values):
-        raise ConfigError("t values must be positive")
-    return t_values
 
 
 def _meta(cfg: dict) -> dict:
@@ -294,7 +267,8 @@ def _write_csv(path: Path, header_lines: list[str], columns) -> None:
 def cmd_integrate(cfg: dict, out: Path) -> int:
     # the artefacts of a breaching run are written first, to diagnose it
     params, run = _run_flow(cfg, check=False)
-    smp = run.sample(_sample_grid(cfg))
+    lo, hi = cfg["s_span"]
+    smp = run.sample(np.linspace(lo, hi, round((hi - lo) / cfg["sample_step"]) + 1))
     cols = "s,G1,G2,G3,Gp1,Gp2,Gp3,sigma,sigma_p,sigma_pp,C,T,eps_drift,unit_drift"
     _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], [
         smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"],
@@ -359,15 +333,10 @@ def cmd_fit(cfg: dict, out: Path) -> int:
 def cmd_connect(cfg: dict, out: Path) -> int:
     params = _flow_params(cfg)
     spec = cfg["connect"]
-    if spec is None or not {"omega", "delta"} <= spec.keys():
+    if spec is None:
         raise ConfigError("connect requires a connect block with omega and delta")
-    side = _number(spec.get("side", 1), "connect.side")
-    if side not in (1.0, -1.0):
-        raise ConfigError(f"connect.side must be 1 or -1, got {spec['side']!r}")
-    side = int(side)
-    omega = _number(spec["omega"], "connect.omega")
-    delta = _number(spec["delta"], "connect.delta")
-    tail = asympt.make_tail(side, omega, delta, params)
+    side = spec["side"]
+    tail = asympt.make_tail(side, spec["omega"], spec["delta"], params)
     predicted = asympt.connect(tail, params)
     res = asympt.connfI_residuals(
         tail if side == 1 else predicted,
@@ -439,10 +408,10 @@ def cmd_symmetric(cfg: dict, out: Path) -> int:
 
 
 def cmd_filament(cfg: dict, out: Path) -> int:
-    x_grid = _x_grid(cfg)
-    t_values = _t_values(cfg)
+    g = cfg["x_grid"]
+    x_grid = np.linspace(g["min"], g["max"], g["n"])
     params, run = _run_flow(cfg)
-    curves = _flow.reconstruct_filament(run, t_values, x_grid)
+    curves = _flow.reconstruct_filament(run, cfg["t_values"], x_grid)
     index = []
     for k, (t, curve) in enumerate(curves):
         name = f"filament_t{k}.csv"

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DomainError,
     InconsistentCauchyDataError,
     IntegrandPoleError,
     VanishingCurvatureError,
@@ -62,7 +63,8 @@ class FlowParams:
         if not (self.a >= 0.0):
             raise ConfigError("a must be >= 0")
         ax = np.asarray(self.axis, dtype=float)
-        n = np.linalg.norm(ax)
+        with np.errstate(over="ignore"):  # an infinite norm is not 1 either
+            n = np.linalg.norm(ax)
         if abs(n - 1.0) > 1e-10:
             raise ConfigError("axis must be a unit vector")
         object.__setattr__(self, "axis", tuple(ax / n))
@@ -174,19 +176,25 @@ def make_initial_state(params: FlowParams, gp0, gpp0, s0: float = 0.0) -> FlowSt
     """
     gp0 = np.asarray(gp0, dtype=float)
     gpp0 = np.asarray(gpp0, dtype=float)
-    if abs(np.linalg.norm(gp0) - 1.0) > 1e-12:
-        raise InconsistentCauchyDataError("G'(s0) must be a unit vector")
-    if abs(float(gp0 @ gpp0)) > 1e-12 * max(1.0, np.linalg.norm(gpp0)):
-        raise InconsistentCauchyDataError("G''(s0) must be orthogonal to G'(s0)")
-    sigma_p0 = float(params.a_vec @ gp0)
-    eps_implied = float(gpp0 @ gpp0) + sigma_p0
-    if abs(eps_implied - params.eps) > 1e-12 * max(1.0, abs(params.eps)):
+    # a norm or product that overflows to inf or NaN fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not abs(np.linalg.norm(gp0) - 1.0) <= 1e-12:
+            raise InconsistentCauchyDataError("G'(s0) must be a unit vector")
+        if not abs(float(gp0 @ gpp0)) <= 1e-12 * max(1.0, np.linalg.norm(gpp0)):
+            raise InconsistentCauchyDataError("G''(s0) must be orthogonal to G'(s0)")
+        sigma_p0 = float(params.a_vec @ gp0)
+        eps_implied = float(gpp0 @ gpp0) + sigma_p0
+    if not abs(eps_implied - params.eps) <= 1e-12 * max(1.0, abs(params.eps)):
         raise InconsistentCauchyDataError(
             f"|G''|^2 + a.G' = {eps_implied} does not match eps = {params.eps}"
         )
     w = s0 * gp0 + 2.0 * np.cross(gp0, gpp0)
     a_vec = params.a_vec
-    g = (w - np.cross(a_vec, w) + a_vec * float(a_vec @ w)) / (1.0 + params.a**2)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            g = (w - np.cross(a_vec, w) + a_vec * float(a_vec @ w)) / (1.0 + params.a**2)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"G(s0) overflows a float at a = {params.a:.6g}") from exc
     return FlowState(g, gp0.copy(), float(s0))
 
 
@@ -268,7 +276,7 @@ class FlowRun:
             k = int(np.argmax(np.abs(dev)))
             out[f"{name}_drift_max"] = float(abs(dev[k]))
             out[f"{name}_drift_at"] = float(s_all[k])
-        if self.params.a > 0.0:
+        if self.params.a**2 > 0.0:  # a^2 underflows to 0 below a ~ 1e-162
             # monitored inequality (not enforced): sigma^2/a^2 - s^2
             #   + 4 sigma' - 4 eps stays <= 0 by Cauchy-Schwarz on a.G
             a_vec = self.params.a_vec

@@ -42,16 +42,16 @@ class Trajectory:
     """Dense solution record over [s_nodes[0], s_nodes[-1]], possibly two-sided.
 
     Nodes are stored in ascending s.  Segment k spans [s_nodes[k],
-    s_nodes[k + 1]] and was taken as one Taylor step from its origin node
-    origin[k] with signed width h[k]; coeffs[k] holds the (N+1, dim)
-    coefficients of that step's polynomial in theta = (s - s_origin) / h,
-    theta in [0, 1].  Node states are exact integrator output.
+    s_nodes[k + 1]] and was taken as one Taylor step with signed width h[k]
+    from its origin node: s_nodes[k] for h[k] > 0, s_nodes[k + 1] for h[k] <
+    0.  coeffs[k] holds the (N+1, dim) coefficients of that step's
+    polynomial in theta = (s - s_origin) / h, theta in [0, 1].  Node states
+    are exact integrator output.
     """
 
-    def __init__(self, s_nodes, states, origin, h, coeffs):
+    def __init__(self, s_nodes, states, h, coeffs):
         self.s_nodes = s_nodes
         self.states = states
-        self.origin = origin
         self.h = h
         self.coeffs = coeffs
 
@@ -61,9 +61,8 @@ class Trajectory:
 
     @property
     def n_steps_minus(self) -> int:
-        """Steps taken towards decreasing s: those whose origin is their
-        right end."""
-        return int(np.count_nonzero(self.origin > np.arange(self.n_steps)))
+        """Steps taken towards decreasing s."""
+        return int(np.count_nonzero(self.h < 0.0))
 
     @property
     def rhs_evals(self) -> int:
@@ -84,11 +83,9 @@ class Trajectory:
     def join(minus: "Trajectory", plus: "Trajectory") -> "Trajectory":
         """The two-sided trajectory of a minus and a plus leg that share the
         node s_nodes[-1] == plus.s_nodes[0]."""
-        shift = len(minus.s_nodes) - 1
         return Trajectory(
             np.concatenate([minus.s_nodes, plus.s_nodes[1:]]),
             np.concatenate([minus.states, plus.states[1:]]),
-            np.concatenate([minus.origin, plus.origin + shift]),
             np.concatenate([minus.h, plus.h]),
             np.concatenate([minus.coeffs, plus.coeffs]),
         )
@@ -111,7 +108,8 @@ class Trajectory:
                        self.n_steps - 1)
         perm = np.argsort(k, kind="stable")
         ks = k[perm]
-        theta = (flat[perm] - self.s_nodes[self.origin[ks]]) / self.h[ks]
+        h = self.h[ks]
+        theta = (flat[perm] - self.s_nodes[ks + (h < 0.0)]) / h
         # powers[j] = theta^j, one row per power so each product runs along
         # contiguous points
         powers = np.empty((self.order + 1, flat.size))
@@ -192,12 +190,10 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
     states = np.array(states)
     coeffs = np.array(coeffs)
     h = np.diff(s_nodes)
-    origin = np.arange(len(h))
     if direction < 0.0:
         # ascending storage; each step starts at its right end
         s_nodes, states, coeffs, h = s_nodes[::-1], states[::-1], coeffs[::-1], h[::-1]
-        origin = origin + 1
-    return Trajectory(s_nodes, states, origin, h, coeffs)
+    return Trajectory(s_nodes, states, h, coeffs)
 
 
 def integrate_span(taylor, state0, s0, s_min, s_max,

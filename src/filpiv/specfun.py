@@ -248,12 +248,17 @@ def _continued_1f1(alpha, gamma, z, radius, m):
     frac = min(0.35, _STEP_REACH / m)
     w = _series_1f1(alpha, gamma, z_cur)
     wp = alpha / gamma * _series_1f1(alpha + 1.0, gamma + 1.0, z_cur)
-    while abs(z_cur) < r:
-        step = min(frac * abs(z_cur), 6.0, r - abs(z_cur))
-        z_next = z_cur + step * ray
-        w, wp = _taylor_step(alpha, gamma, z_cur, w, wp, z_next - z_cur)
-        z_cur = z_next
-    return w
+    try:
+        while abs(z_cur) < r:
+            step = min(frac * abs(z_cur), 6.0, r - abs(z_cur))
+            z_next = z_cur + step * ray
+            w, wp = _taylor_step(alpha, gamma, z_cur, w, wp, z_next - z_cur)
+            z_cur = z_next
+        if cmath.isfinite(w):
+            return w
+    except OverflowError:  # abs() of a complex beyond the float range
+        pass
+    raise DomainError(f"1F1 continued to z={z} overflows a float")
 
 
 def _asymptotic_sum(a, b, w):
@@ -292,9 +297,14 @@ def _asymptotic_1f1(alpha, gamma, z):
     sign = 1.0 if z.imag >= 0.0 else -1.0
     logz = cmath.log(z)
     c1, c2 = _connection_coeffs(alpha, gamma)
-    p1 = c1 * cmath.exp(sign * 1j * cmath.pi * alpha - alpha * logz)
-    p2 = c2 * cmath.exp(z + (alpha - gamma) * logz)
+    try:
+        p1 = c1 * cmath.exp(sign * 1j * cmath.pi * alpha - alpha * logz)
+        p2 = c2 * cmath.exp(z + (alpha - gamma) * logz)
+    except OverflowError:  # a branch beyond the float range: no estimate
+        return complex(math.nan), math.inf
     val = p1 * s1 + p2 * s2
+    if not cmath.isfinite(val):  # p2 s2 can overflow too
+        return val, math.inf
     err = abs(p1) * t1_min + abs(p2) * t2_min
     scale = max(abs(val), 1e-290)
     return val, err / scale
@@ -307,7 +317,7 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
     |gamma - alpha|), Taylor continuation along the ray up to |z| = 30,
     compound asymptotic expansion beyond.  Tuned for the imaginary axis where
     the package needs 1e-10 relative accuracy; a DomainError for m > 400,
-    beyond the measured range.
+    beyond the measured range, and a FilpivError where the value overflows.
     """
     alpha = complex(alpha)
     gamma = complex(gamma)

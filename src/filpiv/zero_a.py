@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .flow import FlowParams, FlowState, make_initial_state
 
 __all__ = [
@@ -90,8 +90,13 @@ def _pcf_constants(eps: float) -> tuple[tuple[complex, complex], ...]:
     sf.check_exponents(*(0.25 * math.pi * eps + math.log1p((u * u.conjugate()).real) for u in us))
     ep4 = math.exp(0.25 * math.pi * eps)
     em4 = math.exp(-0.25 * math.pi * eps)
-    return tuple((u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
-                 for u in us)
+    pairs = tuple((u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
+                  for u in us)
+    # kappa_j, about pi eps / 2 for small eps, is a cancelling sum: 0 below
+    # eps ~ 1e-17, where g_prime_pcf would divide by it
+    if not all(kappa.real > 0.0 for _, kappa in pairs):
+        raise DomainError(f"kappa_j cancels to 0 at eps = {eps:.6g}")
+    return pairs
 
 
 def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarray:

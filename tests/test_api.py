@@ -3,8 +3,8 @@ leaves a stale `__all__` entry fails here; every exported name is read
 somewhere other than its own definition, so a public name nothing reaches
 fails too, as does a private module-level name its module never reads;
 every error class is raised by the package, or is the base of one that is;
-and every memoizing cache has a finite size, so a long process cannot grow
-without bound."""
+every memoizing cache has a finite size, so a long process cannot grow
+without bound; and the CLI parses config values in resolve_config alone."""
 
 import ast
 import functools
@@ -151,6 +151,37 @@ def test_unreferenced_export_detected():
     exported = ["used", "recursive", "helper", "dead", "documented"]
     assert _unreferenced_exports(exported, own, [other], "m.documented()") \
         == ["dead", "recursive"]
+
+
+_CONFIG_PARSERS = {"_number", "_integer", "_numbers"}
+
+
+def _parser_calls_outside(tree: ast.Module, allowed: str) -> list[str]:
+    """Calls of cli's config parsers outside the top-level function allowed
+    and outside the parsers themselves, as "line: name"."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in _CONFIG_PARSERS | {allowed}:
+            continue
+        found += [f"{n.lineno}: {n.func.id}" for n in ast.walk(top)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in _CONFIG_PARSERS]
+    return sorted(found)
+
+
+def test_config_is_parsed_only_in_resolve_config():
+    # one validating pass: the subcommands read what resolve_config returns
+    path = Path(filpiv.__file__).parent / "cli.py"
+    assert _parser_calls_outside(ast.parse(path.read_text()), "resolve_config") == []
+
+
+def test_parser_call_outside_detected():
+    tree = ast.parse("def _number(v):\n    return float(v)\n"
+                     "def _numbers(v):\n    return [_number(x) for x in v]\n"
+                     "def resolve_config(raw):\n    return _numbers(raw)\n"
+                     "def cmd(cfg):\n    return _integer(cfg['n'])\n"
+                     "X = _number('1')\n")
+    assert _parser_calls_outside(tree, "resolve_config") == ["8: _integer", "9: _number"]
 
 
 def _raised_names(tree: ast.AST) -> set[str]:

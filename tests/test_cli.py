@@ -1,12 +1,18 @@
 """CLI tests: schemas, determinism, exit codes and the documented examples."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filpiv.cli import (_CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
                         EXIT_NUMERIC, EXIT_OK, _write_csv, main, resolve_config)
@@ -15,6 +21,7 @@ from filpiv.odeint import ORDER
 
 
 _RT_HALF = math.sqrt(0.5)  # |G''(0)| of the eps = 0.5 data with a . G'(0) = 0
+_CAUCHY = {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 0.0]}
 
 
 def run_cli(*args):
@@ -228,6 +235,19 @@ class TestErrors:
         ("integrate", {"tolerances": {"max_steps": True}}, []),
         ("connect", {"connect": {"omega": -0.05, "delta": 0.4, "side": True}}, []),
         ("connect", {"connect": {"omega": 0.1, "delta": 0.0, "tol": 0.05}}, []),
+        # a bad value in a key the subcommand does not read
+        ("integrate", {"t_values": "bogus"}, []),
+        ("integrate", {"connect": {"omega": "x", "delta": 0.0}}, []),
+        ("connect", {"tolerances": {"max_steps": "many"},
+                     "connect": {"omega": -0.12, "delta": 0.9}}, []),
+        ("connect", {"initial": {"branch": "bogus"},
+                     "connect": {"omega": -0.12, "delta": 0.9}}, []),
+        ("zero-a", {"params": {"a": 0.0, "eps": 0.5},
+                    "connect": {"omega": "x", "delta": 0.0}}, []),
+        ("connect", {"initial": {"branch": 3},
+                     "connect": {"omega": -0.12, "delta": 0.9}}, []),
+        ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 3},
+                      "connect": {"omega": 0.1}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -238,6 +258,36 @@ class TestErrors:
                      *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+
+    def test_echoed_config_is_typed(self, tmp_path):
+        # integer literals and defaults alike: the echo holds what the
+        # commands read, floats but for the two counts and the side
+        raw = {"params": {"a": 1, "eps": -1, "axis": [0, 0, 1]},
+               "initial": {"gp0": [0, 0, -1], "gpp0": [0, 0, 0]},
+               "s_span": [-2, 2], "sample_step": 1, "t_values": [1, 4],
+               "x_grid": {"min": -1, "max": 1, "n": 3.0},
+               "tolerances": {"max_steps": 1000.0},
+               "connect": {"omega": -1, "delta": 0}}
+        out = tmp_path / "o"
+        assert main(["integrate", "--config", write_config(tmp_path / "c.json", raw),
+                     "--out", str(out)]) == EXIT_OK
+        echo = parse_strict((out / "diagnostics.json").read_text())["config"]
+        assert echo == resolve_config(raw, {})
+
+        def leaves(obj, path):
+            if isinstance(obj, dict):
+                for key, val in obj.items():
+                    yield from leaves(val, f"{path}.{key}".lstrip("."))
+            elif isinstance(obj, list):
+                for val in obj:
+                    yield from leaves(val, path)
+            else:
+                yield path, obj
+
+        counts = {"tolerances.max_steps", "x_grid.n", "connect.side"}
+        typed = {path: type(val) for path, val in leaves(echo, "")}
+        assert typed == {path: int if path in counts else float for path in typed}
+        assert echo["initial"]["s0"] == 0.0 and echo["connect"]["side"] == 1
 
     def test_grid_row_bound_is_inclusive(self):
         # exact counts: s_span [0, m] at step 1 samples m + 1 rows
@@ -334,6 +384,31 @@ class TestErrors:
             # an overflow, not a non-real-monodromy verdict
             assert json.loads(err[0])["type"] == "DomainError"
         assert list(out.iterdir()) == []
+
+    # values the config fuzz found escaping as a traceback or a numpy
+    # warning: a and the axis so large that a^2 or the axis norm overflows,
+    # Cauchy data whose norm overflows, a so small that a^2 underflows to 0,
+    # and zero-a at an eps so small that its kappa_j cancel to 0
+    @pytest.mark.parametrize("command, config, error", [
+        ("integrate", {"params": {"a": 1e160, "eps": 0.5}}, "DomainError"),
+        ("integrate", {"params": {"a": 1e160, "eps": 0.5}, "initial": _CAUCHY}, "DomainError"),
+        ("connect", {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, 1e160, 1.0]},
+                     "connect": _TAIL}, "ConfigError"),
+        ("integrate", {"params": {"a": 1.0, "eps": 0.5},
+                       "initial": {"gp0": [1.0, 1e300, 0.0], "gpp0": [0.0, _RT_HALF, 0.0]}},
+         "InconsistentCauchyDataError"),
+        ("integrate", {"params": {"a": 1.0, "eps": 0.5},
+                       "initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 1e160]}},
+         "InconsistentCauchyDataError"),
+        ("integrate", {"params": {"a": 5e-324, "eps": 0.5}, "initial": _CAUCHY}, None),
+        ("zero-a", {"params": {"a": 0.0, "eps": 1e-170}}, "DomainError"),
+    ])
+    def test_extreme_values_exit_cleanly(self, tmp_path, capsys, command, config, error):
+        cfg = write_config(tmp_path / "c.json", {"s_span": [-2.0, 2.0], **config})
+        code = {None: EXIT_OK, "DomainError": EXIT_NUMERIC}.get(error, EXIT_CONFIG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["type"] for line in err] == ([error] if error else [])
 
     # runs whose drifts are far beyond the default thresholds of 1e-8
     @pytest.mark.parametrize("command, params, tolerances", [
@@ -655,3 +730,85 @@ class TestMisc:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["config"]["tolerances"]["rel"] == 1e-10
         assert diag["config"]["s_span"] == [-6.0, 6.0]
+
+
+# the fuzz's valid bases: Cauchy data at a = 1, and the zero-axis data.  Each
+# case changes one value, and max_steps stays 10^4: a huge a or eps with the
+# default budget of 2e6 steps would run for minutes before it exits 3
+_FUZZ_BASES = [
+    {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, 0.0, 1.0]},
+     "initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 0.0], "s0": 0.0},
+     "s_span": [-2.0, 2.0],
+     "tolerances": {"rel": 1e-10, "abs": 1e-12, "max_steps": 10000},
+     "thresholds": {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8},
+     "sample_step": 0.5, "fit_window": [1.0, 2.0], "t_values": [1.0, 2.0],
+     "x_grid": {"min": -1.0, "max": 1.0, "n": 11},
+     "connect": {"side": 1, "omega": -0.12, "delta": 0.9}},
+    {"params": {"a": 0.0, "eps": 0.5}, "initial": {"branch": "odd"},
+     "s_span": [-3.0, 3.0], "tolerances": {"max_steps": 10000},
+     "sample_step": 0.25, "t_values": [1.0],
+     "x_grid": {"min": -2.0, "max": 2.0, "n": 5},
+     "connect": {"side": -1, "omega": 0.0, "delta": 0.0}},
+]
+
+# huge, tiny, zero, negative, NaN, infinite, wrong type and wrong length
+_BAD_VALUES = [1e300, -1e300, 1e160, 1e16, 10**400, 5e-324, -5e-324, 0.0, -1.0, math.nan,
+               math.inf, -math.inf, "x", None, True, [], [1.0], [1.0, 2.0, 3.0, 4.0],
+               {}, {"a": 1.0}]
+
+
+def _paths(obj, prefix=()):
+    """Every key and list index path in obj, containers included."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+def _mutated(base, path, value):
+    cfg = copy.deepcopy(base)
+    holder = cfg
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _fuzz_cases(draw):
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    path = draw(st.sampled_from(list(_paths(base))))
+    cfg = _mutated(base, path, draw(st.sampled_from(_BAD_VALUES)))
+    command = draw(st.sampled_from(["integrate", "fit", "connect", "zero-a",
+                                    "symmetric", "filament"]))
+    s_max = draw(st.sampled_from([None, 1.0, 3.0]))
+    return command, cfg, s_max
+
+
+@given(_fuzz_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_config_fuzz_exits_cleanly(case):
+    # bad values anywhere in a valid config: a known exit code with one JSON
+    # line, strict JSON artefacts, and a config error that writes nothing
+    command, cfg, s_max = case
+    flags = [] if s_max is None else ["--s-max", str(s_max)]
+    try:
+        resolve_config(copy.deepcopy(cfg), {"s_max": s_max})
+        rejected = False
+    except ConfigError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        config = write_config(Path(tmp) / "c.json", cfg)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", config, "--out", str(out), *flags])
+        err = stderr.getvalue().splitlines()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_INVARIANT)
+        if code != EXIT_OK:
+            assert len(err) == 1 and parse_strict(err[0])["error"]
+        for path in out.glob("*.json"):
+            parse_strict(path.read_text())
+        if rejected:
+            assert code == EXIT_CONFIG and list(out.iterdir()) == []

@@ -172,8 +172,8 @@ class TestDenseOutput:
                 return leg.states[k]
             if s == leg.s_nodes[k + 1]:
                 return leg.states[k + 1]
-            o, h = leg.origin[k], leg.h[k]
-            theta = (s - leg.s_nodes[o]) / h
+            h = leg.h[k]
+            theta = (s - leg.s_nodes[k + (h < 0)]) / h
             y = np.zeros(leg.states.shape[1])
             power = 1.0
             for j, coeff in enumerate(leg.coeffs[k]):

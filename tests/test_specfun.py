@@ -233,6 +233,38 @@ class TestHyp1f1:
                 bad.append((alpha, gamma, z, got, ref))
         assert bad == []
 
+    @given(st.floats(0.0, 400.0), st.floats(-math.pi, math.pi), st.sampled_from([0.5, 1.5]),
+           st.floats(0.0, 600.0), st.one_of(st.floats(-0.6, 0.6), st.floats(-math.pi, math.pi)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_finite_or_filpiv_error(self, m, alpha_arg, gamma, r, z_arg):
+        # parameters of size m <= 400 (the measured range) and |z| <= 600,
+        # often near the positive real axis, where e^z dominates: the
+        # asymptotic expansion's exponential branches overflowed here
+        alpha, z = cmath.rect(m, alpha_arg), cmath.rect(r, z_arg)
+        try:
+            v = sf.hyp1f1(alpha, gamma, z)
+        except FilpivError:
+            return
+        assert math.isfinite(v.real) and math.isfinite(v.imag), (alpha, gamma, z, v)
+
+    def test_overflowing_branch_falls_back_to_continuation(self):
+        # e^z z^(alpha - gamma) of the asymptotic expansion overflows, the
+        # value does not (mpmath at 40 digits)
+        ref = complex(4.160532703022637e+267, -1.0895792260688797e+267)
+        got = sf.hyp1f1(49.02 + 9.84j, 1.5, 457.0 - 125.7j)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("alpha, gamma, z", [
+        # values beyond the float range (mpmath: |value| 2.5e357 and 1.9e308):
+        # the Taylor continuation's sum overflows, and the asymptotic sum
+        # overflows where its branch e^z z^(alpha - gamma) is still finite
+        (69.93426778650306 + 210.19949873251383j, 1.5, 490.76693025842957 - 2.712565323516453j),
+        (-4.5 + 0.01j, 1.5, 746.7745072680691),
+    ])
+    def test_overflowing_value_raises(self, alpha, gamma, z):
+        with pytest.raises(FilpivError):
+            sf.hyp1f1(alpha, gamma, z)
+
     def test_parameters_beyond_measured_range_raise(self):
         # max(|alpha|, |gamma - alpha|) up to 400 returns, beyond it raises
         assert abs(sf.hyp1f1(399.9j, 0.5, 20j)) > 0.0
