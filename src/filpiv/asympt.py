@@ -271,10 +271,10 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     """Extract (omega, delta) from one tail of a trajectory.
 
     omega first, from the window mean of sigma' corrected by the known
-    1/m^2 term, then refined by a secant on the variable-projection
-    derivative of the phase-model residual (the ln|s| frequency correction
-    couples omega into the phase), in about 5 solves; delta then follows
-    from the linear cos/sin fit.  The window is given in |s|.
+    1/m^2 term, then refined over all of omega_bounds by a secant on the
+    variable-projection derivative of the phase-model residual (the ln|s|
+    frequency correction couples omega into the phase), in 4 to 13 solves;
+    delta then follows from the linear cos/sin fit.  The window is in |s|.
     """
     params = run.params
     if side not in (1, -1):
@@ -296,14 +296,15 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
         u = mean_sp + c2_coefficient(omega, params) * mean_inv2
         omega = (3.0 * u - params.eps) / 6.0
 
-    # stage 2: minimize the profiled residual over omega within 0.01
-    # (skipped when there is no oscillation signal to lock onto)
+    # stage 2: minimize the profiled residual over all of omega_bounds,
+    # starting from stage 1's omega (more than 0.01 off the minimum where the
+    # oscillation is strong); skipped when there is no oscillation signal to
+    # lock onto
     fit, solves = _profile_fit(grid, sig_p, omega, params), 1
     lo_b, hi_b = omega_bounds(params)
-    lo = max(omega - 0.01, lo_b - 1e-6)
-    hi = min(omega + 0.01, hi_b + 1e-6)
-    if math.hypot(fit[1], fit[2]) > 1e-8 * max(1.0, abs(mean_sp)) and hi > lo:
-        omega, fit, solves = _profile_minimum(grid, sig_p, params, omega, fit, lo, hi)
+    if math.hypot(fit[1], fit[2]) > 1e-8 * max(1.0, abs(mean_sp)):
+        omega, fit, solves = _profile_minimum(grid, sig_p, params, omega, fit,
+                                              lo_b - 1e-6, hi_b + 1e-6)
 
     slack = 1e-6 * max(1.0, abs(lo_b), abs(hi_b))
     if omega < lo_b - slack or omega > hi_b + slack:

@@ -94,7 +94,8 @@ def _canonical_json(obj) -> str:
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
-    """Fill defaults, apply CLI overrides, then validate and type every key:
+    """Fill defaults, apply CLI overrides, then validate and type every key
+    (of the config as written too, so that an override hides no bad value):
     the result, which the subcommands read and the artefacts echo, holds
     finite floats, the integers max_steps and x_grid.n, a branch name and a
     connect side of +-1.  Checks that depend on the physics stay with the
@@ -102,7 +103,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = {
-        "params": {"a": 0.0, "eps": 1.0, "axis": [0.0, 0.0, 1.0]},
+        "params": {"a": 0.0, "eps": 1.0},
         "initial": {"branch": "odd"},
         "s_span": [-40.0, 40.0],
         "tolerances": {"rel": IntegratorConfig.rel_tol, "abs": IntegratorConfig.abs_tol,
@@ -129,6 +130,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         else:
             cfg[key] = val
 
+    if any(v is not None for v in overrides.values()):
+        resolve_config(raw, {})
     for flag, sub in (("tol_rel", "rel"), ("tol_abs", "abs")):
         if overrides.get(flag) is not None:
             cfg["tolerances"][sub] = overrides[flag]
@@ -139,8 +142,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     def floats(key, *subs):
         return {sub: _number(cfg[key][sub], f"{key}.{sub}") for sub in subs}
 
-    cfg["params"] = {**floats("params", "a", "eps"),
-                     "axis": _numbers(cfg["params"]["axis"], "params.axis", 3)}
+    cfg["params"] = floats("params", "a", "eps")
     init = cfg["initial"]
     if "branch" in init:
         if len(init) > 1:
@@ -195,7 +197,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
 
 def _flow_params(cfg: dict) -> FlowParams:
     p = cfg["params"]
-    return FlowParams(p["a"], p["eps"], tuple(p["axis"]))
+    return FlowParams(p["a"], p["eps"])
 
 
 def _initial_state(cfg: dict, params: FlowParams):
@@ -425,8 +427,8 @@ def cmd_filament(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_selfcheck(out: Path | None, include_planar: bool) -> int:
-    results = run_selfcheck(include_planar=include_planar)
+def cmd_selfcheck(out: Path | None) -> int:
+    results = run_selfcheck()
     for res in results:
         print(res.line())
     if out is not None:
@@ -457,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="output directory (created if missing)")
         if name == "selfcheck":
-            p.add_argument("--planar", action="store_true",
-                           help="include the slower planar-spiral criterion")
             continue
         p.add_argument("--config", type=str, default=None,
                        help="path to the JSON run config")
@@ -494,7 +494,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
         if args.command == "selfcheck":
-            return cmd_selfcheck(out, args.planar)
+            return cmd_selfcheck(out)
         if args.config is None:
             raise ConfigError(f"{args.command} requires --config")
         if out is None:

@@ -4,7 +4,8 @@ quadrature, filament reconstruction and the curvature-torsion complex
 envelope.
 
 The state convention is y = (G1, G2, G3, G1', G2', G3') with arc-like
-parameter s, evolving by G'' = (axis_vec x G + G) x G' / 2.
+parameter s, evolving by G'' = (a x G + G) x G' / 2 for the axis vector
+a = a e3: any other axis direction gives the same solution rotated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "make_initial_state",
     "make_rhs",
     "make_taylor",
-    "axis_frame",
     "integrate_flow",
     "curvature_torsion",
     "phi_accumulate",
@@ -49,31 +49,27 @@ C2_FLOOR = 1e-10
 # exact for the degree-(ORDER + 1) numerator s sigma' - sigma of a segment
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(ORDER // 2 + 1)
 
+_E3 = np.array([0.0, 0.0, 1.0])
+
+
 @dataclass(frozen=True)
 class FlowParams:
-    """Axis strength a >= 0, conserved eps and the (unit) axis direction."""
+    """Axis strength a >= 0 along e3, and the conserved eps."""
 
     a: float
     eps: float
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a, self.eps, *self.axis)):
-            raise ConfigError("a, eps and axis must be finite")
+        if not (math.isfinite(self.a) and math.isfinite(self.eps)):
+            raise ConfigError("a and eps must be finite")
         if not (self.a >= 0.0):
             raise ConfigError("a must be >= 0")
-        ax = np.asarray(self.axis, dtype=float)
-        with np.errstate(over="ignore"):  # an infinite norm is not 1 either
-            n = np.linalg.norm(ax)
-        if abs(n - 1.0) > 1e-10:
-            raise ConfigError("axis must be a unit vector")
-        object.__setattr__(self, "axis", tuple(ax / n))
         if self.eps < -self.a - 1e-12:
             raise ConfigError("eps >= -a is required (|sigma'| <= a)")
 
     @property
     def a_vec(self) -> np.ndarray:
-        return self.a * np.asarray(self.axis)
+        return self.a * _E3
 
 
 @dataclass(frozen=True)
@@ -215,17 +211,6 @@ def _invariants(params: FlowParams, s, y):
     unit = np.sqrt(np.sum(gp * gp, axis=-1))
     w = np.cross(a_vec, g) + g
     return eps, unit, np.sum(w * gp, axis=-1) - s
-
-
-def axis_frame(params: FlowParams):
-    """Deterministic right-handed orthonormal frame (e1, e2, e3 = axis)."""
-    e3 = np.asarray(params.axis)
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(float(trial @ e3)) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    e1 = trial - float(trial @ e3) * e3
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(e3, e1), e3
 
 
 class FlowRun:
@@ -391,8 +376,10 @@ def phi_accumulate(run: FlowRun, s0: float, s1: float) -> float:
     return sign * float(np.sum(half * (f @ _GL_WEIGHTS)))
 
 
-def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    k = np.asarray(axis, dtype=float)
+# Rodrigues' formula for the axis k = e3: its (3, 3) entry c + (1 - c) is
+# not always 1.0, so an explicit 2 x 2 rotation would change filament files
+def _rotation_about_e3(angle: float) -> np.ndarray:
+    k = _E3
     c, s = math.cos(angle), math.sin(angle)
     kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
     return c * np.eye(3) + s * kx + (1.0 - c) * np.outer(k, k)
@@ -406,8 +393,7 @@ def reconstruct_filament(run: FlowRun, t_values, x_grid) -> list[tuple[float, np
         if not t > 0.0:
             raise ConfigError("t values must be positive")
         rt = math.sqrt(t)
-        rot = _rotation_about(np.asarray(run.params.axis),
-                              0.5 * run.params.a * math.log(t))
+        rot = _rotation_about_e3(0.5 * run.params.a * math.log(t))
         out.append((float(t), rt * (run.g(x_grid / rt) @ rot.T)))
     return out
 

@@ -133,12 +133,12 @@ class RunCache:
             return integrate_flow(params, zero_a.normalized_state(params), -s_max, s_max)
         return self.get(("zero_a", eps, s_max), build)
 
-    def asymmetric_run(self, cos_t: float, ang: float, s_max: float = 42.0):
+    def asymmetric_run(self, cos_t: float, ang: float):
         def build():
             params = FlowParams(1.0, 0.3)
             st = asymmetric_state(params, cos_t, ang)
-            return integrate_flow(params, st, -s_max, s_max)
-        return self.get(("asym", cos_t, ang, s_max), build)
+            return integrate_flow(params, st, -42.0, 42.0)
+        return self.get(("asym", cos_t, ang), build)
 
 
 def _worst(name: str, checks, cases) -> CriterionResult:
@@ -318,13 +318,13 @@ SELFCHECK_CRITERIA = (
     crit_symmetric_tails,
     crit_cubic_truncation,
     crit_connection_formulas,
+    crit_planar_spiral,
 )
 
 
-def run_selfcheck(include_planar: bool = False) -> list[CriterionResult]:
-    """Run the selfcheck criteria (conservation, closed form, tangents,
-    symmetric tails, cubic truncation, connection formulas; optionally the
-    slower planar spiral) on one fresh run cache."""
+def run_selfcheck() -> list[CriterionResult]:
+    """Run the seven selfcheck criteria (conservation, closed form, tangents,
+    symmetric tails, cubic truncation, connection formulas, planar spiral)
+    on one fresh run cache."""
     cache = RunCache()
-    crits = SELFCHECK_CRITERIA + ((crit_planar_spiral,) if include_planar else ())
-    return [fn(cache) for fn in crits]
+    return [fn(cache) for fn in SELFCHECK_CRITERIA]

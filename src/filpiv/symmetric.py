@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchInfeasibleError, ConfigError
-from .flow import FlowParams, FlowState, axis_frame, make_initial_state
+from .flow import FlowParams, FlowState, make_initial_state
 from .specfun import check_exponents
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 BRANCHES = ("odd", "mixed_minus", "mixed_plus")
+
+# e1 and the axis e3
+_E1, _E3 = np.eye(3)[[0, 2]]
 
 # each branch's tail root (index into the x_roots table) and its Re rho
 _BRANCH_ROOTS = {"odd": (1, math.pi), "mixed_plus": (2, math.pi), "mixed_minus": (3, 0.0)}
@@ -57,24 +60,23 @@ def make_symmetric_ic(params: FlowParams, branch: str) -> FlowState:
     """Cauchy data at s = 0 for a symmetric solution.
 
     odd: G(0) = 0, G''(0) = 0 and the tangent at polar angle
-    cos(theta) = eps/a; mixed: tangent along -+ axis with |G''(0)|^2 =
-    eps +- a placed along the first axis-orthogonal direction (the remaining
-    freedom is a rotation about the axis).
+    cos(theta) = eps/a in the (e1, e3) plane; mixed: tangent along -+ e3
+    with |G''(0)|^2 = eps +- a placed along e1 (the remaining freedom is a
+    rotation about the axis e3).
     """
     _check_branch(params, branch)
     if params.a <= 0.0:
         raise ConfigError("symmetric branches require a > 0")
-    e1, _, e3 = axis_frame(params)
     if branch == "odd":
         cos_t = params.eps / params.a
         sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        gp0 = sin_t * e1 + cos_t * e3
+        gp0 = sin_t * _E1 + cos_t * _E3
         gpp0 = np.zeros(3)
     else:
         sign = -1.0 if branch == "mixed_minus" else 1.0
-        gp0 = sign * e3
+        gp0 = sign * _E3
         c2 = params.eps - sign * params.a
-        gpp0 = math.sqrt(max(c2, 0.0)) * e1
+        gpp0 = math.sqrt(max(c2, 0.0)) * _E1
     return make_initial_state(params, gp0, gpp0, 0.0)
 
 

@@ -217,23 +217,44 @@ class TestModelCurvTors:
         assert worst <= 5e-3
 
 
+class SyntheticRun:
+    """A stand-in for a FlowRun over [-s_max, s_max] whose tangent projects
+    onto the axis a e3 as the tail model's sigma' (on the tail's side)."""
+
+    def __init__(self, params, tail, s_max):
+        self.params, self.tail = params, tail
+        self.s_min, self.s_max = -s_max, s_max
+
+    def gp(self, s):  # s is the whole window grid
+        sig_p = asympt.sigma_model(s, self.tail, self.params)[1]
+        return np.outer(sig_p / self.params.a, [0.0, 0.0, 1.0])
+
+
 class TestFitTail:
     def test_synthetic_round_trip(self):
         p = FlowParams(1.0, 0.3)
-        tail_true = asympt.make_tail(1, -0.19, 0.7, p)
-
-        class FakeRun:
-            params = p
-            s_min, s_max = -50.0, 50.0
-
-            def gp(self, s):  # s is the whole window grid
-                sig_p = asympt.sigma_model(s, tail_true, p)[1]
-                return np.stack([np.zeros_like(sig_p), np.zeros_like(sig_p), sig_p], axis=1)
-
-        fr = asympt.fit_tail(FakeRun(), 1, (24.0, 40.0))
+        fr = asympt.fit_tail(SyntheticRun(p, asympt.make_tail(1, -0.19, 0.7, p), 50.0),
+                             1, (24.0, 40.0))
         assert abs(fr.tail.omega - (-0.19)) <= 1e-4
         assert abs(fr.tail.delta - 0.7) <= 1e-3
         assert fr.amplitude == pytest.approx(2 * asympt.r_of_omega(-0.19, p) / 9, rel=1e-3)
+
+    @given(st.floats(math.log(0.2), math.log(20.0)), st.floats(0.02, 0.98),
+           st.floats(0.02, 0.98), st.floats(-math.pi, math.pi), st.sampled_from([1, -1]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_recovers_synthetic_tails(self, log_a, eps_frac, omega_frac, delta, side):
+        # exact model tails over the admissible region, eps 2-98% inside
+        # (-a, 2a) and omega 2-98% inside its bounds: the search spans all of
+        # omega_bounds, so it finds the minimum also on strong axes, where the
+        # corrected window mean it starts from lands more than 0.01 from it
+        a = math.exp(log_a)
+        p = FlowParams(a, a * (3.0 * eps_frac - 1.0))
+        lo, hi = asympt.omega_bounds(p)
+        omega = lo + omega_frac * (hi - lo)
+        run = SyntheticRun(p, asympt.make_tail(side, omega, delta, p), 40.0)
+        fr = asympt.fit_tail(run, side, (24.0, 40.0))
+        assert abs(fr.tail.omega - omega) <= 1e-11
+        assert abs(math.remainder(fr.tail.delta - delta, 2.0 * math.pi)) <= 1e-8
 
     def test_trivial_line_boundary_omega(self):
         p = FlowParams(1.0, 1.0)

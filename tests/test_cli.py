@@ -221,7 +221,8 @@ class TestErrors:
         ("filament", {"t_values": [math.inf]}, []),
         ("integrate", {"params": {"a": 1.0, "eps": math.nan}}, []),
         ("integrate", {"params": {"a": math.inf, "eps": 0.5}}, []),
-        ("integrate", {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, math.nan, 1.0]}}, []),
+        # the axis is e3: a config that names it gives an unknown key
+        ("integrate", {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, 0.0, 1.0]}}, []),
         ("integrate", {"tolerances": {"max_steps": 10**400}}, []),
         # grids beyond cli._MAX_ROWS rows: an infinite count, then finite ones
         # too large to allocate, all rejected before the integration
@@ -248,6 +249,9 @@ class TestErrors:
                      "connect": {"omega": -0.12, "delta": 0.9}}, []),
         ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 3},
                       "connect": {"omega": 0.1}}, []),
+        # a bad value that a command-line override replaces
+        ("integrate", {"s_span": "bogus"}, ["--s-max", "3"]),
+        ("integrate", {"tolerances": {"rel": -1}}, ["--tol-rel", "1e-10"]),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -262,7 +266,7 @@ class TestErrors:
     def test_echoed_config_is_typed(self, tmp_path):
         # integer literals and defaults alike: the echo holds what the
         # commands read, floats but for the two counts and the side
-        raw = {"params": {"a": 1, "eps": -1, "axis": [0, 0, 1]},
+        raw = {"params": {"a": 1, "eps": -1},
                "initial": {"gp0": [0, 0, -1], "gpp0": [0, 0, 0]},
                "s_span": [-2, 2], "sample_step": 1, "t_values": [1, 4],
                "x_grid": {"min": -1, "max": 1, "n": 3.0},
@@ -386,14 +390,15 @@ class TestErrors:
         assert list(out.iterdir()) == []
 
     # values the config fuzz found escaping as a traceback or a numpy
-    # warning: a and the axis so large that a^2 or the axis norm overflows,
-    # Cauchy data whose norm overflows, a so small that a^2 underflows to 0,
-    # and zero-a at an eps so small that its kappa_j cancel to 0
+    # warning: a so large that a^2 overflows, Cauchy data whose norm
+    # overflows, a so small that a^2 underflows to 0, and zero-a at an eps so
+    # small that its kappa_j cancel to 0; and a side that is an integer far
+    # outside +-1
     @pytest.mark.parametrize("command, config, error", [
         ("integrate", {"params": {"a": 1e160, "eps": 0.5}}, "DomainError"),
         ("integrate", {"params": {"a": 1e160, "eps": 0.5}, "initial": _CAUCHY}, "DomainError"),
-        ("connect", {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, 1e160, 1.0]},
-                     "connect": _TAIL}, "ConfigError"),
+        ("connect", {"params": {"a": 1.0, "eps": 0.5},
+                     "connect": {**_TAIL, "side": 1e160}}, "ConfigError"),
         ("integrate", {"params": {"a": 1.0, "eps": 0.5},
                        "initial": {"gp0": [1.0, 1e300, 0.0], "gpp0": [0.0, _RT_HALF, 0.0]}},
          "InconsistentCauchyDataError"),
@@ -596,7 +601,7 @@ class TestSelfcheckCommand:
         fake = [CriterionResult("alpha", [("x", 1.0, 2.0), ("y", 1e9, None)]),
                 CriterionResult("beta", [("z", 2.0, 2.0)])]
         monkeypatch.setattr(cli_mod, "run_selfcheck",
-                            lambda **kw: fake)
+                            lambda: fake)
         out = tmp_path / "o"
         assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
         stdout = capsys.readouterr().out
@@ -621,7 +626,7 @@ class TestSelfcheckCommand:
 
         monkeypatch.setattr(sc, "CONSERVATION_GRID_A", (0.5,))
         monkeypatch.setattr(cli_mod, "run_selfcheck",
-                            lambda **kw: [sc.crit_conservation(runs)])
+                            lambda: [sc.crit_conservation(runs)])
         out = tmp_path / "o"
         assert main(["selfcheck", "--out", str(out)]) == EXIT_OK
         (entry,) = parse_strict((out / "selfcheck.json").read_text())["results"]
@@ -646,7 +651,7 @@ class TestSelfcheckCommand:
         assert not result.passed
         assert result.line().startswith("[FAIL] conservation suite: unit drift ")
         monkeypatch.setattr(cli_mod, "run_selfcheck",
-                            lambda **kw: [sc.crit_conservation(runs)])
+                            lambda: [sc.crit_conservation(runs)])
         out = tmp_path / "o"
         capsys.readouterr()
         assert main(["selfcheck", "--out", str(out)]) == 4
@@ -736,7 +741,7 @@ class TestMisc:
 # case changes one value, and max_steps stays 10^4: a huge a or eps with the
 # default budget of 2e6 steps would run for minutes before it exits 3
 _FUZZ_BASES = [
-    {"params": {"a": 1.0, "eps": 0.5, "axis": [0.0, 0.0, 1.0]},
+    {"params": {"a": 1.0, "eps": 0.5},
      "initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 0.0], "s0": 0.0},
      "s_span": [-2.0, 2.0],
      "tolerances": {"rel": 1e-10, "abs": 1e-12, "max_steps": 10000},
@@ -773,6 +778,13 @@ def _mutated(base, path, value):
         holder = holder[key]
     holder[path[-1]] = value
     return cfg
+
+
+def test_fuzz_bases_are_valid():
+    # a base that resolve_config rejects would leave the fuzz testing only
+    # that rejection
+    for base in _FUZZ_BASES:
+        resolve_config(copy.deepcopy(base), {})
 
 
 @st.composite

@@ -3,6 +3,7 @@ the spherical cross-check, azimuth quadrature, filament reconstruction and
 the complex envelope."""
 
 import math
+from types import SimpleNamespace
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -28,14 +29,18 @@ def trivial_line_state(a=1.0, sign=-1.0, s=0.0):
     return p, flow.FlowState(sign * s * e3, sign * e3, s)
 
 
+# make_taylor and make_rhs read only params.a_vec, so a stand-in whose a_vec
+# lies along any axis keeps their general vector form covered, although
+# FlowParams' axis is always e3
+def params_along(a, axis=(0.6, 0.0, 0.8)):
+    return SimpleNamespace(a_vec=a * np.asarray(axis))
+
+
 class TestFlowParams:
-    @pytest.mark.parametrize("a, eps, axis", [
-        (math.inf, 0.5, (0.0, 0.0, 1.0)), (1.0, math.nan, (0.0, 0.0, 1.0)),
-        (1.0, math.inf, (0.0, 0.0, 1.0)), (1.0, 0.5, (0.0, math.nan, 1.0)),
-    ])
-    def test_non_finite_rejected(self, a, eps, axis):
+    @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, a, eps):
         with pytest.raises(ConfigError):
-            flow.FlowParams(a, eps, axis)
+            flow.FlowParams(a, eps)
 
 
 class TestMakeInitialState:
@@ -117,7 +122,7 @@ class TestRhs:
         # (a x G' + G') x G' / 2 + W x G'' / 2
         rng = np.random.RandomState(6)
         axis = rng.randn(3)
-        p = flow.FlowParams(1.7, 0.4, tuple(axis / np.linalg.norm(axis)))
+        p = params_along(1.7, axis / np.linalg.norm(axis))
         st = flow.FlowState(rng.randn(3), rng.randn(3), 0.8)
         c = flow.make_taylor(p)(st.s, st.y)
         f = flow.make_rhs(p)(st.s, st.y)
@@ -160,7 +165,7 @@ class TestTaylor:
         (1.7, (0.6, 0.0, 0.8)),
     ])
     def test_matches_cauchy_reference(self, a, axis):
-        p = flow.FlowParams(a, 0.3, axis)
+        p = params_along(a, axis)
         a1, a2, a3 = p.a_vec
         w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
         taylor = flow.make_taylor(p)
@@ -185,7 +190,7 @@ class TestTaylor:
 
     # the closure reuses its work buffers from call to call
     def test_returned_coefficients_stay_unchanged(self):
-        taylor = flow.make_taylor(flow.FlowParams(1.7, 0.3, (0.6, 0.0, 0.8)))
+        taylor = flow.make_taylor(params_along(1.7))
         rng = np.random.default_rng(5)
         c = taylor(0.0, rng.standard_normal(6))
         kept = c.copy()
@@ -194,7 +199,7 @@ class TestTaylor:
         assert np.array_equal(c, kept)
 
     def test_closures_do_not_share_buffers(self):
-        params = (flow.FlowParams(1.0, 0.5), flow.FlowParams(10.0, 5.0, (0.6, 0.0, 0.8)))
+        params = (flow.FlowParams(1.0, 0.5), params_along(10.0))
         ys = np.random.default_rng(8).standard_normal((4, 6))
         alone = [[flow.make_taylor(p)(0.0, y) for y in ys] for p in params]
         first, second = (flow.make_taylor(p) for p in params)
