@@ -93,21 +93,19 @@ def _canonical_json(obj) -> str:
                       allow_nan=False)
 
 
-def resolve_config(raw: dict, overrides: dict) -> dict:
-    """Fill defaults, apply CLI overrides, then validate and type every key
-    (of the config as written too, so that an override hides no bad value):
-    the result, which the subcommands read and the artefacts echo, holds
-    finite floats, the integers max_steps and x_grid.n, a branch name and a
-    connect side of +-1.  Checks that depend on the physics stay with the
-    code they protect."""
+def resolve_config(raw: dict) -> dict:
+    """Fill defaults, then validate and type every key in one pass: the
+    result, which the subcommands read and the artefacts echo, holds finite
+    floats, the integers max_steps and x_grid.n, a branch name and a connect
+    side of +-1.  Checks that depend on the physics stay with the code they
+    protect."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = {
         "params": {"a": 0.0, "eps": 1.0},
         "initial": {"branch": "odd"},
         "s_span": [-40.0, 40.0],
-        "tolerances": {"rel": IntegratorConfig.rel_tol, "abs": IntegratorConfig.abs_tol,
-                       "max_steps": IntegratorConfig.max_steps},
+        "tolerances": {"rel": IntegratorConfig.rel_tol, "max_steps": IntegratorConfig.max_steps},
         "thresholds": dict(_DEF_THRESHOLDS),
         "sample_step": 0.05,
         "fit_window": None,
@@ -130,15 +128,6 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         else:
             cfg[key] = val
 
-    if any(v is not None for v in overrides.values()):
-        resolve_config(raw, {})
-    for flag, sub in (("tol_rel", "rel"), ("tol_abs", "abs")):
-        if overrides.get(flag) is not None:
-            cfg["tolerances"][sub] = overrides[flag]
-    if overrides.get("s_max") is not None:
-        s = abs(float(overrides["s_max"]))
-        cfg["s_span"] = [-s, s]
-
     def floats(key, *subs):
         return {sub: _number(cfg[key][sub], f"{key}.{sub}") for sub in subs}
 
@@ -157,9 +146,9 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     else:
         raise ConfigError("initial must give either a branch or gp0/gpp0")
     cfg["tolerances"] = tol = {
-        **floats("tolerances", "rel", "abs"),
+        **floats("tolerances", "rel"),
         "max_steps": _integer(cfg["tolerances"]["max_steps"], "tolerances.max_steps")}
-    if not (tol["rel"] > 0.0 and tol["abs"] > 0.0 and tol["max_steps"] >= 1):
+    if not (tol["rel"] > 0.0 and tol["max_steps"] >= 1):
         raise ConfigError(f"tolerances must be > 0 and max_steps >= 1, got {tol}")
 
     lo, hi = cfg["s_span"] = _numbers(cfg["s_span"], "s_span", 2)
@@ -219,7 +208,7 @@ def _run_flow(cfg: dict, check: bool = True):
     state0 = _initial_state(cfg, params)
     t = cfg["tolerances"]
     run = integrate_flow(params, state0, cfg["s_span"][0], cfg["s_span"][1],
-                         IntegratorConfig(t["rel"], t["abs"], t["max_steps"]))
+                         IntegratorConfig(t["rel"], t["max_steps"]))
     if check:
         _check_drifts(cfg, run)
     return params, run
@@ -462,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--config", type=str, default=None,
                        help="path to the JSON run config")
-        p.add_argument("--tol-rel", type=float, default=None)
-        p.add_argument("--tol-abs", type=float, default=None)
-        p.add_argument("--s-max", type=float, default=None)
     return parser
 
 
@@ -505,10 +491,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        overrides = {"tol_rel": args.tol_rel, "tol_abs": args.tol_abs,
-                     "s_max": args.s_max}
-        cfg = resolve_config(raw, overrides)
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[args.command](resolve_config(raw), out)
     except ConfigError as exc:
         print(_error_payload("config", exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -66,7 +66,7 @@ class IntegrandPoleError(NumericError):
 
 
 class RangeError(ConfigError, ValueError):
-    """Requested point lies outside the trajectory span."""
+    """A point lies outside the trajectory span or the span to integrate."""
 
 
 class VanishingCurvatureError(NumericError):

@@ -51,18 +51,17 @@ class SigmaPath:
 
 def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorConfig | None = None) -> SigmaPath:
     """Integrate sigma''' = f(s, sigma, sigma') from a full jet over s_span;
-    the jet must satisfy the quadratic equation."""
+    the jet must satisfy the quadratic equation and lie in a non-empty
+    span (a RangeError otherwise)."""
     res0 = sp4_residual(jet0, params)
     scale = max(1.0, abs(jet0.s) ** 3, params.a**3, abs(params.eps) ** 3)
     if abs(res0) > 1e-8 * scale:
         raise InconsistentJetError(
             f"initial jet violates the quadratic equation (residual {res0:.3e})"
         )
-    s_lo, s_hi = float(min(s_span)), float(max(s_span))
-    if not (s_lo <= jet0.s <= s_hi):
-        raise InconsistentJetError("jet0.s must lie inside s_span")
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
-    return SigmaPath(integrate_span(_sp4_taylor(params), y0, jet0.s, s_lo, s_hi, cfg))
+    return SigmaPath(integrate_span(_sp4_taylor(params), y0, jet0.s,
+                                    float(min(s_span)), float(max(s_span)), cfg))
 
 
 def _sp4_taylor(params: FlowParams):

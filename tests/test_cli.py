@@ -1,5 +1,6 @@
 """CLI tests: schemas, determinism, exit codes and the documented examples."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filpiv.cli import (_CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
-                        EXIT_NUMERIC, EXIT_OK, _write_csv, main, resolve_config)
+from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
+                        EXIT_NUMERIC, EXIT_OK, _write_csv, build_parser, main,
+                        resolve_config)
 from filpiv.errors import ConfigError
 from filpiv.odeint import ORDER
 
@@ -186,7 +188,7 @@ class TestErrors:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command, extra, flags", [
-        ("integrate", {}, ["--tol-rel", "0"]),
+        ("integrate", {"tolerances": {"rel": 0.0}}, []),
         ("integrate", {"tolerances": {"max_steps": "many"}}, []),
         ("integrate", {"sample_step": "x"}, []),
         ("filament", {"x_grid": {"n": "abc"}}, []),
@@ -249,19 +251,27 @@ class TestErrors:
                      "connect": {"omega": -0.12, "delta": 0.9}}, []),
         ("filament", {"x_grid": {"min": -1.0, "max": 1.0, "n": 3},
                       "connect": {"omega": 0.1}}, []),
-        # a bad value that a command-line override replaces
-        ("integrate", {"s_span": "bogus"}, ["--s-max", "3"]),
-        ("integrate", {"tolerances": {"rel": -1}}, ["--tol-rel", "1e-10"]),
+        ("integrate", {"s_span": "bogus"}, []),
+        ("integrate", {"tolerances": {"rel": -1}}, []),
+        # removed settings: the config is the only way to set a run, and the
+        # step tolerance's floor is a constant of the integrator
+        ("integrate", {"tolerances": {"rel": 1e-10, "abs": 1e-12}}, []),
+        ("integrate", {}, ["--tol-rel", "1e-10"]),
+        ("integrate", {}, ["--tol-abs", "1e-14"]),
+        ("integrate", {}, ["--s-max", "3"]),
+        # valid Cauchy data that start outside the span (a RangeError)
+        ("integrate", {"initial": {**_CAUCHY, "s0": 50.0}, "s_span": [-3.0, 3.0]}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
         cfg = write_config(tmp_path / "c.json", {
             "params": {"a": 1.0, "eps": 0.5}, "s_span": [-2.0, 2.0], **extra,
         })
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
-                     *flags]) == EXIT_CONFIG
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_echoed_config_is_typed(self, tmp_path):
         # integer literals and defaults alike: the echo holds what the
@@ -276,7 +286,7 @@ class TestErrors:
         assert main(["integrate", "--config", write_config(tmp_path / "c.json", raw),
                      "--out", str(out)]) == EXIT_OK
         echo = parse_strict((out / "diagnostics.json").read_text())["config"]
-        assert echo == resolve_config(raw, {})
+        assert echo == resolve_config(raw)
 
         def leaves(obj, path):
             if isinstance(obj, dict):
@@ -295,12 +305,12 @@ class TestErrors:
 
     def test_grid_row_bound_is_inclusive(self):
         # exact counts: s_span [0, m] at step 1 samples m + 1 rows
-        resolve_config({"s_span": [0.0, _MAX_ROWS - 1.0], "sample_step": 1.0}, {})
-        resolve_config({"x_grid": {"n": _MAX_ROWS}}, {})
+        resolve_config({"s_span": [0.0, _MAX_ROWS - 1.0], "sample_step": 1.0})
+        resolve_config({"x_grid": {"n": _MAX_ROWS}})
         with pytest.raises(ConfigError, match="sample_step"):
-            resolve_config({"s_span": [0.0, float(_MAX_ROWS)], "sample_step": 1.0}, {})
+            resolve_config({"s_span": [0.0, float(_MAX_ROWS)], "sample_step": 1.0})
         with pytest.raises(ConfigError, match="x_grid.n"):
-            resolve_config({"x_grid": {"n": _MAX_ROWS + 1}}, {})
+            resolve_config({"x_grid": {"n": _MAX_ROWS + 1}})
 
     def test_zero_a_rejects_nonzero_axis(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
@@ -422,9 +432,10 @@ class TestErrors:
         ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
         ("filament", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
         ("zero-a", {"a": 0.0, "eps": 1.0}, {"rel": 0.5}),
-        # with abs 1e308, fitting the run overflows a float
-        ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 0.5, "abs": 1e308}),
-        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 0.5, "abs": 1e308}),
+        # with rel 1e300, each leg is one step over its whole half of the
+        # span, and fitting the run overflows a float
+        ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 1e300}),
+        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 1e300}),
     ])
     def test_drift_beyond_thresholds_exits_4(self, tmp_path, capsys,
                                              command, params, tolerances):
@@ -720,6 +731,22 @@ class TestMisc:
         err = r.stderr.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
 
+    def test_no_flag_duplicates_a_config_key(self):
+        # the config file is the only way to set a run
+        (subs,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {opt for a in sub._actions for opt in a.option_strings} - {"-h"}
+                 for name, sub in subs.choices.items()}
+        assert flags.pop("selfcheck") == {"--out", "--help"}
+        assert flags == {name: {"--config", "--out", "--help"} for name in _COMMANDS}
+
+    def test_readme_example_config_is_valid(self):
+        # the example gives every key, each as the echo types it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example config", 1)[1].split("```json\n", 1)[1]
+        raw = json.loads(block.split("```", 1)[0])
+        assert resolve_config(copy.deepcopy(raw)) == raw
+
     def test_seedless_rejected(self, tmp_path, capsys, zero_a_config):
         out = tmp_path / "o"
         assert main(["integrate", "--seedless", "--config", zero_a_config,
@@ -728,23 +755,17 @@ class TestMisc:
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
         assert not out.exists()
 
-    def test_tol_and_smax_overrides(self, tmp_path, zero_a_config):
-        out = tmp_path / "o"
-        assert main(["integrate", "--config", zero_a_config, "--out", str(out),
-                     "--tol-rel", "1e-10", "--s-max", "6"]) == EXIT_OK
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["config"]["tolerances"]["rel"] == 1e-10
-        assert diag["config"]["s_span"] == [-6.0, 6.0]
 
 
-# the fuzz's valid bases: Cauchy data at a = 1, and the zero-axis data.  Each
-# case changes one value, and max_steps stays 10^4: a huge a or eps with the
+# the fuzz's valid bases: Cauchy data at a = 1, and the zero-axis data.  The
+# config is the only input that sets a run, so each case changes one value in
+# it and passes no flag.  max_steps stays 10^4: a huge a or eps with the
 # default budget of 2e6 steps would run for minutes before it exits 3
 _FUZZ_BASES = [
     {"params": {"a": 1.0, "eps": 0.5},
      "initial": {"gp0": [1.0, 0.0, 0.0], "gpp0": [0.0, _RT_HALF, 0.0], "s0": 0.0},
      "s_span": [-2.0, 2.0],
-     "tolerances": {"rel": 1e-10, "abs": 1e-12, "max_steps": 10000},
+     "tolerances": {"rel": 1e-10, "max_steps": 10000},
      "thresholds": {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8},
      "sample_step": 0.5, "fit_window": [1.0, 2.0], "t_values": [1.0, 2.0],
      "x_grid": {"min": -1.0, "max": 1.0, "n": 11},
@@ -784,7 +805,7 @@ def test_fuzz_bases_are_valid():
     # a base that resolve_config rejects would leave the fuzz testing only
     # that rejection
     for base in _FUZZ_BASES:
-        resolve_config(copy.deepcopy(base), {})
+        resolve_config(copy.deepcopy(base))
 
 
 @st.composite
@@ -794,19 +815,18 @@ def _fuzz_cases(draw):
     cfg = _mutated(base, path, draw(st.sampled_from(_BAD_VALUES)))
     command = draw(st.sampled_from(["integrate", "fit", "connect", "zero-a",
                                     "symmetric", "filament"]))
-    s_max = draw(st.sampled_from([None, 1.0, 3.0]))
-    return command, cfg, s_max
+    return command, cfg
 
 
 @given(_fuzz_cases())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_config_fuzz_exits_cleanly(case):
-    # bad values anywhere in a valid config: a known exit code with one JSON
-    # line, strict JSON artefacts, and a config error that writes nothing
-    command, cfg, s_max = case
-    flags = [] if s_max is None else ["--s-max", str(s_max)]
+    # bad values anywhere in a valid config, checked by resolve_config in one
+    # pass: a known exit code with one JSON line, strict JSON artefacts, and a
+    # config error that writes nothing
+    command, cfg = case
     try:
-        resolve_config(copy.deepcopy(cfg), {"s_max": s_max})
+        resolve_config(copy.deepcopy(cfg))
         rejected = False
     except ConfigError:
         rejected = True
@@ -815,7 +835,7 @@ def test_config_fuzz_exits_cleanly(case):
         config = write_config(Path(tmp) / "c.json", cfg)
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
-            code = main([command, "--config", config, "--out", str(out), *flags])
+            code = main([command, "--config", config, "--out", str(out)])
         err = stderr.getvalue().splitlines()
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_INVARIANT)
         if code != EXIT_OK:

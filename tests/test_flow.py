@@ -388,7 +388,7 @@ class TestSpherical:
             p, [sin_t, 0, cos_t],
             gpp_norm * np.array([-cos_t * 0.6, 0.8, sin_t * 0.6]),
         )
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        cfg = IntegratorConfig(rel_tol=1e-12)
         cart = flow.integrate_flow(p, st, 0.0, 10.0, cfg)
         ss = np.linspace(0.5, 10.0, 25)
         sph = self._spherical_states(p, st, np.concatenate([[st.s], ss]))[1:]

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from filpiv import odeint
 from filpiv.odeint import ORDER, IntegratorConfig, integrate, integrate_span
-from filpiv.errors import MaxStepsExceededError, StepUnderflowError
+from filpiv.errors import MaxStepsExceededError, RangeError, StepUnderflowError
 
 
 def expansion(next_coeff):
@@ -39,39 +40,44 @@ forced = expansion(lambda c, k, s: np.array(
 
 class TestBasics:
     def test_exponential_decay(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        cfg = IntegratorConfig(rel_tol=1e-10)
         traj = integrate(decay, np.array([1.0]), 0.0, 1.0, cfg)
         assert abs(traj.states_at(1.0)[0] - math.exp(-1.0)) < 10 * cfg.rel_tol
 
     def test_backward_direction(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        cfg = IntegratorConfig(rel_tol=1e-10)
         traj = integrate(decay, np.array([1.0]), 0.0, -1.0, cfg)
         assert abs(traj.states_at(-1.0)[0] - math.exp(1.0)) < 10 * cfg.rel_tol * math.e
 
     def test_harmonic_energy_100_periods(self):
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        cfg = IntegratorConfig(rel_tol=1e-12)
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 200 * math.pi, cfg)
         energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) <= 1e-9
 
     def test_max_steps_exceeded(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=5)
+        cfg = IntegratorConfig(rel_tol=1e-10, max_steps=5)
         with pytest.raises(MaxStepsExceededError):
             integrate(harmonic, np.array([1.0, 0.0]), 0.0, 1000.0, cfg)
 
     def test_pole_triggers_step_underflow(self):
         # y' = y^2 blows up at s = 1
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=100000)
+        cfg = IntegratorConfig(rel_tol=1e-10, max_steps=100000)
         with pytest.raises(StepUnderflowError) as exc:
             integrate(square, np.array([1.0]), 0.0, 2.0, cfg)
         assert exc.value.s == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("rel_tol, abs_tol", [
-        (math.inf, 1e-12), (1e-10, math.inf), (math.nan, 1e-12),
-    ])
-    def test_bad_tolerances_rejected(self, rel_tol, abs_tol):
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
+    def test_bad_tolerances_rejected(self, rel_tol):
         with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+            IntegratorConfig(rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("s0, s_min, s_max", [(2.0, -1.0, 1.0), (0.5, 0.5, 0.5),
+                                                  (0.0, 1.0, -1.0)])
+    def test_span_must_hold_the_start(self, s0, s_min, s_max):
+        # a RangeError, which is both a ConfigError and a ValueError
+        with pytest.raises(RangeError):
+            integrate_span(decay, np.array([1.0]), s0, s_min, s_max)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -86,10 +92,10 @@ class TestBasics:
 
 class TestStepSize:
     def test_rule_from_last_two_coefficients(self):
-        # decay from y = 1: |c_k| = 1/k!, tol = abs_tol + rel_tol
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        # decay from y = 1: |c_k| = 1/k!, tol = _ABS_TOL + rel_tol
+        cfg = IntegratorConfig(rel_tol=1e-10)
         traj = integrate(decay, np.array([1.0]), 0.0, 50.0, cfg)
-        tol = cfg.abs_tol + cfg.rel_tol
+        tol = odeint._ABS_TOL + cfg.rel_tol
         h = 0.9 * min((tol * math.factorial(j)) ** (1.0 / j) for j in (ORDER - 1, ORDER))
         assert traj.s_nodes[1] == pytest.approx(h, rel=1e-12)
 
@@ -107,18 +113,18 @@ class TestStepSize:
 class TestAccuracy:
     def test_order_via_tolerance_halving(self):
         # error should scale roughly like tol when the step rule tracks it
-        ref_cfg = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+        ref_cfg = IntegratorConfig(rel_tol=1e-14)
         ref = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, ref_cfg)
         errs = []
         for tol in (1e-6, 1e-8, 1e-10):
-            cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
+            cfg = IntegratorConfig(rel_tol=tol)
             traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, cfg)
             errs.append(np.max(np.abs(traj.states_at(12.0) - ref.states_at(12.0))))
         assert errs[1] < errs[0] * 0.1
         assert errs[2] < errs[1] * 0.1
 
     def test_reversibility(self):
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        cfg = IntegratorConfig(rel_tol=1e-11)
         y0 = np.array([0.3, 0.7])
         fwd = integrate(harmonic, y0, 0.0, 25.0, cfg)
         back = integrate(harmonic, fwd.states_at(25.0), 25.0, 0.0, cfg)
@@ -127,14 +133,14 @@ class TestAccuracy:
 
 class TestDenseOutput:
     def test_nodes_exact(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        cfg = IntegratorConfig(rel_tol=1e-10)
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg)
         for k in range(0, traj.n_steps + 1, max(1, traj.n_steps // 17)):
             s = traj.s_nodes[k]
             assert np.array_equal(traj.states_at(s), traj.states[k])
 
     def test_interpolation_accuracy(self):
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        cfg = IntegratorConfig(rel_tol=1e-11)
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg)
         ss = np.linspace(0.0, 10.0, 777)
         vals = traj.states_at(ss)
@@ -148,7 +154,7 @@ class TestDenseOutput:
 
     def test_interpolant_endpoint_consistency(self):
         # the step's polynomial at theta -> 1 approaches the next node state
-        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+        cfg = IntegratorConfig(rel_tol=1e-9)
         traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 5.0, cfg)
         k = traj.n_steps // 2
         s0, s1 = traj.s_nodes[k], traj.s_nodes[k + 1]
@@ -182,7 +188,7 @@ class TestDenseOutput:
                 y = y + power * coeff
             return y
 
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        cfg = IntegratorConfig(rel_tol=1e-10)
         y0 = np.array([1.0, 0.0])
         s0 = 0.5
         minus = integrate(harmonic, y0, s0, -4.0, cfg)

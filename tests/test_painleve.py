@@ -13,7 +13,7 @@ import pytest
 
 from filpiv import painleve
 from filpiv import specfun as sf
-from filpiv.errors import InconsistentJetError, NumericError
+from filpiv.errors import ConfigError, InconsistentJetError, NumericError, RangeError
 from filpiv.flow import FlowParams, SigmaJet
 from filpiv.odeint import ORDER
 
@@ -278,6 +278,14 @@ class TestSp4Integrate:
         p = FlowParams(1.0, 0.5)
         with pytest.raises(InconsistentJetError):
             painleve.sp4_integrate(SigmaJet(0.0, 0.0, 0.5, 1.0), p, (-5.0, 5.0))
+
+    @pytest.mark.parametrize("span", [(1.0, 1.0), (5.0, 20.0)])
+    def test_span_must_hold_the_jet(self, span):
+        # sigma = 0 solves the a = 0 equation: the jet is consistent, and only
+        # the span is at fault (an empty one, then one that misses s = 1)
+        with pytest.raises(ConfigError) as exc:
+            painleve.sp4_integrate(SigmaJet(1.0, 0.0, 0.0, 0.0), FlowParams(0.0, 1.0), span)
+        assert exc.type is RangeError
 
 
 class TestQPMaps:
