@@ -229,7 +229,14 @@ def _meta(cfg: dict) -> dict:
     return {"version": __version__, "config": cfg}
 
 
+def _create_parent(path: Path) -> None:
+    """Create the output directory with its first artefact, so that a run
+    that fails before writing anything leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    _create_parent(path)
     path.write_text(_canonical_json(payload) + "\n")
 
 
@@ -247,6 +254,7 @@ def _write_csv(path: Path, header_lines: list[str], columns) -> None:
     """
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _create_parent(path)
     with path.open("w") as fh:
         fh.write("\n".join(header_lines) + "\n")
         for start in range(0, len(table), _CSV_BLOCK):
@@ -276,6 +284,9 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "n_steps": run.traj.n_steps,
         "n_steps_minus": run.traj.n_steps_minus,
         "n_steps_plus": run.traj.n_steps - run.traj.n_steps_minus,
+        # the signs of D in y(-s) = D y(s) when the minus leg is the plus
+        # leg mirrored, null when both legs were integrated
+        "reflection": None if run.reflection is None else run.reflection.astype(int).tolist(),
         "step_min": float(steps.min()),
         "step_median": float(np.median(steps)),
         "step_max": float(steps.max()),
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "filament", "selfcheck"):
         p = sub.add_parser(name)
         p.add_argument("--out", type=str, default=None,
-                       help="output directory (created if missing)")
+                       help="output directory (created with the first artefact)")
         if name == "selfcheck":
             continue
         p.add_argument("--config", type=str, default=None,
@@ -475,10 +486,7 @@ def _error_payload(kind: str, exc: Exception) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        out = None
-        if args.out is not None:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+        out = None if args.out is None else Path(args.out)
         if args.command == "selfcheck":
             return cmd_selfcheck(out)
         if args.config is None:

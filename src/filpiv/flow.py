@@ -23,7 +23,7 @@ from .errors import (
     VanishingCurvatureError,
     ZeroAxisError,
 )
-from .odeint import ORDER, IntegratorConfig, Trajectory, integrate_span
+from .odeint import ORDER, IntegratorConfig, Trajectory, integrate, integrate_span
 
 __all__ = [
     "FlowParams",
@@ -50,6 +50,13 @@ C2_FLOOR = 1e-10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(ORDER // 2 + 1)
 
 _E3 = np.array([0.0, 0.0, 1.0])
+
+# sign diagonals P with det P = -1: if y(0) = D y(0) for D = diag(P, -P),
+# the solution is the mirror image y(-s) = D y(s).  -I (the odd branch) and
+# diag(1, 1, -1) (the mixed ones) have p1 = p2, so P commutes with the axis
+# term a e3 x G; diag(-1, 1, 1) (the normalized a = 0 data) holds at a = 0.
+_MIRRORS = tuple(np.array(p) for p in ((-1.0, -1.0, -1.0), (1.0, 1.0, -1.0),
+                                       (-1.0, 1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,15 @@ def _invariants(params: FlowParams, s, y):
 class FlowRun:
     """One flow solution: its two-sided dense trajectory with diagnostics.
 
-    The readers take a scalar s or an array of s values.
+    The readers take a scalar s or an array of s values.  reflection is
+    the diagonal D of the mirror image y(-s) = D y(s) that built the minus
+    leg, or None when both legs were integrated.
     """
 
-    def __init__(self, params: FlowParams, traj: Trajectory):
+    def __init__(self, params: FlowParams, traj: Trajectory, reflection=None):
         self.params = params
         self.traj = traj
+        self.reflection = reflection
         self._rhs = make_rhs(params)
         self._drifts = None
 
@@ -310,12 +320,33 @@ class FlowRun:
         return out
 
 
+def _reflection(params: FlowParams, state0: FlowState, s_min: float, s_max: float):
+    """The D = diag(P, -P) of _MIRRORS with state0.y == D state0.y exactly,
+    for data at s = 0 on a span symmetric about it; None otherwise."""
+    if not (state0.s == 0.0 and s_max > 0.0 and s_min == -s_max):
+        return None
+    y0 = state0.y
+    for p in _MIRRORS:
+        d = np.concatenate([p, -p])
+        if (params.a == 0.0 or p[0] == p[1]) and np.array_equal(d * y0, y0):
+            return d
+    return None
+
+
 def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
                    s_max: float, cfg: IntegratorConfig | None = None) -> FlowRun:
     """Integrate the flow from state0 over [s_min, s_max] (both directions;
-    a RangeError unless state0.s lies in a non-empty span)."""
-    traj = integrate_span(make_taylor(params), state0.y, state0.s, s_min, s_max, cfg)
-    return FlowRun(params, traj)
+    a RangeError unless state0.s lies in a non-empty span).
+
+    A solution that is its own mirror image about s = 0 (see _reflection)
+    is integrated over [0, s_max] only, and its minus leg is the plus leg
+    mirrored; a StepUnderflowError then reports the plus-side s."""
+    d = _reflection(params, state0, s_min, s_max)
+    taylor = make_taylor(params)
+    if d is None:
+        return FlowRun(params, integrate_span(taylor, state0.y, state0.s, s_min, s_max, cfg))
+    plus = integrate(taylor, state0.y, 0.0, s_max, cfg)
+    return FlowRun(params, Trajectory.join(plus.mirrored(d), plus), d)
 
 
 def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:

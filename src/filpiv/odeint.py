@@ -88,13 +88,23 @@ class Trajectory:
     @staticmethod
     def join(minus: "Trajectory", plus: "Trajectory") -> "Trajectory":
         """The two-sided trajectory of a minus and a plus leg that share the
-        node s_nodes[-1] == plus.s_nodes[0]."""
+        node minus.s_nodes[-1] == plus.s_nodes[0].  The plus leg's copy of
+        the shared node and its state is kept: a mirrored minus leg holds
+        -0.0 there, in s and in every component its signs flip."""
         return Trajectory(
-            np.concatenate([minus.s_nodes, plus.s_nodes[1:]]),
-            np.concatenate([minus.states, plus.states[1:]]),
+            np.concatenate([minus.s_nodes[:-1], plus.s_nodes]),
+            np.concatenate([minus.states[:-1], plus.states]),
             np.concatenate([minus.h, plus.h]),
             np.concatenate([minus.coeffs, plus.coeffs]),
         )
+
+    def mirrored(self, d) -> "Trajectory":
+        """The mirror image y(-s) = d * y(s) of a leg that starts at s = 0,
+        for a vector of signs d.  It is exact: nodes -s[::-1], states
+        (d * y)[::-1], widths -h[::-1] and coefficients (d * c)[::-1], as
+        theta runs over the signed width from the mirrored origin."""
+        return Trajectory(-self.s_nodes[::-1], (self.states * d)[::-1],
+                          -self.h[::-1], (self.coeffs * d)[::-1])
 
     def states_at(self, s_values) -> np.ndarray:
         """States at s (any shape; result shape s.shape + (dim,)).

@@ -240,7 +240,13 @@ def crit_planar_spiral(cache: RunCache) -> CriterionResult:
 def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     """Criterion: independently fitted tail parameters of symmetric runs match
     the closed-form predictions: omega within 1e-3, Re rho within 3e-2 rad,
-    and the two sides agree within 2e-3."""
+    and the two sides agree within 2e-3.
+
+    integrate_flow builds the minus leg of a symmetric run as the mirror
+    image of its plus leg, so the side-asymmetry row reads 0.  It no longer
+    tests the integrator; it tests that fit_tail treats mirrored data alike
+    on both sides.  tests/test_flow.py::TestReflection checks the mirror
+    against a two-leg integration."""
     def case(a, eps, branch):
         run = cache.grid_run(a, eps, branch)
         om_c, rr_c = symmetric.conjecture_omega(run.params, branch)

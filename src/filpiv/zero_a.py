@@ -79,23 +79,28 @@ def g_prime_hyp(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=64)
-def _pcf_constants(eps: float) -> tuple[tuple[complex, complex], ...]:
+def _pcf_constants(eps: float) -> tuple[tuple[complex, float], ...]:
     """The pairs (u_j, kappa_j) of g_prime_pcf, computed once per eps > 0."""
     # e^{pi eps/4}; checked first, as it also keeps the Gamma ratio finite
     sf.check_exponents(0.25 * math.pi * eps)
     t = (-2.0 * _RAY / math.sqrt(eps)
          * sf.cgamma(1.0 + 0.25j * eps) / sf.cgamma(0.5 + 0.25j * eps))
     us = (-1.0 + 0.0j, (1.0 - t) / (1.0 + t), (1.0 + 1j * t) / (1.0 - 1j * t))
-    # 2 kappa_j, about e^{pi eps/4} (1 + |u_j|^2), bounds |D_+ + u_j D_-|^2
-    sf.check_exponents(*(0.25 * math.pi * eps + math.log1p((u * u.conjugate()).real) for u in us))
-    ep4 = math.exp(0.25 * math.pi * eps)
-    em4 = math.exp(-0.25 * math.pi * eps)
-    pairs = tuple((u, 0.5 * (ep4 * (1.0 + u * u.conjugate()) + em4 * (u + u.conjugate())))
+    # kappa_j = (e^x |1 + u_j|^2 - 4 sinh(x) Re u_j) / 2, x = pi eps/4, is
+    # about pi eps / 2 for small eps, where u_j -> -1 and both terms are >= 0:
+    # the sum does not cancel.  e^x (1 + |u_j|)^2 bounds both terms, and
+    # with them 2 kappa_j and |D_+ + u_j D_-|^2
+    x = 0.25 * math.pi * eps
+    sf.check_exponents(*(x + 2.0 * math.log1p(abs(u)) for u in us))
+    ex, shx = math.exp(x), math.sinh(x)
+    pairs = tuple((u, 0.5 * (ex * ((1.0 + u) * (1.0 + u).conjugate()).real
+                             - 4.0 * shx * u.real))
                   for u in us)
-    # kappa_j, about pi eps / 2 for small eps, is a cancelling sum: 0 below
-    # eps ~ 1e-17, where g_prime_pcf would divide by it
-    if not all(kappa.real > 0.0 for _, kappa in pairs):
-        raise DomainError(f"kappa_j cancels to 0 at eps = {eps:.6g}")
+    # D_+ + u_j D_- cancels to about 4e-16 / sqrt(eps) relative as u_j -> -1;
+    # where u_2 or u_3 rounds to -1 (eps below about 2e-32) no digit is left
+    if any(u == -1.0 for u in us[1:]):
+        raise DomainError(f"u_j rounds to -1 at eps = {eps:.6g}: "
+                          "the parabolic-cylinder form has no digit left")
     return pairs
 
 
@@ -104,7 +109,10 @@ def g_prime_pcf(s: float, params: ZeroAParams, exact: bool = False) -> np.ndarra
 
         Gj' = 1 - |D_+ + u_j D_-|^2 / kappa_j,
         D_+- = D_{-i eps/2}(+- e^{i pi/4} s / sqrt(2)),
-        kappa_j = (e^{pi eps/4} (1 + |u_j|^2) + 2 e^{-pi eps/4} Re u_j) / 2.
+        kappa_j = (e^{pi eps/4} (1 + |u_j|^2) + 2 e^{-pi eps/4} Re u_j) / 2,
+
+    with kappa_j formed as (e^{pi eps/4} |1 + u_j|^2 - 4 sinh(pi eps/4) Re u_j) / 2,
+    which does not cancel at small eps.
 
     For real s, D is real-analytic in its order and argument, so the factor
     of order +i eps/2 on the conjugate ray is the conjugate of the one above

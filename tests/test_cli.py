@@ -111,6 +111,27 @@ class TestIntegrate:
         for name in ("unit", "eps", "constraint"):
             assert -10.0 <= diag["drifts"][f"{name}_drift_at"] <= 10.0
 
+    @pytest.mark.parametrize("config, reflection", [
+        ({"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"}},
+         [-1, -1, -1, 1, 1, 1]),
+        ({"params": {"a": 1.0, "eps": 1.5}, "initial": {"branch": "mixed_plus"}},
+         [1, 1, -1, -1, -1, 1]),
+        ({"params": {"a": 0.0, "eps": 1.0}}, [-1, 1, 1, 1, -1, -1]),
+        # Cauchy data at s0 = 1, and the odd branch on a span not symmetric
+        # about s = 0
+        ({"params": {"a": 1.0, "eps": 0.5}, "initial": {**_CAUCHY, "s0": 1.0}}, None),
+        ({"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
+          "s_span": [-6.0, 8.0]}, None),
+    ])
+    def test_diagnostics_report_the_reflection(self, tmp_path, config, reflection):
+        cfg = write_config(tmp_path / "c.json", {"s_span": [-8.0, 8.0], **config})
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        diag = parse_strict((out / "diagnostics.json").read_text())
+        assert diag["reflection"] == reflection
+        if reflection is not None:
+            assert diag["n_steps_minus"] == diag["n_steps_plus"] == diag["n_steps"] // 2
+
     def test_zero_axis_curvature_columns(self, tmp_path, zero_a_config):
         out = tmp_path / "out"
         assert main(["integrate", "--config", zero_a_config, "--out", str(out)]) == EXIT_OK
@@ -271,7 +292,7 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_echoed_config_is_typed(self, tmp_path):
         # integer literals and defaults alike: the echo holds what the
@@ -336,7 +357,7 @@ class TestErrors:
         })
         assert main(["connect", "--config", cfg2,
                      "--out", str(out)]) == EXIT_NUMERIC
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_finite_special_function_argument_exits_3(self, tmp_path, capsys):
         # 3 a overflows to inf in the argument of arg Gamma(1 + i x)
@@ -397,13 +418,13 @@ class TestErrors:
         if command == "connect":
             # an overflow, not a non-real-monodromy verdict
             assert json.loads(err[0])["type"] == "DomainError"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     # values the config fuzz found escaping as a traceback or a numpy
     # warning: a so large that a^2 overflows, Cauchy data whose norm
     # overflows, a so small that a^2 underflows to 0, and zero-a at an eps so
-    # small that its kappa_j cancel to 0; and a side that is an integer far
-    # outside +-1
+    # small that its constants u_j round to -1; and a side that is an integer
+    # far outside +-1
     @pytest.mark.parametrize("command, config, error", [
         ("integrate", {"params": {"a": 1e160, "eps": 0.5}}, "DomainError"),
         ("integrate", {"params": {"a": 1e160, "eps": 0.5}, "initial": _CAUCHY}, "DomainError"),
@@ -446,11 +467,13 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "invariant"
         # integrate alone writes its artefacts before the check, to diagnose
-        # the run
-        expected = ["diagnostics.json", "trajectory.csv"] if command == "integrate" else []
-        assert sorted(p.name for p in out.iterdir()) == expected
+        # the run; the others write nothing, not even the directory
         if command == "integrate":
+            assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json",
+                                                             "trajectory.csv"]
             parse_strict((out / "diagnostics.json").read_text())
+        else:
+            assert not out.exists()
 
 
 class TestFit:
@@ -532,6 +555,14 @@ class TestZeroA:
         rep = json.loads((out / "zero_a_report.json").read_text())
         assert max(rep["max_closed_vs_numeric"]) <= 1e-10
         assert max(rep["max_representation_gap"]) <= 1e-10
+
+    def test_small_corner_angle(self, tmp_path):
+        # kappa_j is formed without cancellation: a gap of 5.2e-8 when it was not
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 0.0, "eps": 1e-9}})
+        out = tmp_path / "o"
+        assert main(["zero-a", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "zero_a_report.json").read_text())
+        assert max(rep["max_representation_gap"]) <= 1e-9
 
 
 class TestSymmetricCommand:
@@ -843,4 +874,4 @@ def test_config_fuzz_exits_cleanly(case):
         for path in out.glob("*.json"):
             parse_strict(path.read_text())
         if rejected:
-            assert code == EXIT_CONFIG and list(out.iterdir()) == []
+            assert code == EXIT_CONFIG and not out.exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from filpiv import flow, symmetric
+from filpiv import flow, odeint, selfcheck, symmetric, zero_a
 from filpiv.errors import (
     ConfigError,
     InconsistentCauchyDataError,
@@ -213,6 +213,71 @@ class TestTaylor:
         runs = [flow.integrate_flow(p, state0, -20.0, 20.0).traj for _ in range(2)]
         for name in ("s_nodes", "states", "coeffs"):
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+def _symmetric_case(a, eps, branch):
+    """(params, state0, the expected reflection D) of a branch, or of the
+    normalized data for branch None (a = 0)."""
+    p = flow.FlowParams(a, eps)
+    if branch is None:
+        return p, zero_a.normalized_state(p), [-1, 1, 1, 1, -1, -1]
+    signs = [-1, -1, -1, 1, 1, 1] if branch == "odd" else [1, 1, -1, -1, -1, 1]
+    return p, symmetric.make_symmetric_ic(p, branch), signs
+
+
+class TestReflection:
+    # the three branches at a = 1-3, the a = 0 data, and the planar spiral
+    # over |s| <= 70 (criterion 4's run)
+    CASES = [
+        (1.0, 0.5, "odd", 40.0),
+        (2.0, 1.0, "mixed_minus", 40.0),
+        (3.0, 4.0, "mixed_plus", 40.0),
+        (0.0, 1.0, None, 40.0),
+        (10.0, symmetric.planar_spiral(10.0)[0], "odd", 70.0),
+    ]
+
+    @pytest.mark.parametrize("a, eps, branch, s_max", CASES)
+    def test_matches_two_leg_integration(self, a, eps, branch, s_max):
+        p, st, signs = _symmetric_case(a, eps, branch)
+        run = flow.integrate_flow(p, st, -s_max, s_max)
+        assert run.reflection.tolist() == signs
+        both = odeint.integrate_span(flow.make_taylor(p), st.y, 0.0, -s_max, s_max)
+        grid = np.linspace(-s_max, s_max, 4001)
+        assert np.max(np.abs(run.state_y(grid) - both.states_at(grid))) <= 1e-12
+
+    @pytest.mark.parametrize("a, eps, branch, s_max", CASES)
+    def test_minus_leg_is_the_plus_leg_mirrored(self, a, eps, branch, s_max):
+        p, st, signs = _symmetric_case(a, eps, branch)
+        traj = flow.integrate_flow(p, st, -s_max, s_max).traj
+        plus = odeint.integrate(flow.make_taylor(p), st.y, 0.0, s_max)
+        n = traj.n_steps_minus
+        assert n == plus.n_steps and traj.n_steps == 2 * n
+        # the plus leg bit for bit, the shared node s = 0 included
+        for name in ("s_nodes", "states", "h", "coeffs"):
+            assert np.array_equal(getattr(traj, name)[n:], getattr(plus, name))
+        d = np.array(signs, dtype=float)
+        assert np.array_equal(traj.s_nodes[:n], -plus.s_nodes[:0:-1])
+        assert np.array_equal(traj.states[:n], (plus.states * d)[:0:-1])
+        assert np.array_equal(traj.h[:n], -plus.h[::-1])
+        assert np.array_equal(traj.coeffs[:n], (plus.coeffs * d)[::-1])
+
+    @pytest.mark.parametrize("eps, state, span", [
+        # mixed-branch Cauchy data at s0 != 0, then an odd state on an
+        # asymmetric span, then generic data (criterion 6's first case)
+        (1.25, lambda p: flow.make_initial_state(p, [0.0, 0.0, 1.0], [0.0, 0.5, 0.0], 1.5),
+         (-20.0, 20.0)),
+        (0.3, lambda p: symmetric.make_symmetric_ic(p, "odd"), (-20.0, 25.0)),
+        (0.3, lambda p: selfcheck.asymmetric_state(p, *selfcheck.ASYMMETRIC_CASES[0]),
+         (-20.0, 20.0)),
+    ])
+    def test_two_legs_otherwise(self, eps, state, span):
+        p = flow.FlowParams(1.0, eps)
+        st = state(p)
+        run = flow.integrate_flow(p, st, *span)
+        both = odeint.integrate_span(flow.make_taylor(p), st.y, st.s, *span)
+        assert run.reflection is None
+        for name in ("s_nodes", "states", "h", "coeffs"):
+            assert np.array_equal(getattr(run.traj, name), getattr(both, name))
 
 
 class TestConservedEpsilon:

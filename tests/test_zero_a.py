@@ -140,13 +140,16 @@ def four_d_pcf(s, eps):
         2: {pm: (1.0 - t[pm]) / (1.0 + t[pm]) for pm in (1, -1)},
         3: {pm: (1.0 - t3[pm]) / (1.0 + t3[pm]) for pm in (1, -1)},
     }
-    ep4 = math.exp(0.25 * math.pi * eps)
-    em4 = math.exp(-0.25 * math.pi * eps)
+    # den = (e^x (1 + u_+ u_-) + e^{-x} (u_+ + u_-)) / 2 with x = pi eps/4,
+    # written as zero_a writes it, without the cancellation at small eps
+    ex = math.exp(0.25 * math.pi * eps)
+    shx = math.sinh(0.25 * math.pi * eps)
     out = []
     for jj in (1, 2, 3):
         u = u_all[jj]
         num = (d[(1, 1)] + u[1] * d[(1, -1)]) * (d[(-1, 1)] + u[-1] * d[(-1, -1)])
-        den = 0.5 * (ep4 * (1.0 + u[1] * u[-1]) + em4 * (u[1] + u[-1]))
+        den = 0.5 * (ex * ((1.0 + u[1]) * (1.0 + u[-1])).real
+                     - 2.0 * shx * (u[1] + u[-1]).real)
         out.append((1.0 - num / den).real)
     return np.array(out)
 
@@ -238,9 +241,10 @@ class TestGPrimeHyp:
 
 
 class TestClosedFormOracle:
-    # eps from 0.5 to 880 and |s| up to 30: the 1F1 series, continuation and
+    # eps from 1e-8 to 880 and |s| up to 30: the 1F1 series, continuation and
     # asymptotic regimes, with series radius and Taylor steps that shrink as
-    # the parameters grow
+    # the parameters grow; below eps = 1e-4 the parabolic-cylinder form needs
+    # kappa_j without cancellation
     @pytest.mark.parametrize("g_prime", [zero_a.g_prime_hyp, zero_a.g_prime_pcf])
     def test_tangents_match_table(self, g_prime):
         bad = []
@@ -282,6 +286,12 @@ class TestGPrimePcf:
             assert plus[0] == pytest.approx(minus[0], abs=1e-10)
             assert plus[1] == pytest.approx(-minus[1], abs=1e-10)
             assert plus[2] == pytest.approx(-minus[2], abs=1e-10)
+
+    def test_vanishing_eps_raises_domain_error(self):
+        # u_2 and u_3 round to -1, where D_+ + u_j D_- has no digit left
+        for eps in (1e-40, 1e-170):
+            with pytest.raises(DomainError, match="rounds to -1"):
+                zero_a.g_prime_pcf(1.0, zero_a.ZeroAParams(eps))
 
     def test_overflowing_eps_raises_domain_error(self):
         # kappa_3 ~ e^{pi eps/4} |u_3|^2 overflows from eps = 882.9 (it made
