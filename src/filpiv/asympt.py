@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class FitResult:
     amplitude: float       # fitted oscillation amplitude of sigma' (= 2|A|)
     residual_norm: float   # rms residual of the sigma' model over the window
     n_periods: float
-    profile_solves: int    # _profile_fit calls made for this side
+    profile_solves: int    # _profile_fit calls the fit took; both tails of a shared fit report them
 
 
 def omega_bounds(params: FlowParams) -> tuple[float, float]:
@@ -275,10 +275,25 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     variable-projection derivative of the phase-model residual (the ln|s|
     frequency correction couples omega into the phase), in 4 to 13 solves;
     delta then follows from the linear cos/sin fit.  The window is in |s|.
+
+    A run mirrored with a D that keeps G3' (the odd and mixed branches)
+    has sigma'(-s) = sigma'(s) = a G3'(s) bit for bit, and the fit reads
+    nothing else of its side: both tails share the plus tail's fit, made
+    once per window and kept in run.plus_fits.
     """
-    params = run.params
     if side not in (1, -1):
         raise ConfigError("side must be +1 or -1")
+    if run.reflection is None or run.reflection[5] < 0.0:  # D[5]: the sign of G3'
+        return _fit_side(run, side, window)
+    key = (float(window[0]), float(window[1]))
+    fit = run.plus_fits.get(key)
+    if fit is None:
+        fit = run.plus_fits[key] = _fit_side(run, 1, window)
+    return fit if side == 1 else replace(fit, tail=replace(fit.tail, side=-1))
+
+
+def _fit_side(run: FlowRun, side: int, window) -> FitResult:
+    params = run.params
     ms = _window_grid(window)
     span_ok = (side * ms[-1] <= run.s_max + 1e-9) if side > 0 else (
         -ms[-1] >= run.s_min - 1e-9

@@ -132,12 +132,15 @@ def make_taylor(params: FlowParams):
     K(W) = np.cross(W, I), the sum is the flat row (T_k, ..., T_0), kept
     reversed in one buffer, times the stacked K(W_0), ..., K(W_k); K(W_k) =
     skew T_{k-1} / k (skew G_0 for k = 0), with skew: G -> K(W) flattened.
+    T_k and T_{k-1} (G_0 for k = 0) sit next to each other in the buffer,
+    so for each even k one (18, 6) product builds K(W_k) and K(W_{k+1}):
+    an expansion makes 36 dot calls, 12 for the blocks and 24 for the sums.
 
-    The returned closure owns its work buffers and binds each order's
-    operands (bound dot methods, views into the buffers, the scale) once,
-    here, so that a call runs three calls per order.  Each call returns a
-    fresh array, but the closure is not reentrant: use one closure per
-    integration, as integrate_flow does."""
+    The returned closure owns its work buffers and binds each pair of
+    orders' operands (bound dot methods, views into the buffers, the
+    scales) once, here.  Each call returns a fresh array, but the closure
+    is not reentrant: use one closure per integration, as integrate_flow
+    does."""
     a1, a2, a3 = params.a_vec
     w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
     skew = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 9).T
@@ -147,21 +150,33 @@ def make_taylor(params: FlowParams):
     t_rows = r[:3 * ORDER + 3].reshape(ORDER + 1, 3)[::-1]  # row k: T_k
     kt = np.empty((ORDER, 9))  # row k: K(W_k) flattened
     k_blocks = kt.reshape(3 * ORDER, 3)
-    # order k's operands, with T_k at r[i:i + 3]: (skew / k).dot, T_{k-1}
-    # (G_0 for k = 0), the K(W_k) row, (T_k, ..., T_0).dot, the stacked
-    # K(W_0), ..., K(W_k), the slot of T_{k+1} and its scale 1 / (2(k+1))
+
+    def pair(k):
+        # maps (T_k, T_{k-1}) to (K(W_k), K(W_{k+1})), flattened
+        m = np.zeros((18, 6))
+        m[:9, 3:] = skew / max(k, 1)
+        m[9:, :3] = skew / (k + 1)
+        return m
+
+    def order(k, i):
+        # with T_k at r[i:i + 3]: (T_k, ..., T_0).dot, the stacked K(W_0),
+        # ..., K(W_k), the slot of T_{k+1} and its scale 1 / (2(k+1))
+        return r[i:3 * ORDER + 3].dot, k_blocks[:3 * (k + 1)], r[i - 3:i], 0.5 / (k + 1)
+
     steps = tuple(
-        ((skew / max(k, 1)).dot, r[i + 3:i + 6], kt[k],
-         r[i:3 * ORDER + 3].dot, k_blocks[:3 * (k + 1)], r[i - 3:i], 0.5 / (k + 1))
-        for k, i in enumerate(range(3 * ORDER, 0, -3))
+        (pair(k).dot, r[i:i + 6], kt[k:k + 2].reshape(18), *order(k, i), *order(k + 1, i - 3))
+        for k, i in zip(range(0, ORDER, 2), range(3 * ORDER, 0, -6))
     )
 
     def taylor(s, y):
         t_0[:], g_0[:] = y[3:], y[:3]
-        for sk_dot, t_prev, k_row, t_row_dot, blocks, t_next, scale in steps:
-            sk_dot(t_prev, k_row)
-            t_row_dot(blocks, t_next)
+        for (pair_dot, t_pair, k_pair, row_dot, blocks, t_next, scale,
+             row_dot_1, blocks_1, t_next_1, scale_1) in steps:
+            pair_dot(t_pair, k_pair)
+            row_dot(blocks, t_next)
             t_next *= scale
+            row_dot_1(blocks_1, t_next_1)
+            t_next_1 *= scale_1
         c = np.empty((ORDER + 1, 6))
         c[:, 3:] = t_rows
         c[0, :3] = y[:3]
@@ -225,13 +240,16 @@ class FlowRun:
 
     The readers take a scalar s or an array of s values.  reflection is
     the diagonal D of the mirror image y(-s) = D y(s) that built the minus
-    leg, or None when both legs were integrated.
+    leg, or None when both legs were integrated.  plus_fits holds
+    asympt.fit_tail's plus-tail fits by window, for a run whose two tails
+    carry the same sigma' samples.
     """
 
     def __init__(self, params: FlowParams, traj: Trajectory, reflection=None):
         self.params = params
         self.traj = traj
         self.reflection = reflection
+        self.plus_fits = {}
         self._rhs = make_rhs(params)
         self._drifts = None
 

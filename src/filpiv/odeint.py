@@ -11,6 +11,7 @@ dense output.  Every step is accepted.  The integrator is direction-agnostic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ ORDER = 24
 
 _SAFETY = 0.9
 
+# the rows of an expansion the step rule reads: y and the last two
+_STEP_ROWS = np.array([0, ORDER - 1, ORDER])
+
 # the floor of the step tolerance abs + rel |y|_inf: the flow's |y|_inf is at
 # least |G'|_inf >= 1/sqrt 3, so at rel = 1e-12 the floor is under 2% of it
 _ABS_TOL = 1e-14
@@ -31,8 +35,10 @@ _ABS_TOL = 1e-14
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The relative step tolerance and the step budget, which also bounds
-    the dense output's memory (one (N+1, dim) coefficient block per step)."""
+    """The relative step tolerance and the step budget: a span that takes
+    exactly max_steps steps is integrated, one that needs more raises
+    MaxStepsExceededError.  The budget also bounds the dense output's memory
+    (one (N+1, dim) coefficient block per step)."""
 
     rel_tol: float = 1e-12
     max_steps: int = 2_000_000
@@ -152,9 +158,10 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
 
     Each step of an order-N expansion c has width
     h = 0.9 min_{j in {N-1, N}} (tol / |c_j|)^(1/j), tol = _ABS_TOL +
-    rel_tol |y|_inf, clipped to the end of the span.  Raises
-    StepUnderflowError when the step collapses (suspected pole) and
-    MaxStepsExceededError when the step budget runs out.
+    rel_tol |y|_inf, clipped to the end of the span; a vanishing c_j bounds
+    no step.  Raises StepUnderflowError when the step collapses (suspected
+    pole, or a NaN state) and MaxStepsExceededError when the span needs more
+    than cfg.max_steps steps.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -171,16 +178,20 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
     coeffs = []
     powers = np.arange(ORDER + 1.0)[:, None]
     root_prev, root_last = 1.0 / (ORDER - 1), 1.0 / ORDER
-    min_step = 16.0 * np.finfo(float).eps
+    min_step = 16.0 * float(np.finfo(float).eps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_steps):
-            if (s - s_to) * direction >= 0.0:
-                break
+        while (s - s_to) * direction < 0.0:
+            if len(coeffs) == cfg.max_steps:
+                raise MaxStepsExceededError(
+                    f"max_steps={cfg.max_steps} exceeded at s={s} (target {s_to})"
+                )
             c = taylor(s, y)
-            # all |c_k|_inf in one reduction (row 0 is y); numpy scalars: a zero row gives h = inf
-            m = np.abs(c).max(axis=1)
-            tol = _ABS_TOL + cfg.rel_tol * m[0]
-            h = float(_SAFETY * min((tol / m[-2]) ** root_prev, (tol / m[-1]) ** root_last))
+            # |c_0|_inf, |c_{N-1}|_inf, |c_N|_inf as floats (NaN propagates);
+            # a zero row bounds no step, and tol * inf keeps a NaN tol
+            m_y, m_prev, m_last = np.abs(c.take(_STEP_ROWS, axis=0)).max(axis=1).tolist()
+            tol = _ABS_TOL + cfg.rel_tol * m_y
+            h = _SAFETY * min((tol / m_prev) ** root_prev if m_prev else tol * math.inf,
+                              (tol / m_last) ** root_last if m_last else tol * math.inf)
             if h >= abs(s_to - s):
                 s_new = s_to
             elif h >= min_step * max(abs(s), 1.0):
@@ -196,10 +207,6 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
             s_nodes.append(s_new)
             states.append(y)
             s = s_new
-        else:
-            raise MaxStepsExceededError(
-                f"max_steps={cfg.max_steps} exceeded at s={s} (target {s_to})"
-            )
 
     s_nodes = np.array(s_nodes)
     states = np.array(states)

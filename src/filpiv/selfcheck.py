@@ -243,10 +243,13 @@ def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     and the two sides agree within 2e-3.
 
     integrate_flow builds the minus leg of a symmetric run as the mirror
-    image of its plus leg, so the side-asymmetry row reads 0.  It no longer
-    tests the integrator; it tests that fit_tail treats mirrored data alike
-    on both sides.  tests/test_flow.py::TestReflection checks the mirror
-    against a two-leg integration."""
+    image of its plus leg, and fit_tail gives the minus tail of such a run
+    the plus tail's fit, so the side-asymmetry row reads 0 by construction
+    and measures nothing.  What it used to measure is tested elsewhere:
+    tests/test_asympt.py::TestSharedFit checks that the shared fit equals,
+    bit for bit, the fit of the minus tail's own samples, and
+    tests/test_flow.py::TestReflection checks the mirror against a two-leg
+    integration."""
     def case(a, eps, branch):
         run = cache.grid_run(a, eps, branch)
         om_c, rr_c = symmetric.conjecture_omega(run.params, branch)

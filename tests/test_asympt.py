@@ -221,6 +221,8 @@ class SyntheticRun:
     """A stand-in for a FlowRun over [-s_max, s_max] whose tangent projects
     onto the axis a e3 as the tail model's sigma' (on the tail's side)."""
 
+    reflection = None  # no mirror: fit_tail fits the side it is asked for
+
     def __init__(self, params, tail, s_max):
         self.params, self.tail = params, tail
         self.s_min, self.s_max = -s_max, s_max
@@ -280,6 +282,7 @@ class TestFitTail:
         class FakeRun:
             params = p
             s_min, s_max = -60.0, 60.0
+            reflection = None
 
             def gp(self, s):
                 return np.tile([0.0, 0.0, 1.2], (len(s), 1))  # sigma' beyond a
@@ -298,6 +301,53 @@ class TestFitTail:
             fr = asympt.fit_tail(run, side, (24.0, 40.0))
             expected = 2.0 * asympt.r_of_omega(fr.tail.omega, run.params) / 9.0
             assert fr.amplitude == pytest.approx(expected, rel=0.1)
+
+
+class TestSharedFit:
+    """A mirrored run whose D keeps G3' (the odd and mixed branches) carries
+    the same sigma' samples on both tails, so fit_tail fits its plus tail
+    once per window and gives that fit to the minus tail."""
+
+    @pytest.mark.parametrize("a, eps, branch", [
+        (1.0, 0.5, "odd"), (1.0, 1.5, "mixed_minus"), (1.0, 1.5, "mixed_plus"),
+    ])
+    def test_minus_fit_is_the_fit_of_the_minus_tail(self, runs, a, eps, branch):
+        run = runs.grid_run(a, eps, branch)
+        # the same trajectory, without the reflection: its minus tail is fitted
+        own = flow.FlowRun(run.params, run.traj)
+        for window in ((24.0, 40.0), (20.0, 36.0)):
+            shared = asympt.fit_tail(run, -1, window)
+            assert shared.tail.side == -1
+            assert repr(shared) == repr(asympt.fit_tail(own, -1, window))  # bit for bit
+
+    @staticmethod
+    def _count_solves(monkeypatch, run, window):
+        """(_profile_fit calls, the fits) of fitting both tails of run."""
+        calls = []
+        profile_fit = asympt._profile_fit
+
+        def counted(*args):
+            calls.append(args)
+            return profile_fit(*args)
+
+        monkeypatch.setattr(asympt, "_profile_fit", counted)
+        fits = [asympt.fit_tail(run, side, window) for side in (1, -1)]
+        monkeypatch.undo()
+        return len(calls), fits
+
+    def test_one_fit_per_mirrored_run(self, runs, monkeypatch):
+        cached = runs.grid_run(1.0, 0.5, "odd")
+        run = flow.FlowRun(cached.params, cached.traj, cached.reflection)
+        solves, (plus, minus) = self._count_solves(monkeypatch, run, (24.0, 40.0))
+        assert solves == plus.profile_solves == minus.profile_solves > 1
+
+    @pytest.mark.parametrize("build, window", [
+        (lambda runs: runs.asymmetric_run(*ASYMMETRIC_CASES[0]), (25.0, 42.0)),
+        (lambda runs: runs.zero_a_run(1.0), (24.0, 40.0)),  # D flips G3'
+    ], ids=["cauchy", "zero_axis"])
+    def test_two_fits_otherwise(self, runs, monkeypatch, build, window):
+        solves, (plus, minus) = self._count_solves(monkeypatch, build(runs), window)
+        assert solves == plus.profile_solves + minus.profile_solves
 
 
 class TestProfileMinimum:

@@ -55,17 +55,26 @@ class TestBasics:
         energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) <= 1e-9
 
-    def test_max_steps_exceeded(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, max_steps=5)
-        with pytest.raises(MaxStepsExceededError):
-            integrate(harmonic, np.array([1.0, 0.0]), 0.0, 1000.0, cfg)
+    @pytest.mark.parametrize("spare", [0, -1], ids=["budget_n", "budget_n_minus_1"])
+    def test_max_steps_exceeded(self, spare):
+        # a span that takes n steps runs on a budget of exactly n steps and
+        # raises on n - 1
+        y0 = np.array([1.0, 0.0])
+        n = integrate(harmonic, y0, 0.0, 30.0, IntegratorConfig(rel_tol=1e-10)).n_steps
+        cfg = IntegratorConfig(rel_tol=1e-10, max_steps=n + spare)
+        if spare < 0:
+            with pytest.raises(MaxStepsExceededError):
+                integrate(harmonic, y0, 0.0, 30.0, cfg)
+        else:
+            assert integrate(harmonic, y0, 0.0, 30.0, cfg).n_steps == n
 
     def test_pole_triggers_step_underflow(self):
-        # y' = y^2 blows up at s = 1
+        # y' = y^2 blows up at s = 1; a NaN state gives a NaN step at once
         cfg = IntegratorConfig(rel_tol=1e-10, max_steps=100000)
-        with pytest.raises(StepUnderflowError) as exc:
-            integrate(square, np.array([1.0]), 0.0, 2.0, cfg)
-        assert exc.value.s == pytest.approx(1.0, abs=1e-9)
+        for taylor, y0, s_end in ((square, [1.0], 1.0), (harmonic, [math.nan, 0.0], 0.0)):
+            with pytest.raises(StepUnderflowError) as exc:
+                integrate(taylor, np.array(y0), 0.0, 2.0, cfg)
+            assert exc.value.s == pytest.approx(s_end, abs=1e-9)
 
     @pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
     def test_bad_tolerances_rejected(self, rel_tol):
@@ -90,6 +99,31 @@ class TestBasics:
         assert traj.order == ORDER
 
 
+def _reference_nodes(taylor, y, s_to, rel_tol):
+    """The nodes of integrate from s = 0 to s_to > 0, with the step rule in
+    numpy arithmetic: every |c_k|_inf in one reduction and numpy scalars,
+    where a zero row divides to inf."""
+    powers = np.arange(ORDER + 1.0)[:, None]
+    s, nodes = 0.0, [0.0]
+    with np.errstate(divide="ignore"):
+        while s < s_to:
+            c = taylor(s, y)
+            m = np.abs(c).max(axis=1)
+            tol = odeint._ABS_TOL + rel_tol * m[0]
+            h = float(0.9 * min((tol / m[-2]) ** (1.0 / (ORDER - 1)),
+                                (tol / m[-1]) ** (1.0 / ORDER)))
+            s_new = s_to if h >= s_to - s else s + h
+            y = (c * (s_new - s) ** powers).sum(axis=0)
+            s = s_new
+            nodes.append(s)
+    return nodes
+
+
+# y' = (N - 1) s^(N - 2), whose expansion about s = 0 is c_{N-1} = 1 alone
+monomial = expansion(lambda c, k, s: (ORDER - 1) * math.comb(ORDER - 2, k)
+                     * s ** (ORDER - 2 - k) / (k + 1) if k <= ORDER - 2 else 0.0)
+
+
 class TestStepSize:
     def test_rule_from_last_two_coefficients(self):
         # decay from y = 1: |c_k| = 1/k!, tol = _ABS_TOL + rel_tol
@@ -98,16 +132,28 @@ class TestStepSize:
         tol = odeint._ABS_TOL + cfg.rel_tol
         h = 0.9 * min((tol * math.factorial(j)) ** (1.0 / j) for j in (ORDER - 1, ORDER))
         assert traj.s_nodes[1] == pytest.approx(h, rel=1e-12)
+        # the monomial from y = 0: c_N vanishes and tol = _ABS_TOL
+        traj = integrate(monomial, np.array([0.0]), 0.0, 1.0, cfg)
+        assert traj.s_nodes[1] == 0.9 * odeint._ABS_TOL ** (1.0 / (ORDER - 1))
+        # every node, bit for bit, as the rule gives it in numpy arithmetic
+        for taylor, y0, s_to in ((decay, [1.0], 50.0), (harmonic, [1.0, 0.0], 30.0),
+                                 (forced, [0.2, -0.1], 12.0), (monomial, [0.0], 1.0)):
+            traj = integrate(taylor, np.array(y0), 0.0, s_to, cfg)
+            assert traj.s_nodes.tolist() == _reference_nodes(taylor, np.array(y0), s_to,
+                                                             cfg.rel_tol)
 
     def test_polynomial_solution_in_one_step(self):
         # y' = 3 s^2 has the cubic solution: the expansion terminates, so the
-        # step reaches the end of the span at once
+        # step reaches the end of the span at once; so does the zero state of
+        # y' = -y, every row of whose expansion vanishes
         cubic = expansion(lambda c, k, s: (3.0 * s * s, 6.0 * s, 3.0, 0.0)[min(k, 3)]
                           / (k + 1))
         traj = integrate(cubic, np.array([0.0]), 0.0, 7.0)
         assert traj.n_steps == 1
         assert traj.states_at(7.0)[0] == pytest.approx(343.0, rel=1e-15)
         assert traj.states_at(2.0)[0] == pytest.approx(8.0, rel=1e-15)
+        traj = integrate(decay, np.array([0.0]), 0.0, 7.0)
+        assert traj.n_steps == 1 and traj.states.tolist() == [[0.0], [0.0]]
 
 
 class TestAccuracy:
