@@ -126,62 +126,90 @@ def make_rhs(params: FlowParams):
 
 
 def make_taylor(params: FlowParams):
-    """Taylor coefficients (ORDER + 1, 6) of the flow about (s, y), from
-    W_k = a x G_k + G_k, T_{k+1} = sum_{j<=k} W_j x T_{k-j} / (2(k+1)) and
-    G_{k+1} = T_k / (k+1), with T = G'.  As W x T = T K(W) for the 3 x 3
-    K(W) = np.cross(W, I), the sum is the flat row (T_k, ..., T_0), kept
-    reversed in one buffer, times the stacked K(W_0), ..., K(W_k); K(W_k) =
-    skew T_{k-1} / k (skew G_0 for k = 0), with skew: G -> K(W) flattened.
-    T_k and T_{k-1} (G_0 for k = 0) sit next to each other in the buffer,
-    so for each even k one (18, 6) product builds K(W_k) and K(W_{k+1}):
-    an expansion makes 36 dot calls, 12 for the blocks and 24 for the sums.
+    """Taylor coefficients of the flow about (s, y): (ORDER + 1, 6) for one
+    state y (6,), (ORDER + 1, L, 6) for a stack of L lanes y (L, 6).  The
+    flow is autonomous, so s is not read.
 
-    The returned closure owns its work buffers and binds each pair of
-    orders' operands (bound dot methods, views into the buffers, the
-    scales) once, here.  Each call returns a fresh array, but the closure
-    is not reentrant: use one closure per integration, as integrate_flow
-    does."""
+    The recurrence is W_k = a x G_k + G_k, T_{k+1} = sum_{j<=k} W_j x T_{k-j}
+    / (2(k+1)) and G_{k+1} = T_k / (k+1), with T = G'.  As W x T = T K(W)
+    for the 3 x 3 K(W) = np.cross(W, I), the sum is the flat row (T_k, ...,
+    T_0), kept reversed in one buffer with the L lanes of each order side by
+    side, times the stacked block-diagonal blockdiag(K(W_j) of each lane),
+    j = 0..k.  K(W_k) = skew T_{k-1} / k (skew G_0 for k = 0), with skew:
+    G -> K(W) flattened.  T_k and T_{k-1} (G_0 for k = 0) sit next to each
+    other in the buffer, so for each even k one product builds the blocks
+    of K(W_k) and K(W_{k+1}) of every lane: an expansion makes 36 dot calls
+    whatever L is, 12 for the blocks and 24 for the sums.  Off the diagonal
+    the blocks hold zeros, so a lane's values do not depend on what the
+    other lanes hold as long as those are finite; L = 1 is the serial
+    recurrence.
+
+    The returned closure builds the work buffers of each lane count once,
+    on its first call with that count, and binds each pair of orders'
+    operands (bound dot methods, views into the buffers, the scales) there.
+    Each call returns a fresh array, but the closure is not reentrant: use
+    one closure per integration, as integrate_flow does."""
     a1, a2, a3 = params.a_vec
     w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
-    skew = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 9).T
-    orders = np.arange(1.0, ORDER + 1)[:, None]
-    r = np.empty(3 * ORDER + 6)  # T_N, ..., T_0, then G_0
-    t_0, g_0 = r[3 * ORDER:3 * ORDER + 3], r[3 * ORDER + 3:]
-    t_rows = r[:3 * ORDER + 3].reshape(ORDER + 1, 3)[::-1]  # row k: T_k
-    kt = np.empty((ORDER, 9))  # row k: K(W_k) flattened
-    k_blocks = kt.reshape(3 * ORDER, 3)
+    skew3 = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 3, 3).transpose(1, 2, 0)
+    orders = np.arange(1.0, ORDER + 1)[:, None, None]
 
-    def pair(k):
-        # maps (T_k, T_{k-1}) to (K(W_k), K(W_{k+1})), flattened
-        m = np.zeros((18, 6))
-        m[:9, 3:] = skew / max(k, 1)
-        m[9:, :3] = skew / (k + 1)
-        return m
+    def expansion(lanes):
+        m = 3 * lanes  # entries per order
+        r = np.empty(m * (ORDER + 2))  # T_N, ..., T_0, then G_0
+        t_0 = r[m * ORDER:m * (ORDER + 1)].reshape(lanes, 3)
+        g_0 = r[m * (ORDER + 1):].reshape(lanes, 3)
+        t_rows = r[:m * (ORDER + 1)].reshape(ORDER + 1, lanes, 3)[::-1]  # row k: T_k
+        kt = np.empty((ORDER, m * m))  # row k: the blocks of K(W_k) flattened
+        k_blocks = kt.reshape(m * ORDER, m)
 
-    def order(k, i):
-        # with T_k at r[i:i + 3]: (T_k, ..., T_0).dot, the stacked K(W_0),
-        # ..., K(W_k), the slot of T_{k+1} and its scale 1 / (2(k+1))
-        return r[i:3 * ORDER + 3].dot, k_blocks[:3 * (k + 1)], r[i - 3:i], 0.5 / (k + 1)
+        # for each even k, the map of (T_k, T_{k-1}) to the blocks of
+        # (K(W_k), K(W_{k+1})), flattened
+        even = np.arange(0.0, ORDER, 2.0)[:, None, None, None]
+        pairs = np.zeros((ORDER // 2, 2, m, m, 2 * m))
+        for i in range(0, m, 3):
+            pairs[:, 0, i:i + 3, i:i + 3, m + i:m + i + 3] = skew3 / np.maximum(even, 1.0)
+            pairs[:, 1, i:i + 3, i:i + 3, i:i + 3] = skew3 / (even + 1.0)
+        pairs = pairs.reshape(ORDER // 2, 2 * m * m, 2 * m)
 
-    steps = tuple(
-        (pair(k).dot, r[i:i + 6], kt[k:k + 2].reshape(18), *order(k, i), *order(k + 1, i - 3))
-        for k, i in zip(range(0, ORDER, 2), range(3 * ORDER, 0, -6))
-    )
+        def order(k, i):
+            # with T_k at r[i:i + m]: (T_k, ..., T_0).dot, the stacked
+            # blocks of K(W_0), ..., K(W_k), the slot of T_{k+1} and its
+            # scale 1 / (2(k+1))
+            return r[i:m * (ORDER + 1)].dot, k_blocks[:m * (k + 1)], r[i - m:i], 0.5 / (k + 1)
+
+        steps = tuple(
+            (pairs[k // 2].dot, r[i:i + 2 * m], kt[k:k + 2].reshape(2 * m * m), *order(k, i),
+             *order(k + 1, i - m))
+            for k, i in zip(range(0, ORDER, 2), range(m * ORDER, 0, -2 * m))
+        )
+
+        def expand(y):
+            t_0[:], g_0[:] = y[:, 3:], y[:, :3]
+            for (pair_dot, t_pair, k_pair, row_dot, blocks, t_next, scale,
+                 row_dot_1, blocks_1, t_next_1, scale_1) in steps:
+                pair_dot(t_pair, k_pair)
+                row_dot(blocks, t_next)
+                t_next *= scale
+                row_dot_1(blocks_1, t_next_1)
+                t_next_1 *= scale_1
+            c = np.empty((ORDER + 1, lanes, 6))
+            c[:, :, 3:] = t_rows
+            c[0, :, :3] = y[:, :3]
+            np.divide(c[:ORDER, :, 3:], orders, out=c[1:, :, :3])
+            return c
+
+        return expand
+
+    expansions = {}
 
     def taylor(s, y):
-        t_0[:], g_0[:] = y[3:], y[:3]
-        for (pair_dot, t_pair, k_pair, row_dot, blocks, t_next, scale,
-             row_dot_1, blocks_1, t_next_1, scale_1) in steps:
-            pair_dot(t_pair, k_pair)
-            row_dot(blocks, t_next)
-            t_next *= scale
-            row_dot_1(blocks_1, t_next_1)
-            t_next_1 *= scale_1
-        c = np.empty((ORDER + 1, 6))
-        c[:, 3:] = t_rows
-        c[0, :3] = y[:3]
-        np.divide(c[:ORDER, 3:], orders, out=c[1:, :3])
-        return c
+        if y.ndim == 1:
+            return taylor(s, y[None])[:, 0]
+        expand = expansions.get(len(y))
+        if expand is None:
+            expand = expansions[len(y)] = expansion(len(y))
+        return expand(y)
 
     return taylor
 
@@ -356,8 +384,9 @@ def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
     """Integrate the flow from state0 over [s_min, s_max] (both directions;
     a RangeError unless state0.s lies in a non-empty span).
 
-    A solution that is its own mirror image about s = 0 (see _reflection)
-    is integrated over [0, s_max] only, and its minus leg is the plus leg
+    The two legs advance in lockstep, as two lanes of each expansion.  A
+    solution that is its own mirror image about s = 0 (see _reflection) is
+    integrated over [0, s_max] only, and its minus leg is the plus leg
     mirrored; a StepUnderflowError then reports the plus-side s."""
     d = _reflection(params, state0, s_min, s_max)
     taylor = make_taylor(params)

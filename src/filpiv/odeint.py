@@ -2,11 +2,12 @@
 
 Both ODEs of the package have polynomial right-hand sides, so their Taylor
 coefficients follow from short Cauchy-product recurrences (Jorba & Zou, Exp.
-Math. 14, 2005).  The caller supplies them as taylor(s, y) -> (N+1, dim)
-array c with c[0] = y and y(s + t) = sum_k c[k] t^k; the integrator picks each
-step from the last two coefficients and keeps the step's own polynomial as
-dense output.  Every step is accepted.  The integrator is direction-agnostic
-(s may decrease) and holds no global state.
+Math. 14, 2005).  The caller supplies them for a batch of L lanes as
+taylor(s, y) -> (N+1, L, dim) array c, for one float of s and one row of y
+(L, dim) per lane, with c[0] = y and y_l(s_l + t) = sum_k c[k, l] t^k; the
+integrator picks each lane's step from its last two coefficients and keeps
+the step's own polynomial as dense output.  Every step is accepted.  The
+integrator is direction-agnostic (s may decrease) and holds no global state.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _SAFETY = 0.9
 # the rows of an expansion the step rule reads: y and the last two
 _STEP_ROWS = np.array([0, ORDER - 1, ORDER])
 
+# the steps a leg's coefficient array holds before it is first doubled
+_CAPACITY = 256
+
 # the floor of the step tolerance abs + rel |y|_inf: the flow's |y|_inf is at
 # least |G'|_inf >= 1/sqrt 3, so at rel = 1e-12 the floor is under 2% of it
 _ABS_TOL = 1e-14
@@ -35,9 +39,10 @@ _ABS_TOL = 1e-14
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The relative step tolerance and the step budget: a span that takes
-    exactly max_steps steps is integrated, one that needs more raises
-    MaxStepsExceededError.  The budget also bounds the dense output's memory
+    """The relative step tolerance and the step budget, which holds per leg:
+    a leg that takes exactly max_steps steps is integrated, one that needs
+    more raises MaxStepsExceededError, and a two-leg span may take max_steps
+    steps on each side.  The budget also bounds the dense output's memory
     (one (N+1, dim) coefficient block per step)."""
 
     rel_tol: float = 1e-12
@@ -152,78 +157,117 @@ class Trajectory:
         return y.reshape(s.shape + (dim,))
 
 
+def _resize(blocks: np.ndarray, n: int) -> None:
+    """Resize the coefficient array of a leg to n blocks in place.  numpy
+    reallocates its memory, and realloc remaps a large block rather than
+    copying it, so the array never exists twice.  refcheck=False, because a
+    profiler may hold a reference to the bound method; integrate keeps no
+    view of the array while it grows."""
+    blocks.resize((n,) + blocks.shape[1:], refcheck=False)
+
+
 def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the ODE whose Taylor expansion about (s, y) is taylor(s, y)
-    from s_from to s_to with dense output.
+    from s_from to s_to with dense output.  s_to may also be a pair of ends
+    (s_min, s_max) with s_min < s_from < s_max: the two legs are then two
+    lanes of one integration, joined into one two-sided trajectory.
 
-    Each step of an order-N expansion c has width
-    h = 0.9 min_{j in {N-1, N}} (tol / |c_j|)^(1/j), tol = _ABS_TOL +
-    rel_tol |y|_inf, clipped to the end of the span; a vanishing c_j bounds
-    no step.  Raises StepUnderflowError when the step collapses (suspected
-    pole, or a NaN state) and MaxStepsExceededError when the span needs more
-    than cfg.max_steps steps.
+    One loop advances the lanes in lockstep.  Each iteration expands every
+    lane that has not reached its end in one call, taylor(s, y) with one
+    float of s and one row of y per lane, which returns (N+1, L, dim); then
+    each lane takes its own step of width h = 0.9 min_{j in {N-1, N}}
+    (tol / |c_j|)^(1/j), tol = _ABS_TOL + rel_tol |y|_inf, clipped to the
+    end of its leg (a vanishing c_j bounds no step), and leaves the batch at
+    that end.  Raises StepUnderflowError when a lane's step collapses
+    (suspected pole, or a NaN state) and MaxStepsExceededError when a leg
+    needs more than cfg.max_steps steps, each with that lane's s.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     s_from = float(s_from)
-    s_to = float(s_to)
-    if s_from == s_to:
-        raise ValueError("s_from and s_to must differ")
-    y = np.asarray(state0, dtype=float).copy()
-    direction = 1.0 if s_to > s_from else -1.0
-
-    s = s_from
-    s_nodes = [s]
-    states = [y]
-    coeffs = []
+    ends = [float(end) for end in np.atleast_1d(s_to)]
+    one_leg = len(ends) == 1 and ends[0] != s_from
+    two_legs = len(ends) == 2 and ends[0] < s_from < ends[1]
+    if not (one_leg or two_legs):
+        raise ValueError("s_to must differ from s_from, or be two ends about it")
+    y = np.array([state0] * len(ends), dtype=float)
+    dim = y.shape[1]
+    directions = [1.0 if end > s_from else -1.0 for end in ends]
+    # per lane: its nodes, its coefficient blocks (doubled when full) and
+    # its last state
+    nodes = [[s_from] for _ in ends]
+    coeffs = [np.empty((_CAPACITY, ORDER + 1, dim)) for _ in ends]
+    last = [None] * len(ends)
+    lanes, s = list(range(len(ends))), [s_from] * len(ends)  # the batch
     powers = np.arange(ORDER + 1.0)[:, None]
     root_prev, root_last = 1.0 / (ORDER - 1), 1.0 / ORDER
     min_step = 16.0 * float(np.finfo(float).eps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while (s - s_to) * direction < 0.0:
-            if len(coeffs) == cfg.max_steps:
-                raise MaxStepsExceededError(
-                    f"max_steps={cfg.max_steps} exceeded at s={s} (target {s_to})"
-                )
+        while lanes:
             c = taylor(s, y)
-            # |c_0|_inf, |c_{N-1}|_inf, |c_N|_inf as floats (NaN propagates);
-            # a zero row bounds no step, and tol * inf keeps a NaN tol
-            m_y, m_prev, m_last = np.abs(c.take(_STEP_ROWS, axis=0)).max(axis=1).tolist()
-            tol = _ABS_TOL + cfg.rel_tol * m_y
-            h = _SAFETY * min((tol / m_prev) ** root_prev if m_prev else tol * math.inf,
-                              (tol / m_last) ** root_last if m_last else tol * math.inf)
-            if h >= abs(s_to - s):
-                s_new = s_to
-            elif h >= min_step * max(abs(s), 1.0):
-                s_new = s + direction * h
-            else:
-                raise StepUnderflowError(
-                    f"step underflow at s={s}: suspected solution pole", s=s
-                )
-            # coefficients in theta over the stored (signed) width
-            d = c * (s_new - s) ** powers
-            y = d.sum(axis=0)
-            coeffs.append(d)
-            s_nodes.append(s_new)
-            states.append(y)
-            s = s_new
+            # per lane |c_0|_inf, |c_{N-1}|_inf, |c_N|_inf as floats (NaN
+            # propagates); a zero row bounds no step, and tol * inf keeps a
+            # NaN tol
+            m_y, m_prev, m_last = np.maximum.reduce(np.abs(c.take(_STEP_ROWS, axis=0)), 2).tolist()
+            rows = []  # the lanes' next states
+            going = []  # the lanes that stay in the batch, in its order
+            for j, lane in enumerate(lanes):
+                tol = _ABS_TOL + cfg.rel_tol * m_y[j]
+                h = _SAFETY * min((tol / m_prev[j]) ** root_prev if m_prev[j] else tol * math.inf,
+                                  (tol / m_last[j]) ** root_last if m_last[j] else tol * math.inf)
+                s_j, end = s[j], ends[lane]
+                if h >= abs(end - s_j):
+                    s_new = end
+                elif h >= min_step * max(abs(s_j), 1.0):
+                    s_new = s_j + directions[lane] * h
+                else:
+                    raise StepUnderflowError(
+                        f"step underflow at s={s_j}: suspected solution pole", s=s_j
+                    )
+                n = len(nodes[lane]) - 1  # steps taken so far
+                if n == len(coeffs[lane]):
+                    _resize(coeffs[lane], 2 * n)
+                # coefficients in theta over the stored (signed) width, laid
+                # out as taylor laid out c: the sum that makes the lane's next
+                # state then adds in the order a one-lane loop does
+                d = c[:, j] * (s_new - s_j) ** powers
+                coeffs[lane][n] = d
+                rows.append(np.add.reduce(d, 0))
+                nodes[lane].append(s_new)
+                s[j] = s_new
+                if s_new == end:
+                    last[lane] = rows[j]
+                elif n + 1 == cfg.max_steps:
+                    raise MaxStepsExceededError(
+                        f"max_steps={cfg.max_steps} exceeded at s={s_new} (target {end})"
+                    )
+                else:
+                    going.append(j)
+            y = np.array(rows)
+            if len(going) < len(lanes):
+                lanes, s, y = [lanes[j] for j in going], [s[j] for j in going], y[going]
 
-    s_nodes = np.array(s_nodes)
-    states = np.array(states)
-    coeffs = np.array(coeffs)
-    h = np.diff(s_nodes)
-    if direction < 0.0:
-        # ascending storage; each step starts at its right end
-        s_nodes, states, coeffs, h = s_nodes[::-1], states[::-1], coeffs[::-1], h[::-1]
-    return Trajectory(s_nodes, states, h, coeffs)
+    legs = []
+    for lane, direction in enumerate(directions):
+        n = len(nodes[lane]) - 1
+        _resize(coeffs[lane], n)
+        c = coeffs[lane]
+        s_nodes = np.array(nodes[lane])
+        # a step's first coefficient row is the state at its origin
+        states = np.concatenate([c[:, 0], last[lane][None]])
+        h = np.diff(s_nodes)
+        if direction < 0.0:
+            # ascending storage; each step starts at its right end
+            s_nodes, states, c, h = s_nodes[::-1], states[::-1], c[::-1], h[::-1]
+        legs.append(Trajectory(s_nodes, states, h, c))
+    return legs[0] if len(legs) == 1 else Trajectory.join(*legs)
 
 
 def integrate_span(taylor, state0, s0, s_min, s_max,
                    cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate from (s0, state0) to both ends of [s_min, s_max] and join
-    the legs into one trajectory."""
+    """Integrate from (s0, state0) to both ends of [s_min, s_max]; the legs
+    advance in lockstep, as two lanes of one integrate call, and are joined
+    into one trajectory."""
     if not (s_min <= s0 <= s_max and s_min < s_max):
         raise RangeError("need s_min <= s0 <= s_max and s_min < s_max")
-    legs = [integrate(taylor, state0, s0, end, cfg)
-            for end in (s_min, s_max) if end != s0]
-    return legs[0] if len(legs) == 1 else Trajectory.join(*legs)
+    return integrate(taylor, state0, s0, [end for end in (s_min, s_max) if end != s0], cfg)

@@ -69,10 +69,11 @@ def _sp4_taylor(params: FlowParams):
     sigma'') about (s0, y) for r' = (3 p^2 - 2 eps p - a^2)/2 - s Q / 4 with
     Q = s p - u and s = s0 + t: Q_k = s0 p_k + p_{k-1} - u_k and
     (s Q)_k = s0 Q_k + Q_{k-1}.  Rows have 3 entries, so the recurrence runs
-    on Python floats."""
+    on Python floats, one lane at a time: for lanes y (L, 3) with one s0
+    each, the result is (ORDER + 1, L, 3)."""
     eps, half_a2 = params.eps, 0.5 * params.a**2
 
-    def taylor(s0, y):
+    def lane(s0, y):
         u, p, r = ([v] for v in y.tolist())
         q_prev = p_prev = 0.0  # Q_{k-1}, p_{k-1}
         for k in range(ORDER):
@@ -84,6 +85,13 @@ def _sp4_taylor(params: FlowParams):
             p.append(r[k] / (k + 1))
             r.append(f / (k + 1))
             q_prev, p_prev = q_k, p[k]
-        return np.array((u, p, r)).T
+        return u, p, r
+
+    def taylor(s0, y):
+        # the order axis innermost in memory for one lane and for many, so
+        # the integrator sums each lane's step in the same order
+        if y.ndim == 1:
+            return np.array(lane(s0, y)).T
+        return np.array([lane(s, row) for s, row in zip(s0, y)]).transpose(2, 0, 1)
 
     return taylor

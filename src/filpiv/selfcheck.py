@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asympt, painleve, symmetric, zero_a
-from .flow import FlowParams, integrate_flow, make_initial_state
-from .odeint import IntegratorConfig
+from .flow import FlowParams, FlowRun, integrate_flow, make_initial_state, make_taylor
+from .odeint import IntegratorConfig, integrate_span
 
 __all__ = [
     "CriterionResult",
@@ -242,18 +242,18 @@ def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     the closed-form predictions: omega within 1e-3, Re rho within 3e-2 rad,
     and the two sides agree within 2e-3.
 
-    integrate_flow builds the minus leg of a symmetric run as the mirror
-    image of its plus leg, and fit_tail gives the minus tail of such a run
-    the plus tail's fit, so the side-asymmetry row reads 0 by construction
-    and measures nothing.  What it used to measure is tested elsewhere:
-    tests/test_asympt.py::TestSharedFit checks that the shared fit equals,
-    bit for bit, the fit of the minus tail's own samples, and
-    tests/test_flow.py::TestReflection checks the mirror against a two-leg
-    integration."""
+    The plus tail is fitted on the cached run, whose minus leg
+    integrate_flow builds as the mirror image of its plus leg.  The minus
+    tail is fitted on a two-leg run of the same data, whose minus leg is
+    integrated in its own right (as the second lane of each expansion), so
+    the side-asymmetry row measures how far the integrated minus tail is
+    from the mirror image of the plus tail."""
     def case(a, eps, branch):
-        run = cache.grid_run(a, eps, branch)
-        om_c, rr_c = symmetric.conjecture_omega(run.params, branch)
-        plus, minus = (asympt.fit_tail(run, side, (24.0, 40.0)).tail for side in (1, -1))
+        params, st = symmetric_run_state(a, eps, branch)
+        both = FlowRun(params, integrate_span(make_taylor(params), st.y, 0.0, -40.0, 40.0))
+        om_c, rr_c = symmetric.conjecture_omega(params, branch)
+        plus = asympt.fit_tail(cache.grid_run(a, eps, branch), 1, (24.0, 40.0)).tail
+        minus = asympt.fit_tail(both, -1, (24.0, 40.0)).tail
         return (max(abs(t.omega - om_c) for t in (plus, minus)),
                 max(abs(math.remainder(t.rho.real - rr_c, 2.0 * math.pi))
                     for t in (plus, minus)),

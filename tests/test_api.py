@@ -4,7 +4,8 @@ somewhere other than its own definition, so a public name nothing reaches
 fails too, as does a private module-level name its module never reads;
 every error class is raised by the package, or is the base of one that is;
 every memoizing cache has a finite size, so a long process cannot grow
-without bound; and the CLI parses config values in resolve_config alone."""
+without bound; the CLI parses config values in resolve_config alone; and
+odeint steps every integration in one loop."""
 
 import ast
 import functools
@@ -292,3 +293,31 @@ def test_unbounded_cache_detected():
         "17: functools.cache has no size bound",
         "19: lru_cache without an integer maxsize",
     ]
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _loops_calling(tree: ast.AST, name: str) -> list[int]:
+    """The lines of the loops (for, while, comprehensions) in tree whose body
+    calls the function named name."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, _LOOPS)
+                  and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                          and n.func.id == name for n in ast.walk(node)))
+
+
+def test_one_stepping_loop():
+    # one leg or two, every integration runs integrate's lockstep loop over
+    # the coefficient function taylor; a serial loop beside it would be a
+    # second stepping path to keep in step with the first
+    path = Path(filpiv.__file__).parent / "odeint.py"
+    assert len(_loops_calling(ast.parse(path.read_text()), "taylor")) == 1
+
+
+def test_second_stepping_loop_detected():
+    tree = ast.parse("def lockstep(taylor, ys):\n    while ys:\n        c = taylor(0.0, ys)\n"
+                     "        for y in ys:\n            pass\n"
+                     "def serial(taylor, y):\n    for _ in range(3):\n        y = taylor(0.0, y)\n"
+                     "def legs(taylor, ys):\n    return [taylor(0.0, y) for y in ys]\n")
+    assert _loops_calling(tree, "taylor") == [2, 7, 10]

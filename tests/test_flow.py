@@ -178,6 +178,61 @@ class TestTaylor:
             assert np.array_equal(c[0], y)
             assert np.all(np.abs(c - ref) <= _ROUNDING * size)
 
+    @pytest.mark.parametrize("a, axis", [
+        (0.0, (0.0, 0.0, 1.0)), (1.0, (0.0, 0.0, 1.0)), (10.0, (0.0, 0.0, 1.0)),
+        (1.7, (0.6, 0.0, 0.8)),
+    ])
+    def test_lanes_match_cauchy_reference(self, a, axis):
+        # two lanes share each product through block-diagonal blocks; each
+        # lane keeps to the rounding bound of the serial recurrence
+        p = params_along(a, axis)
+        a1, a2, a3 = p.a_vec
+        w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
+        taylor = flow.make_taylor(p)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            ys = rng.standard_normal((2, 6)) * 10.0 ** rng.uniform(-1.0, 1.0, (2, 1))
+            c = taylor([0.0, 0.0], ys)
+            assert c.shape == (ORDER + 1, 2, 6)
+            for lane, y in enumerate(ys):
+                ref = _cauchy_reference(w_of_g, y)
+                size = _cauchy_reference(np.abs(w_of_g), np.abs(y), 1.0)
+                assert np.array_equal(c[0, lane], y)
+                assert np.all(np.abs(c[:, lane] - ref) <= _ROUNDING * size)
+
+    def test_lane_does_not_depend_on_other_lanes(self):
+        # a lane's bits are the same whatever the other lane holds, and one
+        # lane is the single-state expansion bit for bit
+        taylor = flow.make_taylor(params_along(1.7))
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            y, other, third = rng.standard_normal((3, 6)) * 10.0 ** rng.uniform(-1.0, 1.0, (3, 1))
+            first = taylor([0.0, 0.0], np.stack([y, other]))
+            assert np.array_equal(taylor([0.0, 0.0], np.stack([y, third]))[:, 0], first[:, 0])
+            second = taylor([0.0, 0.0], np.stack([other, y]))
+            assert np.array_equal(taylor([0.0, 0.0], np.stack([third, y]))[:, 1], second[:, 1])
+            assert np.array_equal(taylor([0.0], y[None])[:, 0], taylor(0.0, y))
+
+    @pytest.mark.parametrize("eps, state, span", [
+        (0.3, lambda p: selfcheck.asymmetric_state(p, *selfcheck.ASYMMETRIC_CASES[0]),
+         (-42.0, 42.0)),
+        (1.25, lambda p: flow.make_initial_state(p, [0.0, 0.0, 1.0], [0.0, 0.5, 0.0], 1.5),
+         (-20.0, 25.0)),
+    ])
+    def test_two_legs_match_serial_legs(self, eps, state, span):
+        # the lockstep legs take the steps of two serial integrations and
+        # agree with them to rounding
+        p = flow.FlowParams(1.0, eps)
+        st = state(p)
+        both = odeint.integrate_span(flow.make_taylor(p), st.y, st.s, *span)
+        minus, plus = (odeint.integrate(flow.make_taylor(p), st.y, st.s, end) for end in span)
+        assert (both.n_steps_minus, both.n_steps - both.n_steps_minus) == (
+            minus.n_steps, plus.n_steps)
+        grid = np.concatenate([np.linspace(*span, 2001), both.s_nodes])
+        serial = odeint.Trajectory.join(minus, plus)
+        assert np.max(np.abs(both.states_at(grid) - serial.states_at(grid))) <= 1e-12
+        assert np.max(np.abs(both.s_nodes - serial.s_nodes)) <= 1e-12
+
     @pytest.mark.parametrize("a, eps, branch, n_steps", [
         (1.0, 0.5, "odd", 348), (10.0, 5.0, "odd", 574), (10.0, 20.0, "mixed_plus", 666),
     ])

@@ -2,6 +2,7 @@
 output."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +13,31 @@ from filpiv.errors import MaxStepsExceededError, RangeError, StepUnderflowError
 
 
 def expansion(next_coeff):
-    """Coefficient function of the recurrence c[k + 1] = next_coeff(c, k, s)."""
-    def taylor(s, y):
+    """Coefficient function of the recurrence c[k + 1] = next_coeff(c, k, s),
+    run on one lane at a time: s holds one float per row of y."""
+    def lane(s, y):
         c = np.zeros((ORDER + 1, len(y)))
         c[0] = y
         for k in range(ORDER):
             c[k + 1] = next_coeff(c, k, s)
         return c
+
+    def taylor(s, y):
+        return np.stack([lane(s_l, y_l) for s_l, y_l in zip(s, y)], axis=1)
     return taylor
 
 
 decay = expansion(lambda c, k, s: -c[k] / (k + 1))                   # y' = -y
 harmonic = expansion(lambda c, k, s: np.array([c[k, 1], -c[k, 0]]) / (k + 1))
 square = expansion(lambda c, k, s: c[:k + 1, 0] @ c[k::-1, 0] / (k + 1))  # y' = y^2
+
+# harmonic's system y' = J y with every lane in one product: c_k = J^k y / k!
+_J_POWERS = np.array([np.linalg.matrix_power([[0.0, 1.0], [-1.0, 0.0]], k) / math.factorial(k)
+                      for k in range(ORDER + 1)])
+
+
+def linear(s, y):
+    return np.einsum("kij,lj->kli", _J_POWERS, y)
 
 
 def _forcing(s, k):
@@ -55,18 +68,28 @@ class TestBasics:
         energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) <= 1e-9
 
-    @pytest.mark.parametrize("spare", [0, -1], ids=["budget_n", "budget_n_minus_1"])
-    def test_max_steps_exceeded(self, spare):
-        # a span that takes n steps runs on a budget of exactly n steps and
-        # raises on n - 1
+    @pytest.mark.parametrize("spare, span", [(0, None), (-1, None), (0, (-20.0, 30.0)),
+                                             (-1, (-20.0, 30.0))],
+                             ids=["budget_n", "budget_n_minus_1", "two_legs_budget_n",
+                                  "two_legs_budget_n_minus_1"])
+    def test_max_steps_exceeded(self, spare, span):
+        # a leg that takes n steps runs on a budget of exactly n steps and
+        # raises on n - 1; the budget of a two-leg span holds per leg
         y0 = np.array([1.0, 0.0])
-        n = integrate(harmonic, y0, 0.0, 30.0, IntegratorConfig(rel_tol=1e-10)).n_steps
+
+        def run(cfg):
+            if span is None:
+                return integrate(harmonic, y0, 0.0, 30.0, cfg)
+            return integrate_span(harmonic, y0, 0.0, *span, cfg)
+
+        traj = run(IntegratorConfig(rel_tol=1e-10))
+        n = max(traj.n_steps_minus, traj.n_steps - traj.n_steps_minus)
         cfg = IntegratorConfig(rel_tol=1e-10, max_steps=n + spare)
         if spare < 0:
             with pytest.raises(MaxStepsExceededError):
-                integrate(harmonic, y0, 0.0, 30.0, cfg)
+                run(cfg)
         else:
-            assert integrate(harmonic, y0, 0.0, 30.0, cfg).n_steps == n
+            assert run(cfg).n_steps == traj.n_steps
 
     def test_pole_triggers_step_underflow(self):
         # y' = y^2 blows up at s = 1; a NaN state gives a NaN step at once
@@ -75,6 +98,51 @@ class TestBasics:
             with pytest.raises(StepUnderflowError) as exc:
                 integrate(taylor, np.array(y0), 0.0, 2.0, cfg)
             assert exc.value.s == pytest.approx(s_end, abs=1e-9)
+
+    @pytest.mark.parametrize("y0, s_pole", [(1.0, 1.0), (-1.0, -1.0)], ids=["plus", "minus"])
+    def test_step_underflow_in_either_leg(self, y0, s_pole):
+        # y' = y^2 from y(0) = 1 / (-s_pole) blows up at s_pole on one leg
+        # and decays on the other; the error carries the failing leg's s
+        cfg = IntegratorConfig(rel_tol=1e-10, max_steps=100000)
+        with pytest.raises(StepUnderflowError) as exc:
+            integrate_span(square, np.array([y0]), 0.0, -2.0, 2.0, cfg)
+        assert exc.value.s == pytest.approx(s_pole, abs=1e-9)
+
+    def test_two_legs_match_serial_legs(self):
+        # toy expansions compute each lane on its own, so the lockstep legs
+        # are the serial legs bit for bit, with the same steps, also when the
+        # coefficients come with the order axis innermost in memory (as the
+        # sigma recurrence lays them out), where numpy sums a step pairwise
+        def order_innermost(taylor):
+            return lambda s, y: np.asfortranarray(taylor(s, y))
+
+        cfg = IntegratorConfig(rel_tol=1e-10)
+        for taylor, y0 in ((harmonic, [1.0, 0.0]), (forced, [0.2, -0.1]),
+                           (order_innermost(forced), [0.2, -0.1])):
+            y0 = np.array(y0)
+            both = integrate_span(taylor, y0, 0.5, -7.0, 12.0, cfg)
+            minus = integrate(taylor, y0, 0.5, -7.0, cfg)
+            plus = integrate(taylor, y0, 0.5, 12.0, cfg)
+            n = both.n_steps_minus
+            assert (n, both.n_steps - n) == (minus.n_steps, plus.n_steps)
+            for name in ("s_nodes", "states", "h", "coeffs"):
+                joined = getattr(odeint.Trajectory.join(minus, plus), name)
+                assert np.array_equal(getattr(both, name), joined)
+
+    def test_coefficient_memory(self):
+        # each leg's coefficient array doubles in place when it is full and
+        # is trimmed in place at the end, so no step keeps an array of its
+        # own and nothing is copied: on this run of 10,744 steps the peak of
+        # traced memory measured 1.61 times the coefficients kept
+        tracemalloc.start()
+        try:
+            traj = integrate(linear, np.array([1.0, 0.0]), 0.0, 50_000.0,
+                             IntegratorConfig(rel_tol=1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_steps == 10_744
+        assert peak <= 1.7 * traj.coeffs.nbytes
 
     @pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
     def test_bad_tolerances_rejected(self, rel_tol):
@@ -107,7 +175,7 @@ def _reference_nodes(taylor, y, s_to, rel_tol):
     s, nodes = 0.0, [0.0]
     with np.errstate(divide="ignore"):
         while s < s_to:
-            c = taylor(s, y)
+            c = taylor([s], y[None])[:, 0]
             m = np.abs(c).max(axis=1)
             tol = odeint._ABS_TOL + rel_tol * m[0]
             h = float(0.9 * min((tol / m[-2]) ** (1.0 / (ORDER - 1)),
