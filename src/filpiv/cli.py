@@ -210,14 +210,13 @@ def _run_flow(cfg: dict, check: bool = True):
     run = integrate_flow(params, state0, cfg["s_span"][0], cfg["s_span"][1],
                          IntegratorConfig(t["rel"], t["max_steps"]))
     if check:
-        _check_drifts(cfg, run)
+        _check_drifts(cfg, run.drift_diagnostics())
     return params, run
 
 
-def _check_drifts(cfg: dict, run) -> None:
-    """An InvariantViolation unless every drift is within its threshold (a
-    NaN drift breaches too)."""
-    drifts = run.drift_diagnostics()
+def _check_drifts(cfg: dict, drifts: dict) -> None:
+    """An InvariantViolation unless every drift of FlowRun.drift_diagnostics
+    is within its threshold (a NaN drift breaches too)."""
     th = cfg["thresholds"]
     if not all(drifts[f"{name}_drift_max"] <= limit for name, limit in th.items()):
         raise InvariantViolation(
@@ -292,7 +291,7 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "step_max": float(steps.max()),
     }
     _write_json(out / "diagnostics.json", diag)
-    _check_drifts(cfg, run)
+    _check_drifts(cfg, drifts)
     return EXIT_OK
 
 

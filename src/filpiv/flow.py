@@ -23,7 +23,7 @@ from .errors import (
     VanishingCurvatureError,
     ZeroAxisError,
 )
-from .odeint import ORDER, IntegratorConfig, Trajectory, integrate, integrate_span
+from .odeint import ORDER, IntegratorConfig, Trajectory, integrate
 
 __all__ = [
     "FlowParams",
@@ -126,9 +126,9 @@ def make_rhs(params: FlowParams):
 
 
 def make_taylor(params: FlowParams):
-    """Taylor coefficients of the flow about (s, y): (ORDER + 1, 6) for one
-    state y (6,), (ORDER + 1, L, 6) for a stack of L lanes y (L, 6).  The
-    flow is autonomous, so s is not read.
+    """Taylor coefficients of the flow about (s, y): a C-ordered (ORDER + 1,
+    L, 6) array for a stack of L lanes y (L, 6).  The flow is autonomous, so
+    s is not read.
 
     The recurrence is W_k = a x G_k + G_k, T_{k+1} = sum_{j<=k} W_j x T_{k-j}
     / (2(k+1)) and G_{k+1} = T_k / (k+1), with T = G'.  As W x T = T K(W)
@@ -204,8 +204,6 @@ def make_taylor(params: FlowParams):
     expansions = {}
 
     def taylor(s, y):
-        if y.ndim == 1:
-            return taylor(s, y[None])[:, 0]
         expand = expansions.get(len(y))
         if expand is None:
             expand = expansions[len(y)] = expansion(len(y))
@@ -279,7 +277,6 @@ class FlowRun:
         self.reflection = reflection
         self.plus_fits = {}
         self._rhs = make_rhs(params)
-        self._drifts = None
 
     @property
     def s_min(self) -> float:
@@ -307,8 +304,6 @@ class FlowRun:
     def drift_diagnostics(self) -> dict:
         """Max deviations of the propagated invariants over integrator nodes
         (`<name>_drift_max`) and the first node s of each (`<name>_drift_at`)."""
-        if self._drifts is not None:
-            return self._drifts
         s_all, y_all = self.traj.s_nodes, self.traj.states
         eps_vals, unit, constraint = _invariants(self.params, s_all, y_all)
         out = {}
@@ -324,7 +319,6 @@ class FlowRun:
             q = (y_all[:, :3] @ a_vec) ** 2 / self.params.a**2 - s_all**2 \
                 + 4.0 * (y_all[:, 3:] @ a_vec) - 4.0 * self.params.eps
             out["monitored_inequality_max"] = float(np.max(q))
-        self._drifts = out
         return out
 
     def sample(self, s) -> dict:
@@ -384,15 +378,16 @@ def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
     """Integrate the flow from state0 over [s_min, s_max] (both directions;
     a RangeError unless state0.s lies in a non-empty span).
 
-    The two legs advance in lockstep, as two lanes of each expansion.  A
-    solution that is its own mirror image about s = 0 (see _reflection) is
-    integrated over [0, s_max] only, and its minus leg is the plus leg
-    mirrored; a StepUnderflowError then reports the plus-side s."""
+    Both paths make one odeint.integrate call.  A solution that is its own
+    mirror image about s = 0 (see _reflection) is integrated over [0, s_max]
+    only, and its minus leg is the plus leg mirrored; a StepUnderflowError
+    then reports the plus-side s.  Otherwise the legs from state0.s advance
+    in lockstep, as two lanes of each expansion."""
     d = _reflection(params, state0, s_min, s_max)
     taylor = make_taylor(params)
     if d is None:
-        return FlowRun(params, integrate_span(taylor, state0.y, state0.s, s_min, s_max, cfg))
-    plus = integrate(taylor, state0.y, 0.0, s_max, cfg)
+        return FlowRun(params, integrate(taylor, state0.y, state0.s, s_min, s_max, cfg))
+    plus = integrate(taylor, state0.y, 0.0, 0.0, s_max, cfg)
     return FlowRun(params, Trajectory.join(plus.mirrored(d), plus), d)
 
 

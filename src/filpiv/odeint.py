@@ -3,11 +3,12 @@
 Both ODEs of the package have polynomial right-hand sides, so their Taylor
 coefficients follow from short Cauchy-product recurrences (Jorba & Zou, Exp.
 Math. 14, 2005).  The caller supplies them for a batch of L lanes as
-taylor(s, y) -> (N+1, L, dim) array c, for one float of s and one row of y
-(L, dim) per lane, with c[0] = y and y_l(s_l + t) = sum_k c[k, l] t^k; the
-integrator picks each lane's step from its last two coefficients and keeps
-the step's own polynomial as dense output.  Every step is accepted.  The
-integrator is direction-agnostic (s may decrease) and holds no global state.
+taylor(s, y) -> C-ordered (N+1, L, dim) array c, for one float of s and one
+row of y (L, dim) per lane, with c[0] = y and y_l(s_l + t) = sum_k c[k, l]
+t^k; the integrator picks each lane's step from its last two coefficients
+and keeps the step's own polynomial as dense output.  Every step is
+accepted.  The integrator is direction-agnostic (s may decrease) and holds
+no global state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import MaxStepsExceededError, RangeError, StepUnderflowError
 
-__all__ = ["ORDER", "IntegratorConfig", "Trajectory", "integrate", "integrate_span"]
+__all__ = ["ORDER", "IntegratorConfig", "Trajectory", "integrate"]
 
 # degree N of the Taylor polynomials every coefficient function returns
 ORDER = 24
@@ -41,9 +42,9 @@ _ABS_TOL = 1e-14
 class IntegratorConfig:
     """The relative step tolerance and the step budget, which holds per leg:
     a leg that takes exactly max_steps steps is integrated, one that needs
-    more raises MaxStepsExceededError, and a two-leg span may take max_steps
-    steps on each side.  The budget also bounds the dense output's memory
-    (one (N+1, dim) coefficient block per step)."""
+    more raises MaxStepsExceededError, and an integration from inside its
+    span may take max_steps steps on each side.  The budget also bounds the
+    dense output's memory (one (N+1, dim) coefficient block per step)."""
 
     rel_tol: float = 1e-12
     max_steps: int = 2_000_000
@@ -166,39 +167,38 @@ def _resize(blocks: np.ndarray, n: int) -> None:
     blocks.resize((n,) + blocks.shape[1:], refcheck=False)
 
 
-def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None) -> Trajectory:
+def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the ODE whose Taylor expansion about (s, y) is taylor(s, y)
-    from s_from to s_to with dense output.  s_to may also be a pair of ends
-    (s_min, s_max) with s_min < s_from < s_max: the two legs are then two
-    lanes of one integration, joined into one two-sided trajectory.
+    from (s0, state0) to both ends of [s_min, s_max] with dense output; a
+    RangeError unless s_min <= s0 <= s_max and s_min < s_max.  From an end
+    of the span there is one leg; from inside it the minus and plus legs
+    are two lanes of one integration, joined into one trajectory.
 
     One loop advances the lanes in lockstep.  Each iteration expands every
     lane that has not reached its end in one call, taylor(s, y) with one
-    float of s and one row of y per lane, which returns (N+1, L, dim); then
-    each lane takes its own step of width h = 0.9 min_{j in {N-1, N}}
-    (tol / |c_j|)^(1/j), tol = _ABS_TOL + rel_tol |y|_inf, clipped to the
-    end of its leg (a vanishing c_j bounds no step), and leaves the batch at
-    that end.  Raises StepUnderflowError when a lane's step collapses
-    (suspected pole, or a NaN state) and MaxStepsExceededError when a leg
-    needs more than cfg.max_steps steps, each with that lane's s.
+    float of s and one row of y per lane, which returns a C-ordered (N+1, L,
+    dim) array c.  Each lane's step is h = 0.9 min_{j in {N-1, N}} (tol /
+    |c_j|)^(1/j), tol = _ABS_TOL + rel_tol |y|_inf, clipped to the end of
+    its leg (a vanishing c_j bounds no step); one product and one sum over
+    the orders then step every lane, and a lane leaves the batch at its end.
+    Raises StepUnderflowError when a lane's step collapses (suspected pole,
+    or a NaN state) and MaxStepsExceededError when a leg needs more than
+    cfg.max_steps steps, each with that lane's s.
     """
+    if not (s_min <= s0 <= s_max and s_min < s_max):
+        raise RangeError("need s_min <= s0 <= s_max and s_min < s_max")
     if cfg is None:
         cfg = IntegratorConfig()
-    s_from = float(s_from)
-    ends = [float(end) for end in np.atleast_1d(s_to)]
-    one_leg = len(ends) == 1 and ends[0] != s_from
-    two_legs = len(ends) == 2 and ends[0] < s_from < ends[1]
-    if not (one_leg or two_legs):
-        raise ValueError("s_to must differ from s_from, or be two ends about it")
+    s0 = float(s0)
+    ends = [float(end) for end in (s_min, s_max) if end != s0]
     y = np.array([state0] * len(ends), dtype=float)
     dim = y.shape[1]
-    directions = [1.0 if end > s_from else -1.0 for end in ends]
     # per lane: its nodes, its coefficient blocks (doubled when full) and
     # its last state
-    nodes = [[s_from] for _ in ends]
+    nodes = [[s0] for _ in ends]
     coeffs = [np.empty((_CAPACITY, ORDER + 1, dim)) for _ in ends]
     last = [None] * len(ends)
-    lanes, s = list(range(len(ends))), [s_from] * len(ends)  # the batch
+    lanes, s = list(range(len(ends))), [s0] * len(ends)  # the batch
     powers = np.arange(ORDER + 1.0)[:, None]
     root_prev, root_last = 1.0 / (ORDER - 1), 1.0 / ORDER
     min_step = 16.0 * float(np.finfo(float).eps)
@@ -209,8 +209,7 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
             # propagates); a zero row bounds no step, and tol * inf keeps a
             # NaN tol
             m_y, m_prev, m_last = np.maximum.reduce(np.abs(c.take(_STEP_ROWS, axis=0)), 2).tolist()
-            rows = []  # the lanes' next states
-            going = []  # the lanes that stay in the batch, in its order
+            s_next, widths = [], []  # per lane, as Python floats
             for j, lane in enumerate(lanes):
                 tol = _ABS_TOL + cfg.rel_tol * m_y[j]
                 h = _SAFETY * min((tol / m_prev[j]) ** root_prev if m_prev[j] else tol * math.inf,
@@ -219,36 +218,38 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
                 if h >= abs(end - s_j):
                     s_new = end
                 elif h >= min_step * max(abs(s_j), 1.0):
-                    s_new = s_j + directions[lane] * h
+                    s_new = s_j + math.copysign(h, end - s_j)
                 else:
                     raise StepUnderflowError(
                         f"step underflow at s={s_j}: suspected solution pole", s=s_j
                     )
-                n = len(nodes[lane]) - 1  # steps taken so far
+                s_next.append(s_new)
+                widths.append(s_new - s_j)
+            # the coefficients in theta over each lane's signed width; with c
+            # C-ordered, the sum adds the orders one after the other
+            d = c * (np.array(widths) ** powers)[:, :, None]
+            y = np.add.reduce(d, 0)
+            going = []  # the lanes that stay in the batch, in its order
+            for j, lane in enumerate(lanes):
+                n = len(nodes[lane]) - 1  # steps taken before this one
                 if n == len(coeffs[lane]):
                     _resize(coeffs[lane], 2 * n)
-                # coefficients in theta over the stored (signed) width, laid
-                # out as taylor laid out c: the sum that makes the lane's next
-                # state then adds in the order a one-lane loop does
-                d = c[:, j] * (s_new - s_j) ** powers
-                coeffs[lane][n] = d
-                rows.append(np.add.reduce(d, 0))
-                nodes[lane].append(s_new)
-                s[j] = s_new
-                if s_new == end:
-                    last[lane] = rows[j]
+                coeffs[lane][n] = d[:, j]
+                nodes[lane].append(s_next[j])
+                if s_next[j] == ends[lane]:
+                    last[lane] = y[j]
                 elif n + 1 == cfg.max_steps:
                     raise MaxStepsExceededError(
-                        f"max_steps={cfg.max_steps} exceeded at s={s_new} (target {end})"
+                        f"max_steps={cfg.max_steps} exceeded at s={s_next[j]} (target {ends[lane]})"
                     )
                 else:
                     going.append(j)
-            y = np.array(rows)
+            s = s_next
             if len(going) < len(lanes):
                 lanes, s, y = [lanes[j] for j in going], [s[j] for j in going], y[going]
 
     legs = []
-    for lane, direction in enumerate(directions):
+    for lane, end in enumerate(ends):
         n = len(nodes[lane]) - 1
         _resize(coeffs[lane], n)
         c = coeffs[lane]
@@ -256,18 +257,8 @@ def integrate(taylor, state0, s_from, s_to, cfg: IntegratorConfig | None = None)
         # a step's first coefficient row is the state at its origin
         states = np.concatenate([c[:, 0], last[lane][None]])
         h = np.diff(s_nodes)
-        if direction < 0.0:
+        if end < s0:
             # ascending storage; each step starts at its right end
             s_nodes, states, c, h = s_nodes[::-1], states[::-1], c[::-1], h[::-1]
         legs.append(Trajectory(s_nodes, states, h, c))
     return legs[0] if len(legs) == 1 else Trajectory.join(*legs)
-
-
-def integrate_span(taylor, state0, s0, s_min, s_max,
-                   cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate from (s0, state0) to both ends of [s_min, s_max]; the legs
-    advance in lockstep, as two lanes of one integrate call, and are joined
-    into one trajectory."""
-    if not (s_min <= s0 <= s_max and s_min < s_max):
-        raise RangeError("need s_min <= s0 <= s_max and s_min < s_max")
-    return integrate(taylor, state0, s0, [end for end in (s_min, s_max) if end != s0], cfg)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InconsistentJetError
 from .flow import FlowParams, SigmaJet
-from .odeint import ORDER, IntegratorConfig, Trajectory, integrate_span
+from .odeint import ORDER, IntegratorConfig, Trajectory, integrate
 
 __all__ = ["sp4_residual", "sp4_integrate", "SigmaPath"]
 
@@ -60,17 +60,17 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
             f"initial jet violates the quadratic equation (residual {res0:.3e})"
         )
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
-    return SigmaPath(integrate_span(_sp4_taylor(params), y0, jet0.s,
-                                    float(min(s_span)), float(max(s_span)), cfg))
+    return SigmaPath(integrate(_sp4_taylor(params), y0, jet0.s,
+                               float(min(s_span)), float(max(s_span)), cfg))
 
 
 def _sp4_taylor(params: FlowParams):
-    """Taylor coefficients (ORDER + 1, 3) of y = (u, p, r) = (sigma, sigma',
-    sigma'') about (s0, y) for r' = (3 p^2 - 2 eps p - a^2)/2 - s Q / 4 with
-    Q = s p - u and s = s0 + t: Q_k = s0 p_k + p_{k-1} - u_k and
-    (s Q)_k = s0 Q_k + Q_{k-1}.  Rows have 3 entries, so the recurrence runs
-    on Python floats, one lane at a time: for lanes y (L, 3) with one s0
-    each, the result is (ORDER + 1, L, 3)."""
+    """Taylor coefficients of y = (u, p, r) = (sigma, sigma', sigma'') about
+    (s0, y) for r' = (3 p^2 - 2 eps p - a^2)/2 - s Q / 4 with Q = s p - u and
+    s = s0 + t: Q_k = s0 p_k + p_{k-1} - u_k and (s Q)_k = s0 Q_k + Q_{k-1}.
+    Rows have 3 entries, so the recurrence runs on Python floats, one lane
+    at a time: for lanes y (L, 3) with one s0 each, the result is a
+    C-ordered (ORDER + 1, L, 3) array."""
     eps, half_a2 = params.eps, 0.5 * params.a**2
 
     def lane(s0, y):
@@ -88,10 +88,7 @@ def _sp4_taylor(params: FlowParams):
         return u, p, r
 
     def taylor(s0, y):
-        # the order axis innermost in memory for one lane and for many, so
-        # the integrator sums each lane's step in the same order
-        if y.ndim == 1:
-            return np.array(lane(s0, y)).T
-        return np.array([lane(s, row) for s, row in zip(s0, y)]).transpose(2, 0, 1)
+        return np.ascontiguousarray(np.array([lane(s, row) for s, row in zip(s0, y)])
+                                    .transpose(2, 0, 1))
 
     return taylor

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import asympt, painleve, symmetric, zero_a
 from .flow import FlowParams, FlowRun, integrate_flow, make_initial_state, make_taylor
-from .odeint import IntegratorConfig, integrate_span
+from .odeint import IntegratorConfig, integrate
 
 __all__ = [
     "CriterionResult",
@@ -250,7 +250,7 @@ def crit_symmetric_tails(cache: RunCache) -> CriterionResult:
     from the mirror image of the plus tail."""
     def case(a, eps, branch):
         params, st = symmetric_run_state(a, eps, branch)
-        both = FlowRun(params, integrate_span(make_taylor(params), st.y, 0.0, -40.0, 40.0))
+        both = FlowRun(params, integrate(make_taylor(params), st.y, 0.0, -40.0, 40.0))
         om_c, rr_c = symmetric.conjecture_omega(params, branch)
         plus = asympt.fit_tail(cache.grid_run(a, eps, branch), 1, (24.0, 40.0)).tail
         minus = asympt.fit_tail(both, -1, (24.0, 40.0)).tail

@@ -5,11 +5,12 @@ fails too, as does a private module-level name its module never reads;
 every error class is raised by the package, or is the base of one that is;
 every memoizing cache has a finite size, so a long process cannot grow
 without bound; the CLI parses config values in resolve_config alone; and
-odeint steps every integration in one loop."""
+odeint steps every integration in one loop, behind its one function."""
 
 import ast
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import filpiv
-from filpiv import errors
+from filpiv import errors, odeint
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(filpiv.__path__))
 
@@ -321,3 +322,39 @@ def test_second_stepping_loop_detected():
                      "def serial(taylor, y):\n    for _ in range(3):\n        y = taylor(0.0, y)\n"
                      "def legs(taylor, ys):\n    return [taylor(0.0, y) for y in ys]\n")
     assert _loops_calling(tree, "taylor") == [2, 7, 10]
+
+
+def _odeint_calls(tree: ast.AST) -> list[str]:
+    """The odeint names that tree calls, by the names it imported from
+    odeint or as attributes of the module odeint."""
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module and n.module.endswith("odeint")
+                for a in n.names}
+    called = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in imported:
+            called.add(imported[n.func.id])
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == "odeint":
+            called.add(n.func.attr)
+    return sorted(called)
+
+
+def test_one_integration_function():
+    # one leg or two, every integration is an odeint.integrate call; a
+    # second entry point would be a second contract to keep in step
+    functions = [name for name in odeint.__all__ if inspect.isfunction(getattr(odeint, name))]
+    assert functions == ["integrate"]
+    called = set().union(*(_odeint_calls(ast.parse(p.read_text()))
+                           for p in Path(filpiv.__file__).parent.glob("*.py")))
+    assert sorted(n for n in called if not isinstance(getattr(odeint, n, None), type)) \
+        == ["integrate"]
+
+
+def test_second_integration_function_detected():
+    tree = ast.parse("from .odeint import IntegratorConfig, integrate, integrate_both as both\n"
+                     "from . import odeint\n"
+                     "a = integrate(t, y, 0.0, 0.0, 1.0, IntegratorConfig())\n"
+                     "b = both(t, y, 0.0, -1.0, 1.0)\nc = odeint.integrate_legs(t, y)\n")
+    assert _odeint_calls(tree) == ["IntegratorConfig", "integrate", "integrate_both",
+                                   "integrate_legs"]

@@ -124,7 +124,7 @@ class TestRhs:
         axis = rng.randn(3)
         p = params_along(1.7, axis / np.linalg.norm(axis))
         st = flow.FlowState(rng.randn(3), rng.randn(3), 0.8)
-        c = flow.make_taylor(p)(st.s, st.y)
+        c = flow.make_taylor(p)([st.s], st.y[None])[:, 0]
         f = flow.make_rhs(p)(st.s, st.y)
         assert np.array_equal(c[0], st.y)
         assert np.allclose(c[1], f, rtol=0.0, atol=1e-14)
@@ -172,7 +172,7 @@ class TestTaylor:
         rng = np.random.default_rng(11)
         for _ in range(20):
             y = rng.standard_normal(6) * 10.0 ** rng.uniform(-1.0, 1.0)
-            c = taylor(rng.uniform(-40.0, 40.0), y)
+            c = taylor([rng.uniform(-40.0, 40.0)], y[None])[:, 0]
             ref = _cauchy_reference(w_of_g, y)
             size = _cauchy_reference(np.abs(w_of_g), np.abs(y), 1.0)
             assert np.array_equal(c[0], y)
@@ -201,8 +201,7 @@ class TestTaylor:
                 assert np.all(np.abs(c[:, lane] - ref) <= _ROUNDING * size)
 
     def test_lane_does_not_depend_on_other_lanes(self):
-        # a lane's bits are the same whatever the other lane holds, and one
-        # lane is the single-state expansion bit for bit
+        # a lane's bits are the same whatever the other lane holds
         taylor = flow.make_taylor(params_along(1.7))
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -211,7 +210,14 @@ class TestTaylor:
             assert np.array_equal(taylor([0.0, 0.0], np.stack([y, third]))[:, 0], first[:, 0])
             second = taylor([0.0, 0.0], np.stack([other, y]))
             assert np.array_equal(taylor([0.0, 0.0], np.stack([third, y]))[:, 1], second[:, 1])
-            assert np.array_equal(taylor([0.0], y[None])[:, 0], taylor(0.0, y))
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_coefficient_layout(self, lanes):
+        # integrate's batched step sums each lane's orders one after the
+        # other, as a one-lane integration does, only on C-ordered arrays
+        ys = np.random.default_rng(4).standard_normal((lanes, 6))
+        c = flow.make_taylor(params_along(1.7))([0.0] * lanes, ys)
+        assert c.shape == (ORDER + 1, lanes, 6) and c.flags.c_contiguous
 
     @pytest.mark.parametrize("eps, state, span", [
         (0.3, lambda p: selfcheck.asymmetric_state(p, *selfcheck.ASYMMETRIC_CASES[0]),
@@ -224,8 +230,9 @@ class TestTaylor:
         # agree with them to rounding
         p = flow.FlowParams(1.0, eps)
         st = state(p)
-        both = odeint.integrate_span(flow.make_taylor(p), st.y, st.s, *span)
-        minus, plus = (odeint.integrate(flow.make_taylor(p), st.y, st.s, end) for end in span)
+        both = odeint.integrate(flow.make_taylor(p), st.y, st.s, *span)
+        minus, plus = (odeint.integrate(flow.make_taylor(p), st.y, st.s, *leg)
+                       for leg in ((span[0], st.s), (st.s, span[1])))
         assert (both.n_steps_minus, both.n_steps - both.n_steps_minus) == (
             minus.n_steps, plus.n_steps)
         grid = np.concatenate([np.linspace(*span, 2001), both.s_nodes])
@@ -247,20 +254,20 @@ class TestTaylor:
     def test_returned_coefficients_stay_unchanged(self):
         taylor = flow.make_taylor(params_along(1.7))
         rng = np.random.default_rng(5)
-        c = taylor(0.0, rng.standard_normal(6))
+        c = taylor([0.0], rng.standard_normal((1, 6)))
         kept = c.copy()
         for _ in range(3):
-            taylor(rng.uniform(-40.0, 40.0), rng.standard_normal(6))
+            taylor([rng.uniform(-40.0, 40.0)], rng.standard_normal((1, 6)))
         assert np.array_equal(c, kept)
 
     def test_closures_do_not_share_buffers(self):
         params = (flow.FlowParams(1.0, 0.5), params_along(10.0))
         ys = np.random.default_rng(8).standard_normal((4, 6))
-        alone = [[flow.make_taylor(p)(0.0, y) for y in ys] for p in params]
+        alone = [[flow.make_taylor(p)([0.0], y[None]) for y in ys] for p in params]
         first, second = (flow.make_taylor(p) for p in params)
         for k, y in enumerate(ys):
-            assert np.array_equal(first(0.0, y), alone[0][k])
-            assert np.array_equal(second(0.0, y), alone[1][k])
+            assert np.array_equal(first([0.0], y[None]), alone[0][k])
+            assert np.array_equal(second([0.0], y[None]), alone[1][k])
 
     def test_rerun_bit_identical(self):
         p = flow.FlowParams(1.0, 0.5)
@@ -296,7 +303,7 @@ class TestReflection:
         p, st, signs = _symmetric_case(a, eps, branch)
         run = flow.integrate_flow(p, st, -s_max, s_max)
         assert run.reflection.tolist() == signs
-        both = odeint.integrate_span(flow.make_taylor(p), st.y, 0.0, -s_max, s_max)
+        both = odeint.integrate(flow.make_taylor(p), st.y, 0.0, -s_max, s_max)
         grid = np.linspace(-s_max, s_max, 4001)
         assert np.max(np.abs(run.state_y(grid) - both.states_at(grid))) <= 1e-12
 
@@ -304,7 +311,7 @@ class TestReflection:
     def test_minus_leg_is_the_plus_leg_mirrored(self, a, eps, branch, s_max):
         p, st, signs = _symmetric_case(a, eps, branch)
         traj = flow.integrate_flow(p, st, -s_max, s_max).traj
-        plus = odeint.integrate(flow.make_taylor(p), st.y, 0.0, s_max)
+        plus = odeint.integrate(flow.make_taylor(p), st.y, 0.0, 0.0, s_max)
         n = traj.n_steps_minus
         assert n == plus.n_steps and traj.n_steps == 2 * n
         # the plus leg bit for bit, the shared node s = 0 included
@@ -329,7 +336,7 @@ class TestReflection:
         p = flow.FlowParams(1.0, eps)
         st = state(p)
         run = flow.integrate_flow(p, st, *span)
-        both = odeint.integrate_span(flow.make_taylor(p), st.y, st.s, *span)
+        both = odeint.integrate(flow.make_taylor(p), st.y, st.s, *span)
         assert run.reflection is None
         for name in ("s_nodes", "states", "h", "coeffs"):
             assert np.array_equal(getattr(run.traj, name), getattr(both, name))

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from filpiv import odeint
-from filpiv.odeint import ORDER, IntegratorConfig, integrate, integrate_span
+from filpiv import flow, odeint
+from filpiv.odeint import ORDER, IntegratorConfig, integrate
 from filpiv.errors import MaxStepsExceededError, RangeError, StepUnderflowError
 
 
@@ -54,22 +54,22 @@ forced = expansion(lambda c, k, s: np.array(
 class TestBasics:
     def test_exponential_decay(self):
         cfg = IntegratorConfig(rel_tol=1e-10)
-        traj = integrate(decay, np.array([1.0]), 0.0, 1.0, cfg)
+        traj = integrate(decay, np.array([1.0]), 0.0, 0.0, 1.0, cfg)
         assert abs(traj.states_at(1.0)[0] - math.exp(-1.0)) < 10 * cfg.rel_tol
 
     def test_backward_direction(self):
         cfg = IntegratorConfig(rel_tol=1e-10)
-        traj = integrate(decay, np.array([1.0]), 0.0, -1.0, cfg)
+        traj = integrate(decay, np.array([1.0]), 0.0, -1.0, 0.0, cfg)
         assert abs(traj.states_at(-1.0)[0] - math.exp(1.0)) < 10 * cfg.rel_tol * math.e
 
     def test_harmonic_energy_100_periods(self):
         cfg = IntegratorConfig(rel_tol=1e-12)
-        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 200 * math.pi, cfg)
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 0.0, 200 * math.pi, cfg)
         energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) <= 1e-9
 
-    @pytest.mark.parametrize("spare, span", [(0, None), (-1, None), (0, (-20.0, 30.0)),
-                                             (-1, (-20.0, 30.0))],
+    @pytest.mark.parametrize("spare, span", [(0, (0.0, 30.0)), (-1, (0.0, 30.0)),
+                                             (0, (-20.0, 30.0)), (-1, (-20.0, 30.0))],
                              ids=["budget_n", "budget_n_minus_1", "two_legs_budget_n",
                                   "two_legs_budget_n_minus_1"])
     def test_max_steps_exceeded(self, spare, span):
@@ -78,9 +78,7 @@ class TestBasics:
         y0 = np.array([1.0, 0.0])
 
         def run(cfg):
-            if span is None:
-                return integrate(harmonic, y0, 0.0, 30.0, cfg)
-            return integrate_span(harmonic, y0, 0.0, *span, cfg)
+            return integrate(harmonic, y0, 0.0, *span, cfg)
 
         traj = run(IntegratorConfig(rel_tol=1e-10))
         n = max(traj.n_steps_minus, traj.n_steps - traj.n_steps_minus)
@@ -96,7 +94,7 @@ class TestBasics:
         cfg = IntegratorConfig(rel_tol=1e-10, max_steps=100000)
         for taylor, y0, s_end in ((square, [1.0], 1.0), (harmonic, [math.nan, 0.0], 0.0)):
             with pytest.raises(StepUnderflowError) as exc:
-                integrate(taylor, np.array(y0), 0.0, 2.0, cfg)
+                integrate(taylor, np.array(y0), 0.0, 0.0, 2.0, cfg)
             assert exc.value.s == pytest.approx(s_end, abs=1e-9)
 
     @pytest.mark.parametrize("y0, s_pole", [(1.0, 1.0), (-1.0, -1.0)], ids=["plus", "minus"])
@@ -105,29 +103,50 @@ class TestBasics:
         # and decays on the other; the error carries the failing leg's s
         cfg = IntegratorConfig(rel_tol=1e-10, max_steps=100000)
         with pytest.raises(StepUnderflowError) as exc:
-            integrate_span(square, np.array([y0]), 0.0, -2.0, 2.0, cfg)
+            integrate(square, np.array([y0]), 0.0, -2.0, 2.0, cfg)
         assert exc.value.s == pytest.approx(s_pole, abs=1e-9)
 
     def test_two_legs_match_serial_legs(self):
         # toy expansions compute each lane on its own, so the lockstep legs
-        # are the serial legs bit for bit, with the same steps, also when the
-        # coefficients come with the order axis innermost in memory (as the
-        # sigma recurrence lays them out), where numpy sums a step pairwise
-        def order_innermost(taylor):
-            return lambda s, y: np.asfortranarray(taylor(s, y))
-
+        # are the serial legs bit for bit, with the same steps
         cfg = IntegratorConfig(rel_tol=1e-10)
-        for taylor, y0 in ((harmonic, [1.0, 0.0]), (forced, [0.2, -0.1]),
-                           (order_innermost(forced), [0.2, -0.1])):
+        for taylor, y0 in ((harmonic, [1.0, 0.0]), (forced, [0.2, -0.1])):
             y0 = np.array(y0)
-            both = integrate_span(taylor, y0, 0.5, -7.0, 12.0, cfg)
-            minus = integrate(taylor, y0, 0.5, -7.0, cfg)
-            plus = integrate(taylor, y0, 0.5, 12.0, cfg)
+            both = integrate(taylor, y0, 0.5, -7.0, 12.0, cfg)
+            minus = integrate(taylor, y0, 0.5, -7.0, 0.5, cfg)
+            plus = integrate(taylor, y0, 0.5, 0.5, 12.0, cfg)
             n = both.n_steps_minus
             assert (n, both.n_steps - n) == (minus.n_steps, plus.n_steps)
             for name in ("s_nodes", "states", "h", "coeffs"):
                 joined = getattr(odeint.Trajectory.join(minus, plus), name)
                 assert np.array_equal(getattr(both, name), joined)
+
+    @pytest.mark.parametrize("s0", [-7.0, 0.5, 12.0], ids=["at_s_min", "inside", "at_s_max"])
+    @pytest.mark.parametrize("system", ["linear", "flow"])
+    def test_one_entry_point(self, system, s0):
+        # from an end of the span integrate runs one leg, from inside it two
+        # lanes; either way the trajectory covers exactly [s_min, s_max],
+        # holds s0 as a node, and each side takes the steps of the one-leg
+        # integration of that side: bit for bit for the toy, whose lanes
+        # share no sum, and to rounding for the flow, whose lanes share each
+        # product
+        if system == "linear":
+            taylor, y0 = linear, np.array([1.0, 0.0])
+        else:
+            p = flow.FlowParams(1.0, 1.05)
+            taylor = flow.make_taylor(p)
+            y0 = flow.make_initial_state(p, [0.6, 0.0, 0.8], [0.0, 0.5, 0.0], s0).y
+        cfg = IntegratorConfig(rel_tol=1e-10)
+        traj = integrate(taylor, y0, s0, -7.0, 12.0, cfg)
+        assert (traj.s_nodes[0], traj.s_nodes[-1]) == (-7.0, 12.0)
+        assert s0 in traj.s_nodes.tolist()
+        legs = [integrate(taylor, y0, s0, lo, hi, cfg)
+                for lo, hi in ((-7.0, s0), (s0, 12.0)) if lo < hi]
+        joined = legs[0] if len(legs) == 1 else odeint.Trajectory.join(*legs)
+        assert (traj.n_steps, traj.n_steps_minus) == (joined.n_steps, joined.n_steps_minus)
+        tol = 0.0 if system == "linear" else 1e-12
+        for name in ("s_nodes", "states", "h", "coeffs"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(joined, name))) <= tol
 
     def test_coefficient_memory(self):
         # each leg's coefficient array doubles in place when it is full and
@@ -136,7 +155,7 @@ class TestBasics:
         # traced memory measured 1.61 times the coefficients kept
         tracemalloc.start()
         try:
-            traj = integrate(linear, np.array([1.0, 0.0]), 0.0, 50_000.0,
+            traj = integrate(linear, np.array([1.0, 0.0]), 0.0, 0.0, 50_000.0,
                              IntegratorConfig(rel_tol=1e-6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -150,18 +169,14 @@ class TestBasics:
             IntegratorConfig(rel_tol=rel_tol)
 
     @pytest.mark.parametrize("s0, s_min, s_max", [(2.0, -1.0, 1.0), (0.5, 0.5, 0.5),
-                                                  (0.0, 1.0, -1.0)])
+                                                  (0.0, 1.0, -1.0), (-2.0, -1.0, 1.0)])
     def test_span_must_hold_the_start(self, s0, s_min, s_max):
         # a RangeError, which is both a ConfigError and a ValueError
         with pytest.raises(RangeError):
-            integrate_span(decay, np.array([1.0]), s0, s_min, s_max)
-
-    def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(decay, np.array([1.0]), 0.5, 0.5)
+            integrate(decay, np.array([1.0]), s0, s_min, s_max)
 
     def test_every_step_accepted(self):
-        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 30.0)
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 0.0, 30.0)
         assert traj.n_rejected == 0
         assert traj.rhs_evals == traj.n_steps
         assert traj.order == ORDER
@@ -196,17 +211,17 @@ class TestStepSize:
     def test_rule_from_last_two_coefficients(self):
         # decay from y = 1: |c_k| = 1/k!, tol = _ABS_TOL + rel_tol
         cfg = IntegratorConfig(rel_tol=1e-10)
-        traj = integrate(decay, np.array([1.0]), 0.0, 50.0, cfg)
+        traj = integrate(decay, np.array([1.0]), 0.0, 0.0, 50.0, cfg)
         tol = odeint._ABS_TOL + cfg.rel_tol
         h = 0.9 * min((tol * math.factorial(j)) ** (1.0 / j) for j in (ORDER - 1, ORDER))
         assert traj.s_nodes[1] == pytest.approx(h, rel=1e-12)
         # the monomial from y = 0: c_N vanishes and tol = _ABS_TOL
-        traj = integrate(monomial, np.array([0.0]), 0.0, 1.0, cfg)
+        traj = integrate(monomial, np.array([0.0]), 0.0, 0.0, 1.0, cfg)
         assert traj.s_nodes[1] == 0.9 * odeint._ABS_TOL ** (1.0 / (ORDER - 1))
         # every node, bit for bit, as the rule gives it in numpy arithmetic
         for taylor, y0, s_to in ((decay, [1.0], 50.0), (harmonic, [1.0, 0.0], 30.0),
                                  (forced, [0.2, -0.1], 12.0), (monomial, [0.0], 1.0)):
-            traj = integrate(taylor, np.array(y0), 0.0, s_to, cfg)
+            traj = integrate(taylor, np.array(y0), 0.0, 0.0, s_to, cfg)
             assert traj.s_nodes.tolist() == _reference_nodes(taylor, np.array(y0), s_to,
                                                              cfg.rel_tol)
 
@@ -216,11 +231,11 @@ class TestStepSize:
         # y' = -y, every row of whose expansion vanishes
         cubic = expansion(lambda c, k, s: (3.0 * s * s, 6.0 * s, 3.0, 0.0)[min(k, 3)]
                           / (k + 1))
-        traj = integrate(cubic, np.array([0.0]), 0.0, 7.0)
+        traj = integrate(cubic, np.array([0.0]), 0.0, 0.0, 7.0)
         assert traj.n_steps == 1
         assert traj.states_at(7.0)[0] == pytest.approx(343.0, rel=1e-15)
         assert traj.states_at(2.0)[0] == pytest.approx(8.0, rel=1e-15)
-        traj = integrate(decay, np.array([0.0]), 0.0, 7.0)
+        traj = integrate(decay, np.array([0.0]), 0.0, 0.0, 7.0)
         assert traj.n_steps == 1 and traj.states.tolist() == [[0.0], [0.0]]
 
 
@@ -228,11 +243,11 @@ class TestAccuracy:
     def test_order_via_tolerance_halving(self):
         # error should scale roughly like tol when the step rule tracks it
         ref_cfg = IntegratorConfig(rel_tol=1e-14)
-        ref = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, ref_cfg)
+        ref = integrate(forced, np.array([0.2, -0.1]), 0.0, 0.0, 12.0, ref_cfg)
         errs = []
         for tol in (1e-6, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=tol)
-            traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0, cfg)
+            traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 0.0, 12.0, cfg)
             errs.append(np.max(np.abs(traj.states_at(12.0) - ref.states_at(12.0))))
         assert errs[1] < errs[0] * 0.1
         assert errs[2] < errs[1] * 0.1
@@ -240,43 +255,43 @@ class TestAccuracy:
     def test_reversibility(self):
         cfg = IntegratorConfig(rel_tol=1e-11)
         y0 = np.array([0.3, 0.7])
-        fwd = integrate(harmonic, y0, 0.0, 25.0, cfg)
-        back = integrate(harmonic, fwd.states_at(25.0), 25.0, 0.0, cfg)
+        fwd = integrate(harmonic, y0, 0.0, 0.0, 25.0, cfg)
+        back = integrate(harmonic, fwd.states_at(25.0), 25.0, 0.0, 25.0, cfg)
         assert np.max(np.abs(back.states_at(0.0) - y0)) <= 100 * cfg.rel_tol
 
 
 class TestDenseOutput:
     def test_nodes_exact(self):
         cfg = IntegratorConfig(rel_tol=1e-10)
-        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg)
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 0.0, 10.0, cfg)
         for k in range(0, traj.n_steps + 1, max(1, traj.n_steps // 17)):
             s = traj.s_nodes[k]
             assert np.array_equal(traj.states_at(s), traj.states[k])
 
     def test_interpolation_accuracy(self):
         cfg = IntegratorConfig(rel_tol=1e-11)
-        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 10.0, cfg)
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 0.0, 10.0, cfg)
         ss = np.linspace(0.0, 10.0, 777)
         vals = traj.states_at(ss)
         ref = np.stack([np.cos(ss), -np.sin(ss)], axis=1)
         assert np.max(np.abs(vals - ref)) < 5e-10
 
     def test_outside_span_raises(self):
-        traj = integrate(decay, np.array([1.0]), 0.0, 1.0)
+        traj = integrate(decay, np.array([1.0]), 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             traj.states_at(1.5)
 
     def test_interpolant_endpoint_consistency(self):
         # the step's polynomial at theta -> 1 approaches the next node state
         cfg = IntegratorConfig(rel_tol=1e-9)
-        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 5.0, cfg)
+        traj = integrate(harmonic, np.array([1.0, 0.0]), 0.0, 0.0, 5.0, cfg)
         k = traj.n_steps // 2
         s0, s1 = traj.s_nodes[k], traj.s_nodes[k + 1]
         just_before = s1 - 1e-9 * (s1 - s0)
         assert np.max(np.abs(traj.states_at(just_before) - traj.states[k + 1])) < 1e-8
 
     def test_unsorted_read_matches_sorted(self):
-        traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 12.0)
+        traj = integrate(forced, np.array([0.2, -0.1]), 0.0, 0.0, 12.0)
         ss = np.random.default_rng(7).uniform(0.0, 12.0, 500)
         order = np.argsort(ss)
         assert np.array_equal(traj.states_at(ss)[order], traj.states_at(ss[order]))
@@ -305,9 +320,9 @@ class TestDenseOutput:
         cfg = IntegratorConfig(rel_tol=1e-10)
         y0 = np.array([1.0, 0.0])
         s0 = 0.5
-        minus = integrate(harmonic, y0, s0, -4.0, cfg)
-        plus = integrate(harmonic, y0, s0, 6.0, cfg)
-        both = integrate_span(harmonic, y0, s0, -4.0, 6.0, cfg)
+        minus = integrate(harmonic, y0, s0, -4.0, s0, cfg)
+        plus = integrate(harmonic, y0, s0, s0, 6.0, cfg)
+        both = integrate(harmonic, y0, s0, -4.0, 6.0, cfg)
         assert both.n_steps == minus.n_steps + plus.n_steps
         assert both.rhs_evals == minus.rhs_evals + plus.rhs_evals
         assert (both.n_steps_minus, minus.n_steps_minus, plus.n_steps_minus) == (

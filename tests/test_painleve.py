@@ -168,7 +168,7 @@ class TestSigmaDerivatives:
         for s, y in ((0.0, (0.2, 0.5, -0.7)), (-6.5, (3.1, -0.4, 1.2)),
                      (11.0, (-2.0, 0.9, 0.3))):
             jet = SigmaJet(s, *y)
-            c = painleve._sp4_taylor(p)(s, np.array(y))
+            c = painleve._sp4_taylor(p)([s], np.array([y]))[:, 0]
             sppp = sigma_ppp(jet, p)
             assert np.array_equal(c[0], y)
             assert np.allclose(c[1], [y[1], y[2], sppp], rtol=1e-14, atol=0.0)
@@ -215,11 +215,19 @@ class TestSp4Taylor:
         for _ in range(20):
             s0 = rng.uniform(-40.0, 40.0)
             y = rng.standard_normal(3) * 10.0 ** rng.uniform(-1.0, 1.0)
-            c = taylor(s0, y)
+            c = taylor([s0], y[None])[:, 0]
             ref = _sp4_reference(p, s0, y)
             size = _sp4_reference(p, s0, y, 1.0)
             assert np.array_equal(c[0], y)
             assert np.all(np.abs(c - ref) <= _ROUNDING * size)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_coefficient_layout(self, lanes):
+        # integrate's batched step sums each lane's orders one after the
+        # other, as a one-lane integration does, only on C-ordered arrays
+        ys = np.random.default_rng(4).standard_normal((lanes, 3))
+        c = painleve._sp4_taylor(FlowParams(1.3, 0.4))([0.5] * lanes, ys)
+        assert c.shape == (ORDER + 1, lanes, 3) and c.flags.c_contiguous
 
 
 class TestSp4Integrate:
