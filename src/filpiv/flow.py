@@ -388,7 +388,7 @@ def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
     if d is None:
         return FlowRun(params, integrate(taylor, state0.y, state0.s, s_min, s_max, cfg))
     plus = integrate(taylor, state0.y, 0.0, 0.0, s_max, cfg)
-    return FlowRun(params, Trajectory.join(plus.mirrored(d), plus), d)
+    return FlowRun(params, plus.with_mirror(d), d)
 
 
 def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:

@@ -30,9 +30,6 @@ _SAFETY = 0.9
 # the rows of an expansion the step rule reads: y and the last two
 _STEP_ROWS = np.array([0, ORDER - 1, ORDER])
 
-# the steps a leg's coefficient array holds before it is first doubled
-_CAPACITY = 256
-
 # the floor of the step tolerance abs + rel |y|_inf: the flow's |y|_inf is at
 # least |G'|_inf >= 1/sqrt 3, so at rel = 1e-12 the floor is under 2% of it
 _ABS_TOL = 1e-14
@@ -43,8 +40,10 @@ class IntegratorConfig:
     """The relative step tolerance and the step budget, which holds per leg:
     a leg that takes exactly max_steps steps is integrated, one that needs
     more raises MaxStepsExceededError, and an integration from inside its
-    span may take max_steps steps on each side.  The budget also bounds the
-    dense output's memory (one (N+1, dim) coefficient block per step)."""
+    span may take max_steps steps on each side.  The budget bounds memory
+    too: a flow run keeps 1.2 KB of coefficients per step and peaks at about
+    1.9 KB per step mirrored, 2.5 KB with two legs, so the default admits a
+    7.6-10 GB peak."""
 
     rel_tol: float = 1e-12
     max_steps: int = 2_000_000
@@ -100,9 +99,8 @@ class Trajectory:
     @staticmethod
     def join(minus: "Trajectory", plus: "Trajectory") -> "Trajectory":
         """The two-sided trajectory of a minus and a plus leg that share the
-        node minus.s_nodes[-1] == plus.s_nodes[0].  The plus leg's copy of
-        the shared node and its state is kept: a mirrored minus leg holds
-        -0.0 there, in s and in every component its signs flip."""
+        node minus.s_nodes[-1] == plus.s_nodes[0], whose plus-leg copy (and
+        its state) is kept."""
         return Trajectory(
             np.concatenate([minus.s_nodes[:-1], plus.s_nodes]),
             np.concatenate([minus.states[:-1], plus.states]),
@@ -110,13 +108,20 @@ class Trajectory:
             np.concatenate([minus.coeffs, plus.coeffs]),
         )
 
-    def mirrored(self, d) -> "Trajectory":
-        """The mirror image y(-s) = d * y(s) of a leg that starts at s = 0,
-        for a vector of signs d.  It is exact: nodes -s[::-1], states
+    def with_mirror(self, d) -> "Trajectory":
+        """This leg, which starts at s = 0, joined to its exact mirror image
+        y(-s) = d * y(s) for a vector of signs d: nodes -s[::-1], states
         (d * y)[::-1], widths -h[::-1] and coefficients (d * c)[::-1], as
-        theta runs over the signed width from the mirrored origin."""
-        return Trajectory(-self.s_nodes[::-1], (self.states * d)[::-1],
-                          -self.h[::-1], (self.coeffs * d)[::-1])
+        theta runs over the signed width from the mirrored origin, written
+        straight into the first half of the joined arrays.  The leg's own
+        node s = 0 is kept; the mirror's holds -0.0 where d flips a sign."""
+        n = self.n_steps
+        states = np.concatenate([self.states[:0:-1], self.states])
+        coeffs = np.concatenate([self.coeffs[::-1], self.coeffs])
+        states[:n] *= d
+        coeffs[:n] *= d
+        return Trajectory(np.concatenate([-self.s_nodes[:0:-1], self.s_nodes]), states,
+                          np.concatenate([-self.h[::-1], self.h]), coeffs)
 
     def states_at(self, s_values) -> np.ndarray:
         """States at s (any shape; result shape s.shape + (dim,)).
@@ -158,15 +163,6 @@ class Trajectory:
         return y.reshape(s.shape + (dim,))
 
 
-def _resize(blocks: np.ndarray, n: int) -> None:
-    """Resize the coefficient array of a leg to n blocks in place.  numpy
-    reallocates its memory, and realloc remaps a large block rather than
-    copying it, so the array never exists twice.  refcheck=False, because a
-    profiler may hold a reference to the bound method; integrate keeps no
-    view of the array while it grows."""
-    blocks.resize((n,) + blocks.shape[1:], refcheck=False)
-
-
 def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the ODE whose Taylor expansion about (s, y) is taylor(s, y)
     from (s0, state0) to both ends of [s_min, s_max] with dense output; a
@@ -193,10 +189,11 @@ def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = N
     ends = [float(end) for end in (s_min, s_max) if end != s0]
     y = np.array([state0] * len(ends), dtype=float)
     dim = y.shape[1]
-    # per lane: its nodes, its coefficient blocks (doubled when full) and
-    # its last state
+    # per lane: its nodes, the bytes of its coefficient blocks (a bytearray
+    # grows geometrically, and refuses to while a view of it exists) and its
+    # last state
     nodes = [[s0] for _ in ends]
-    coeffs = [np.empty((_CAPACITY, ORDER + 1, dim)) for _ in ends]
+    coeffs = [bytearray() for _ in ends]
     last = [None] * len(ends)
     lanes, s = list(range(len(ends))), [s0] * len(ends)  # the batch
     powers = np.arange(ORDER + 1.0)[:, None]
@@ -231,14 +228,11 @@ def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = N
             y = np.add.reduce(d, 0)
             going = []  # the lanes that stay in the batch, in its order
             for j, lane in enumerate(lanes):
-                n = len(nodes[lane]) - 1  # steps taken before this one
-                if n == len(coeffs[lane]):
-                    _resize(coeffs[lane], 2 * n)
-                coeffs[lane][n] = d[:, j]
+                coeffs[lane] += d[:, j].tobytes()
                 nodes[lane].append(s_next[j])
                 if s_next[j] == ends[lane]:
                     last[lane] = y[j]
-                elif n + 1 == cfg.max_steps:
+                elif len(nodes[lane]) > cfg.max_steps:
                     raise MaxStepsExceededError(
                         f"max_steps={cfg.max_steps} exceeded at s={s_next[j]} (target {ends[lane]})"
                     )
@@ -250,9 +244,7 @@ def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = N
 
     legs = []
     for lane, end in enumerate(ends):
-        n = len(nodes[lane]) - 1
-        _resize(coeffs[lane], n)
-        c = coeffs[lane]
+        c = np.frombuffer(coeffs[lane]).reshape(-1, ORDER + 1, dim)
         s_nodes = np.array(nodes[lane])
         # a step's first coefficient row is the state at its origin
         states = np.concatenate([c[:, 0], last[lane][None]])

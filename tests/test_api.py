@@ -4,8 +4,9 @@ somewhere other than its own definition, so a public name nothing reaches
 fails too, as does a private module-level name its module never reads;
 every error class is raised by the package, or is the base of one that is;
 every memoizing cache has a finite size, so a long process cannot grow
-without bound; the CLI parses config values in resolve_config alone; and
-odeint steps every integration in one loop, behind its one function."""
+without bound; the CLI parses config values in resolve_config alone;
+odeint steps every integration in one loop, behind its one function; and no
+module resizes an array in place with `.resize(`."""
 
 import ast
 import functools
@@ -358,3 +359,24 @@ def test_second_integration_function_detected():
                      "b = both(t, y, 0.0, -1.0, 1.0)\nc = odeint.integrate_legs(t, y)\n")
     assert _odeint_calls(tree) == ["IntegratorConfig", "integrate", "integrate_both",
                                    "integrate_legs"]
+
+
+def _resize_calls(tree: ast.AST) -> list[int]:
+    """The lines of the `.resize(` calls in tree."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute) and n.func.attr == "resize")
+
+
+def test_no_resize_calls():
+    # ndarray.resize reallocates an array in place, and with refcheck=False
+    # nothing stops it while a view still reads the old memory; a bytearray
+    # grows on its own and refuses to while a view of it exists
+    found = {p.name: _resize_calls(ast.parse(p.read_text()))
+             for p in Path(filpiv.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_resize_call_detected():
+    tree = ast.parse("import numpy as np\na = np.empty(4)\na.resize((8,), refcheck=False)\n"
+                     "b = np.resize(a, 2)\nresize = len\nc = resize(a)\n")
+    assert _resize_calls(tree) == [3, 4]
