@@ -283,7 +283,7 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     """
     if side not in (1, -1):
         raise ConfigError("side must be +1 or -1")
-    if run.reflection is None or run.reflection[5] < 0.0:  # D[5]: the sign of G3'
+    if run.traj.mirror is None or run.traj.mirror[5] < 0.0:  # D[5]: the sign of G3'
         return _fit_side(run, side, window)
     key = (float(window[0]), float(window[1]))
     fit = run.plus_fits.get(key)

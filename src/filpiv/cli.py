@@ -285,7 +285,7 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
         "n_steps_plus": run.traj.n_steps - run.traj.n_steps_minus,
         # the signs of D in y(-s) = D y(s) when the minus leg is the plus
         # leg mirrored, null when both legs were integrated
-        "reflection": None if run.reflection is None else run.reflection.astype(int).tolist(),
+        "reflection": None if run.traj.mirror is None else run.traj.mirror.astype(int).tolist(),
         "step_min": float(steps.min()),
         "step_median": float(np.median(steps)),
         "step_max": float(steps.max()),

@@ -245,14 +245,15 @@ def make_initial_state(params: FlowParams, gp0, gpp0, s0: float = 0.0) -> FlowSt
 def _invariants(params: FlowParams, s, y):
     """(eps, |G'|, W.G' - s) with W = a x G + G, for states y (..., 6) at s.
 
-    eps = [ (a^2+1) |G|^2 - (a.G)^2 + 4 a.G' - s^2 ] / 4 is conserved; |G'| = 1
-    and the scalar constraint W.G' = s are propagated.
+    eps = [ (a^2+1) (G1^2 + G2^2) + G3^2 + 4 a.G' - s^2 ] / 4 (the axis is a e3)
+    is conserved; |G'| = 1 and the scalar constraint W.G' = s are propagated.
     """
     a_vec = params.a_vec
     g, gp = y[..., :3], y[..., 3:]
+    gg = g * g
     eps = 0.25 * (
-        (params.a**2 + 1.0) * np.sum(g * g, axis=-1)
-        - (g @ a_vec) ** 2
+        (params.a**2 + 1.0) * (gg[..., 0] + gg[..., 1])
+        + gg[..., 2]
         + 4.0 * (gp @ a_vec)
         - s**2
     )
@@ -264,17 +265,14 @@ def _invariants(params: FlowParams, s, y):
 class FlowRun:
     """One flow solution: its two-sided dense trajectory with diagnostics.
 
-    The readers take a scalar s or an array of s values.  reflection is
-    the diagonal D of the mirror image y(-s) = D y(s) that built the minus
-    leg, or None when both legs were integrated.  plus_fits holds
+    The readers take a scalar s or an array of s values.  plus_fits holds
     asympt.fit_tail's plus-tail fits by window, for a run whose two tails
     carry the same sigma' samples.
     """
 
-    def __init__(self, params: FlowParams, traj: Trajectory, reflection=None):
+    def __init__(self, params: FlowParams, traj: Trajectory):
         self.params = params
         self.traj = traj
-        self.reflection = reflection
         self.plus_fits = {}
         self._rhs = make_rhs(params)
 
@@ -388,7 +386,7 @@ def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
     if d is None:
         return FlowRun(params, integrate(taylor, state0.y, state0.s, s_min, s_max, cfg))
     plus = integrate(taylor, state0.y, 0.0, 0.0, s_max, cfg)
-    return FlowRun(params, plus.with_mirror(d), d)
+    return FlowRun(params, plus.with_mirror(d))
 
 
 def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:

@@ -41,9 +41,9 @@ class IntegratorConfig:
     a leg that takes exactly max_steps steps is integrated, one that needs
     more raises MaxStepsExceededError, and an integration from inside its
     span may take max_steps steps on each side.  The budget bounds memory
-    too: a flow run keeps 1.2 KB of coefficients per step and peaks at about
-    1.9 KB per step mirrored, 2.5 KB with two legs, so the default admits a
-    7.6-10 GB peak."""
+    too: a flow run keeps 1.2 KB of coefficients per step integrated and
+    peaks at about 1.4 KB per such step, so the default admits about 2.8 GB
+    mirrored (one leg integrated) and 5.5 GB with two legs."""
 
     rel_tol: float = 1e-12
     max_steps: int = 2_000_000
@@ -61,16 +61,18 @@ class Trajectory:
     Nodes are stored in ascending s.  Segment k spans [s_nodes[k],
     s_nodes[k + 1]] and was taken as one Taylor step with signed width h[k]
     from its origin node: s_nodes[k] for h[k] > 0, s_nodes[k + 1] for h[k] <
-    0.  coeffs[k] holds the (N+1, dim) coefficients of that step's
-    polynomial in theta = (s - s_origin) / h, theta in [0, 1].  Node states
-    are exact integrator output.
+    0.  coeffs holds per leg, minus leg first and in segment order, the
+    (n, N+1, dim) array of its steps' polynomials in theta = (s - s_origin)
+    / h, theta in [0, 1], kept once as integrate read it; mirror is None or
+    the signs of with_mirror.  Node states are exact integrator output.
     """
 
-    def __init__(self, s_nodes, states, h, coeffs):
+    def __init__(self, s_nodes, states, h, coeffs, mirror=None):
         self.s_nodes = s_nodes
         self.states = states
         self.h = h
         self.coeffs = coeffs
+        self.mirror = mirror
 
     @property
     def n_steps(self) -> int:
@@ -94,43 +96,29 @@ class Trajectory:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    @staticmethod
-    def join(minus: "Trajectory", plus: "Trajectory") -> "Trajectory":
-        """The two-sided trajectory of a minus and a plus leg that share the
-        node minus.s_nodes[-1] == plus.s_nodes[0], whose plus-leg copy (and
-        its state) is kept."""
-        return Trajectory(
-            np.concatenate([minus.s_nodes[:-1], plus.s_nodes]),
-            np.concatenate([minus.states[:-1], plus.states]),
-            np.concatenate([minus.h, plus.h]),
-            np.concatenate([minus.coeffs, plus.coeffs]),
-        )
+        return self.coeffs[0].shape[1] - 1
 
     def with_mirror(self, d) -> "Trajectory":
         """This leg, which starts at s = 0, joined to its exact mirror image
         y(-s) = d * y(s) for a vector of signs d: nodes -s[::-1], states
-        (d * y)[::-1], widths -h[::-1] and coefficients (d * c)[::-1], as
-        theta runs over the signed width from the mirrored origin, written
-        straight into the first half of the joined arrays.  The leg's own
-        node s = 0 is kept; the mirror's holds -0.0 where d flips a sign."""
-        n = self.n_steps
+        (d * y)[::-1], widths -h[::-1] and the leg's own coefficients read
+        in reverse, as theta runs over the signed width from the mirrored
+        origin, with d applied by states_at.  The leg's own node s = 0 is
+        kept; the mirror's holds -0.0 where d flips a sign."""
+        (c,) = self.coeffs
         states = np.concatenate([self.states[:0:-1], self.states])
-        coeffs = np.concatenate([self.coeffs[::-1], self.coeffs])
-        states[:n] *= d
-        coeffs[:n] *= d
+        states[:self.n_steps] *= d
         return Trajectory(np.concatenate([-self.s_nodes[:0:-1], self.s_nodes]), states,
-                          np.concatenate([-self.h[::-1], self.h]), coeffs)
+                          np.concatenate([-self.h[::-1], self.h]), (c[::-1], c), d)
 
     def states_at(self, s_values) -> np.ndarray:
         """States at s (any shape; result shape s.shape + (dim,)).
 
         At a node the stored node state is returned exactly; elsewhere the
         polynomial of the containing segment is evaluated, one product per
-        segment touched.  einsum, unlike BLAS, sums every point in the same
-        order whatever else is in the batch, so a value does not depend on
-        the other points read with it.
+        segment touched, and times d on a mirrored run's minus side.  einsum,
+        unlike BLAS, sums every point in the same order whatever else is in
+        the batch, so a value does not depend on the other points read with it.
         """
         s = np.asarray(s_values, dtype=float)
         lo, hi = self.s_nodes[0], self.s_nodes[-1]
@@ -151,9 +139,14 @@ class Trajectory:
             np.multiply(powers[j - 1], theta, out=powers[j])
         dim = self.states.shape[1]
         y_t = np.empty((dim, flat.size))
-        starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
-        for a, b in zip(starts, starts[1:] + [flat.size]):
-            np.einsum("jm,jd->dm", powers[:, a:b], self.coeffs[ks[a]], out=y_t[:, a:b])
+        n_first = len(self.coeffs[0])  # the first leg's segments, which lead ks
+        starts = np.flatnonzero(np.diff(ks, prepend=-1))
+        runs = zip(starts.tolist(), starts[1:].tolist() + [flat.size], ks[starts].tolist())
+        for a, b, seg in runs:
+            leg, seg = (0, seg) if seg < n_first else (1, seg - n_first)
+            np.einsum("jm,jd->dm", powers[:, a:b], self.coeffs[leg][seg], out=y_t[:, a:b])
+        if self.mirror is not None:
+            y_t[:, :ks.searchsorted(n_first)] *= self.mirror[:, None]
         y = np.empty((flat.size, dim))
         y[perm] = y_t.T
         left = flat == self.s_nodes[k]
@@ -252,5 +245,11 @@ def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = N
         if end < s0:
             # ascending storage; each step starts at its right end
             s_nodes, states, c, h = s_nodes[::-1], states[::-1], c[::-1], h[::-1]
-        legs.append(Trajectory(s_nodes, states, h, c))
-    return legs[0] if len(legs) == 1 else Trajectory.join(*legs)
+            if len(ends) > 1:  # the plus leg's copy of the node s0 is kept
+                s_nodes, states = s_nodes[:-1], states[:-1]
+        legs.append((s_nodes, states, h, c))
+    if len(legs) == 1:
+        s_nodes, states, h, c = legs[0]
+        return Trajectory(s_nodes, states, h, (c,))
+    s_nodes, states, h, c = zip(*legs)
+    return Trajectory(np.concatenate(s_nodes), np.concatenate(states), np.concatenate(h), c)

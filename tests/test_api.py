@@ -5,8 +5,9 @@ fails too, as does a private module-level name its module never reads;
 every error class is raised by the package, or is the base of one that is;
 every memoizing cache has a finite size, so a long process cannot grow
 without bound; the CLI parses config values in resolve_config alone;
-odeint steps every integration in one loop, behind its one function; and no
-module resizes an array in place with `.resize(`."""
+odeint steps every integration in one loop, behind its one function; no
+module resizes an array in place with `.resize(`; and no module of the
+package or the benchmark but odeint touches a trajectory's `.coeffs`."""
 
 import ast
 import functools
@@ -380,3 +381,27 @@ def test_resize_call_detected():
     tree = ast.parse("import numpy as np\na = np.empty(4)\na.resize((8,), refcheck=False)\n"
                      "b = np.resize(a, 2)\nresize = len\nc = resize(a)\n")
     assert _resize_calls(tree) == [3, 4]
+
+
+def _coeffs_uses(tree: ast.AST) -> list[int]:
+    """The lines of the `.coeffs` attribute uses in tree."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "coeffs")
+
+
+def test_coefficients_read_only_in_odeint():
+    # a trajectory keeps each leg's blocks as integrate read them, and a
+    # mirrored run's minus blocks only as a reversed view of its plus leg's,
+    # with the signs applied on read: a reader outside odeint would have to
+    # know that layout and apply the mirror itself
+    paths = [p for p in Path(filpiv.__file__).parent.glob("*.py") if p.name != "odeint.py"]
+    bench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    assert bench
+    found = {p.name: _coeffs_uses(ast.parse(p.read_text())) for p in paths + bench}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_coeffs_use_detected():
+    tree = ast.parse("c = traj.coeffs\nn = len(run.traj.coeffs[0])\ncoeffs = 1\n"
+                     "h = getattr(traj, 'h')\ntraj.coeffs = ()\n")
+    assert _coeffs_uses(tree) == [1, 2, 5]

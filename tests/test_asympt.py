@@ -4,6 +4,7 @@ runs, the fitting pipeline, the rho laws and the connection map."""
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class SyntheticRun:
     """A stand-in for a FlowRun over [-s_max, s_max] whose tangent projects
     onto the axis a e3 as the tail model's sigma' (on the tail's side)."""
 
-    reflection = None  # no mirror: fit_tail fits the side it is asked for
+    traj = SimpleNamespace(mirror=None)  # fit_tail fits the side it is asked for
 
     def __init__(self, params, tail, s_max):
         self.params, self.tail = params, tail
@@ -282,7 +283,7 @@ class TestFitTail:
         class FakeRun:
             params = p
             s_min, s_max = -60.0, 60.0
-            reflection = None
+            traj = SimpleNamespace(mirror=None)
 
             def gp(self, s):
                 return np.tile([0.0, 0.0, 1.2], (len(s), 1))  # sigma' beyond a
@@ -313,12 +314,11 @@ class TestSharedFit:
     ])
     def test_minus_fit_is_the_fit_of_the_minus_tail(self, runs, a, eps, branch):
         run = runs.grid_run(a, eps, branch)
-        # the same trajectory, without the reflection: its minus tail is fitted
-        own = flow.FlowRun(run.params, run.traj)
         for window in ((24.0, 40.0), (20.0, 36.0)):
             shared = asympt.fit_tail(run, -1, window)
             assert shared.tail.side == -1
-            assert repr(shared) == repr(asympt.fit_tail(own, -1, window))  # bit for bit
+            # the fit of the minus tail's own samples, bit for bit
+            assert repr(shared) == repr(asympt._fit_side(run, -1, window))
 
     @staticmethod
     def _count_solves(monkeypatch, run, window):
@@ -337,7 +337,7 @@ class TestSharedFit:
 
     def test_one_fit_per_mirrored_run(self, runs, monkeypatch):
         cached = runs.grid_run(1.0, 0.5, "odd")
-        run = flow.FlowRun(cached.params, cached.traj, cached.reflection)
+        run = flow.FlowRun(cached.params, cached.traj)  # the mirror comes with traj
         solves, (plus, minus) = self._count_solves(monkeypatch, run, (24.0, 40.0))
         assert solves == plus.profile_solves == minus.profile_solves > 1
 

@@ -236,9 +236,12 @@ class TestTaylor:
         assert (both.n_steps_minus, both.n_steps - both.n_steps_minus) == (
             minus.n_steps, plus.n_steps)
         grid = np.concatenate([np.linspace(*span, 2001), both.s_nodes])
-        serial = odeint.Trajectory.join(minus, plus)
-        assert np.max(np.abs(both.states_at(grid) - serial.states_at(grid))) <= 1e-12
-        assert np.max(np.abs(both.s_nodes - serial.s_nodes)) <= 1e-12
+        # each leg on its own side of s0, which both hold as a node
+        n = both.n_steps_minus
+        for leg, nodes, side in ((minus, both.s_nodes[:n + 1], grid <= st.s),
+                                 (plus, both.s_nodes[n:], grid >= st.s)):
+            assert np.max(np.abs(both.states_at(grid[side]) - leg.states_at(grid[side]))) <= 1e-12
+            assert np.max(np.abs(nodes - leg.s_nodes)) <= 1e-12
 
     @pytest.mark.parametrize("a, eps, branch, n_steps", [
         (1.0, 0.5, "odd", 348), (10.0, 5.0, "odd", 574), (10.0, 20.0, "mixed_plus", 666),
@@ -302,7 +305,7 @@ class TestReflection:
     def test_matches_two_leg_integration(self, a, eps, branch, s_max):
         p, st, signs = _symmetric_case(a, eps, branch)
         run = flow.integrate_flow(p, st, -s_max, s_max)
-        assert run.reflection.tolist() == signs
+        assert run.traj.mirror.tolist() == signs
         both = odeint.integrate(flow.make_taylor(p), st.y, 0.0, -s_max, s_max)
         grid = np.linspace(-s_max, s_max, 4001)
         assert np.max(np.abs(run.state_y(grid) - both.states_at(grid))) <= 1e-12
@@ -315,13 +318,21 @@ class TestReflection:
         n = traj.n_steps_minus
         assert n == plus.n_steps and traj.n_steps == 2 * n
         # the plus leg bit for bit, the shared node s = 0 included
-        for name in ("s_nodes", "states", "h", "coeffs"):
+        for name in ("s_nodes", "states", "h"):
             assert np.array_equal(getattr(traj, name)[n:], getattr(plus, name))
         d = np.array(signs, dtype=float)
         assert np.array_equal(traj.s_nodes[:n], -plus.s_nodes[:0:-1])
         assert np.array_equal(traj.states[:n], (plus.states * d)[:0:-1])
         assert np.array_equal(traj.h[:n], -plus.h[::-1])
-        assert np.array_equal(traj.coeffs[:n], (plus.coeffs * d)[::-1])
+        # the plus leg's blocks are kept once: the minus side reads them in
+        # reverse from the same buffer, and the mirror is applied on read
+        minus_c, plus_c = traj.coeffs
+        assert np.shares_memory(minus_c, plus_c)
+        assert np.array_equal(plus_c, plus.coeffs[0])
+        assert np.array_equal(minus_c, plus_c[::-1])
+        assert np.array_equal(traj.mirror, d)
+        s = np.concatenate([np.random.default_rng(12).uniform(0.0, s_max, 2001), plus.s_nodes])
+        assert np.array_equal(traj.states_at(-s), d * plus.states_at(s))
 
     @pytest.mark.parametrize("eps, state, span", [
         # mixed-branch Cauchy data at s0 != 0, then an odd state on an
@@ -337,9 +348,12 @@ class TestReflection:
         st = state(p)
         run = flow.integrate_flow(p, st, *span)
         both = odeint.integrate(flow.make_taylor(p), st.y, st.s, *span)
-        assert run.reflection is None
-        for name in ("s_nodes", "states", "h", "coeffs"):
+        assert run.traj.mirror is None
+        for name in ("s_nodes", "states", "h"):
             assert np.array_equal(getattr(run.traj, name), getattr(both, name))
+        assert len(run.traj.coeffs) == len(both.coeffs) == 2
+        for mine, theirs in zip(run.traj.coeffs, both.coeffs):
+            assert np.array_equal(mine, theirs)
 
 
 class TestConservedEpsilon:
@@ -361,6 +375,14 @@ class TestConservedEpsilon:
     def test_constant_along_trajectory(self, runs):
         run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
         assert run.drift_diagnostics()["eps_drift_max"] <= 1e-9
+
+    def test_no_floor_growing_with_the_axis(self):
+        # (a^2+1)|G|^2 - (a.G)^2 summed as written cancels a^2 G3^2 and reads
+        # 3.6e-8 here; with the axis on e3 it is summed without cancelling
+        p = flow.FlowParams(1000.0, 0.3)
+        run = flow.integrate_flow(p, symmetric.make_symmetric_ic(p, "odd"), -40.0, 40.0,
+                                  IntegratorConfig(rel_tol=1e-14))
+        assert run.drift_diagnostics()["eps_drift_max"] < 1e-9
 
     def test_worst_drift_locations(self, runs):
         run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
