@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -130,69 +131,92 @@ def make_taylor(params: FlowParams):
     L, 6) array for a stack of L lanes y (L, 6).  The flow is autonomous, so
     s is not read.
 
-    The recurrence is W_k = a x G_k + G_k, T_{k+1} = sum_{j<=k} W_j x T_{k-j}
-    / (2(k+1)) and G_{k+1} = T_k / (k+1), with T = G'.  As W x T = T K(W)
-    for the 3 x 3 K(W) = np.cross(W, I), the sum is the flat row (T_k, ...,
-    T_0), kept reversed in one buffer with the L lanes of each order side by
-    side, times the stacked block-diagonal blockdiag(K(W_j) of each lane),
-    j = 0..k.  K(W_k) = skew T_{k-1} / k (skew G_0 for k = 0), with skew:
-    G -> K(W) flattened.  T_k and T_{k-1} (G_0 for k = 0) sit next to each
-    other in the buffer, so for each even k one product builds the blocks
-    of K(W_k) and K(W_{k+1}) of every lane: an expansion makes 36 dot calls
-    whatever L is, 12 for the blocks and 24 for the sums.  Off the diagonal
-    the blocks hold zeros, so a lane's values do not depend on what the
-    other lanes hold as long as those are finite; L = 1 is the serial
-    recurrence.
+    The recurrence is W_k = a x G_k + G_k, T_{k+1} = s_k sum_{j<=k} W_j x
+    T_{k-j} with s_k = 1 / (2(k+1)), and G_{k+1} = T_k / (k+1), with T = G'.
+    As W x T = T K(W) for the 3 x 3 K(W) = np.cross(W, I), the sum is the
+    flat row (T_k, ..., T_0), kept reversed in one buffer with the L lanes
+    of each order side by side, times the stacked block-diagonal K_j =
+    blockdiag(K(W_j) of each lane), j = 0..k.  K_k = skew T_{k-1} / k (skew
+    G_0 for k = 0), with skew: G -> K(W) flattened.
+
+    The orders go in pairs, three products for each even k:
+    - (T_k, T_{k-1}) (for k = 0, (T_0, the zero row, G_0)) times a fixed
+      map gives K_k and K_{k+1};
+    - the two rows (T_{k+1}, T_k, ..., T_0) and (T_k, ..., T_0, 0), one
+      strided view of the buffer in which the slot of T_{k+1} still holds
+      zeros, times K_0, ..., K_{k+1} give R, the sum for T_{k+2} less its
+      j = 0 term, and S, the sum for T_{k+1};
+    - (R, S) times A_k = [[s_{k+1} I, 0], [s_k s_{k+1} K_0, s_k I]] writes
+      (T_{k+2}, T_{k+1}) = (s_{k+1} (R + T_{k+1} K_0), s_k S) into their
+      slots.
+    An expansion makes 36 such calls whatever L is, plus one multiply that
+    fills the K_0 block of every A_k and one that zeroes the T slots.  Off
+    the diagonal the blocks hold zeros, so a lane's values do not depend on
+    what the other lanes hold as long as those are finite; L = 1 is the
+    serial recurrence.
 
     The returned closure builds the work buffers of each lane count once,
     on its first call with that count, and binds each pair of orders'
-    operands (bound dot methods, views into the buffers, the scales) there.
-    Each call returns a fresh array, but the closure is not reentrant: use
-    one closure per integration, as integrate_flow does."""
+    operands (bound dot methods, views into the buffers) there.  Each call
+    returns a fresh array, but the closure is not reentrant: use one closure
+    per integration, as integrate_flow does."""
     a1, a2, a3 = params.a_vec
     w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
     skew3 = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 3, 3).transpose(1, 2, 0)
     orders = np.arange(1.0, ORDER + 1)[:, None, None]
+    scales = 0.5 / orders.ravel()  # s_k = 1 / (2(k+1)), k = 0..ORDER-1
 
     def expansion(lanes):
         m = 3 * lanes  # entries per order
-        r = np.empty(m * (ORDER + 2))  # T_N, ..., T_0, then G_0
+        r = np.zeros(m * (ORDER + 3))  # T_N, ..., T_0, a zero row, then G_0
+        t_slots = r[:m * ORDER]
         t_0 = r[m * ORDER:m * (ORDER + 1)].reshape(lanes, 3)
-        g_0 = r[m * (ORDER + 1):].reshape(lanes, 3)
+        g_0 = r[m * (ORDER + 2):].reshape(lanes, 3)
         t_rows = r[:m * (ORDER + 1)].reshape(ORDER + 1, lanes, 3)[::-1]  # row k: T_k
-        kt = np.empty((ORDER, m * m))  # row k: the blocks of K(W_k) flattened
+        kt = np.empty((ORDER, m * m))  # row k: the blocks of K_k flattened
         k_blocks = kt.reshape(m * ORDER, m)
+        sums = np.empty((2, m))  # (R, S)
+        sums_dot = sums.reshape(2 * m).dot
 
-        # for each even k, the map of (T_k, T_{k-1}) to the blocks of
-        # (K(W_k), K(W_{k+1})), flattened
-        even = np.arange(0.0, ORDER, 2.0)[:, None, None, None]
-        pairs = np.zeros((ORDER // 2, 2, m, m, 2 * m))
-        for i in range(0, m, 3):
-            pairs[:, 0, i:i + 3, i:i + 3, m + i:m + i + 3] = skew3 / np.maximum(even, 1.0)
-            pairs[:, 1, i:i + 3, i:i + 3, i:i + 3] = skew3 / (even + 1.0)
-        pairs = pairs.reshape(ORDER // 2, 2 * m * m, 2 * m)
+        def pair_map(k, width):
+            # the map of the `width` entries from T_k's slot on, (T_k,
+            # T_{k-1}) or (T_0, 0, G_0), to the blocks of (K_k, K_{k+1})
+            # flattened: K_k reads the last m entries, K_{k+1} the first m
+            p = np.zeros((2, m, m, width))
+            for i in range(0, m, 3):
+                p[0, i:i + 3, i:i + 3, width - m + i:width - m + i + 3] = skew3 / max(k, 1)
+                p[1, i:i + 3, i:i + 3, i:i + 3] = skew3 / (k + 1)
+            return p.reshape(2 * m * m, width)
 
-        def order(k, i):
-            # with T_k at r[i:i + m]: (T_k, ..., T_0).dot, the stacked
-            # blocks of K(W_0), ..., K(W_k), the slot of T_{k+1} and its
-            # scale 1 / (2(k+1))
-            return r[i:m * (ORDER + 1)].dot, k_blocks[:m * (k + 1)], r[i - m:i], 0.5 / (k + 1)
+        # per pair A_k; its K_0 block is filled on each call
+        a_maps = np.zeros((ORDER // 2, 2 * m, 2 * m))
+        a_maps[:, :m, :m] = np.eye(m) * scales[1::2, None, None]
+        a_maps[:, m:, m:] = np.eye(m) * scales[0::2, None, None]
+        a_k_0 = a_maps[:, m:, :m]
+        k_0_scales = (scales[0::2] * scales[1::2])[:, None, None]
+        k_0 = kt[0].reshape(m, m)
 
-        steps = tuple(
-            (pairs[k // 2].dot, r[i:i + 2 * m], kt[k:k + 2].reshape(2 * m * m), *order(k, i),
-             *order(k + 1, i - m))
-            for k, i in zip(range(0, ORDER, 2), range(m * ORDER, 0, -2 * m))
-        )
+        def pair(k, i):
+            # with the slot of T_{k+1} at r[i:i + m]
+            width = 3 * m if k == 0 else 2 * m
+            rows = as_strided(r[i:], (2, m * (k + 2)), (m * r.itemsize, r.itemsize))
+            return (pair_map(k, width).dot, r[i + m:i + m + width], kt[k:k + 2].reshape(2 * m * m),
+                    rows.dot, k_blocks[:m * (k + 2)], a_maps[k // 2], r[i - m:i + m])
+
+        (first_dot, first_t, first_k, *first), *rest = (
+            pair(k, i) for k, i in zip(range(0, ORDER, 2), range(m * (ORDER - 1), 0, -2 * m)))
+        steps = ((None, None, None, *first), *rest)
 
         def expand(y):
             t_0[:], g_0[:] = y[:, 3:], y[:, :3]
-            for (pair_dot, t_pair, k_pair, row_dot, blocks, t_next, scale,
-                 row_dot_1, blocks_1, t_next_1, scale_1) in steps:
-                pair_dot(t_pair, k_pair)
-                row_dot(blocks, t_next)
-                t_next *= scale
-                row_dot_1(blocks_1, t_next_1)
-                t_next_1 *= scale_1
+            t_slots.fill(0.0)
+            first_dot(first_t, first_k)
+            np.multiply(k_0, k_0_scales, out=a_k_0)
+            for pair_dot, t_pair, k_pair, rows_dot, blocks, a_k, t_out in steps:
+                if pair_dot is not None:  # the first pair's blocks are built above
+                    pair_dot(t_pair, k_pair)
+                rows_dot(blocks, sums)
+                sums_dot(a_k, t_out)
             c = np.empty((ORDER + 1, lanes, 6))
             c[:, :, 3:] = t_rows
             c[0, :, :3] = y[:, :3]

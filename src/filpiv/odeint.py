@@ -34,6 +34,10 @@ _STEP_ROWS = np.array([0, ORDER - 1, ORDER])
 # least |G'|_inf >= 1/sqrt 3, so at rel = 1e-12 the floor is under 2% of it
 _ABS_TOL = 1e-14
 
+# points evaluated per block of a states_at read, whose temporaries take
+# about 0.3 KB per point: about 1.3 MB a block
+_READ_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -118,42 +122,52 @@ class Trajectory:
         polynomial of the containing segment is evaluated, one product per
         segment touched, and times d on a mirrored run's minus side.  einsum,
         unlike BLAS, sums every point in the same order whatever else is in
-        the batch, so a value does not depend on the other points read with it.
+        the batch, so a value does not depend on the other points read with
+        it.  That lets the points, sorted by segment, go _READ_BLOCK at a
+        time: a read holds its result, 16 bytes of sort keys per point and
+        one block's temporaries.
         """
         s = np.asarray(s_values, dtype=float)
         lo, hi = self.s_nodes[0], self.s_nodes[-1]
         if s.size and not (s.min() >= lo - 1e-12 and s.max() <= hi + 1e-12):
             raise RangeError(f"s outside trajectory span [{lo}, {hi}]")
-        flat = np.clip(s.ravel(), lo, hi)
-        k = np.minimum(np.searchsorted(self.s_nodes, flat, side="right") - 1,
-                       self.n_steps - 1)
+        flat = s.ravel()
+        # the segment of each point, the end ones taking the points beyond
+        k = np.searchsorted(self.s_nodes[1:-1], flat, side="right")
         perm = np.argsort(k, kind="stable")
-        ks = k[perm]
+        y = np.empty((flat.size, self.states.shape[1]))
+        for start in range(0, flat.size, _READ_BLOCK):
+            self._evaluate(flat, k, perm[start:start + _READ_BLOCK], y)
+        return y.reshape(s.shape + y.shape[1:])
+
+    def _evaluate(self, flat, k, idx, y) -> None:
+        """Write y[idx], the states at the points flat[idx] of the segments
+        k[idx], for indices idx sorted by segment."""
+        ks = k[idx]
+        x = np.clip(flat[idx], self.s_nodes[0], self.s_nodes[-1])
         h = self.h[ks]
-        theta = (flat[perm] - self.s_nodes[ks + (h < 0.0)]) / h
+        theta = (x - self.s_nodes[ks + (h < 0.0)]) / h
         # powers[j] = theta^j, one row per power so each product runs along
         # contiguous points
-        powers = np.empty((self.order + 1, flat.size))
+        powers = np.empty((self.order + 1, idx.size))
         powers[0] = 1.0
         for j in range(1, self.order + 1):
             np.multiply(powers[j - 1], theta, out=powers[j])
-        dim = self.states.shape[1]
-        y_t = np.empty((dim, flat.size))
+        y_t = np.empty((y.shape[1], idx.size))
         n_first = len(self.coeffs[0])  # the first leg's segments, which lead ks
         starts = np.flatnonzero(np.diff(ks, prepend=-1))
-        runs = zip(starts.tolist(), starts[1:].tolist() + [flat.size], ks[starts].tolist())
+        runs = zip(starts.tolist(), starts[1:].tolist() + [idx.size], ks[starts].tolist())
         for a, b, seg in runs:
             leg, seg = (0, seg) if seg < n_first else (1, seg - n_first)
             np.einsum("jm,jd->dm", powers[:, a:b], self.coeffs[leg][seg], out=y_t[:, a:b])
         if self.mirror is not None:
             y_t[:, :ks.searchsorted(n_first)] *= self.mirror[:, None]
-        y = np.empty((flat.size, dim))
-        y[perm] = y_t.T
-        left = flat == self.s_nodes[k]
-        right = flat == self.s_nodes[k + 1]
-        y[left] = self.states[k[left]]
-        y[right] = self.states[k[right] + 1]
-        return y.reshape(s.shape + (dim,))
+        y_s = y_t.T
+        left = x == self.s_nodes[ks]
+        right = x == self.s_nodes[ks + 1]
+        y_s[left] = self.states[ks[left]]
+        y_s[right] = self.states[ks[right] + 1]
+        y[idx] = y_s
 
 
 def integrate(taylor, state0, s0, s_min, s_max, cfg: IntegratorConfig | None = None) -> Trajectory:

@@ -144,11 +144,12 @@ def _cauchy_reference(w_of_g, y, sign=-1.0):
     """The flow recurrence one order at a time: p[i, l] = sum_j W_j[i]
     T_{k-j}[l], whose antisymmetric part (sign -1) is the cross sum.  With
     sign +1 and the absolute values of w_of_g and y it gives the size of the
-    sums each coefficient is made of, the scale of its rounding error."""
-    c = np.empty((ORDER + 1, 6))
+    sums each coefficient is made of, the scale of its rounding error.  It
+    computes in the dtype of y."""
+    c = np.empty((ORDER + 1, 6), dtype=y.dtype)
     c[0] = y
     g, t = c[:, :3], c[:, 3:]
-    w = np.empty((ORDER + 1, 3))
+    w = np.empty((ORDER + 1, 3), dtype=y.dtype)
     for k in range(ORDER):
         w[k] = w_of_g @ g[k]
         p = w[:k + 1].T @ t[k::-1]
@@ -183,22 +184,63 @@ class TestTaylor:
         (1.7, (0.6, 0.0, 0.8)),
     ])
     def test_lanes_match_cauchy_reference(self, a, axis):
-        # two lanes share each product through block-diagonal blocks; each
-        # lane keeps to the rounding bound of the serial recurrence
+        # two or three lanes share each product through block-diagonal
+        # blocks; each lane keeps to the rounding bound of the serial
+        # recurrence
         p = params_along(a, axis)
         a1, a2, a3 = p.a_vec
         w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
         taylor = flow.make_taylor(p)
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            ys = rng.standard_normal((2, 6)) * 10.0 ** rng.uniform(-1.0, 1.0, (2, 1))
-            c = taylor([0.0, 0.0], ys)
-            assert c.shape == (ORDER + 1, 2, 6)
+        for lanes in [2] * 20 + [3] * 20:
+            ys = rng.standard_normal((lanes, 6)) * 10.0 ** rng.uniform(-1.0, 1.0, (lanes, 1))
+            c = taylor([0.0] * lanes, ys)
+            assert c.shape == (ORDER + 1, lanes, 6)
             for lane, y in enumerate(ys):
                 ref = _cauchy_reference(w_of_g, y)
                 size = _cauchy_reference(np.abs(w_of_g), np.abs(y), 1.0)
                 assert np.array_equal(c[0, lane], y)
                 assert np.all(np.abs(c[:, lane] - ref) <= _ROUNDING * size)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than a double")
+    @given(hst.floats(0.0, 1e3), hst.floats(-1.0, 1.0), hst.floats(0.0, 2.0 * math.pi),
+           hst.integers(1, 3), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_lanes_match_cauchy_reference_property(self, a, cos_tilt, turn, lanes, seed):
+        # any axis strength and direction; each lane's entries are of one
+        # size, 1e-2 to 1e2.  The reference runs in long double: in doubles
+        # its own rounding reaches the bound at large a
+        sin_tilt = math.sqrt(1.0 - cos_tilt**2)
+        p = params_along(a, (sin_tilt * math.cos(turn), sin_tilt * math.sin(turn), cos_tilt))
+        a1, a2, a3 = p.a_vec
+        w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
+        rng = np.random.default_rng(seed)
+        ys = rng.standard_normal((lanes, 6)) * 10.0 ** rng.uniform(-2.0, 2.0, (lanes, 1))
+        c = flow.make_taylor(p)([0.0] * lanes, ys)
+        for lane, y in enumerate(ys):
+            ref = _cauchy_reference(w_of_g.astype(np.longdouble), y.astype(np.longdouble))
+            size = _cauchy_reference(np.abs(w_of_g), np.abs(y), 1.0)
+            assert np.array_equal(c[0, lane], y)
+            assert np.all(np.abs(c[:, lane] - ref) <= _ROUNDING * size)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_non_finite_state_leaves_no_trace(self, lanes):
+        # the pairing reads slots that each call must hold at zero: after a
+        # NaN state and one that overflows, a finite state's coefficients
+        # are those of a fresh closure
+        p = params_along(1.7)
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((lanes, 6))
+        taylor = flow.make_taylor(p)
+        bad = y.copy()
+        bad[-1, 2] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(taylor([0.0] * lanes, bad)).any()
+            assert not np.isfinite(taylor([0.0] * lanes, np.full((lanes, 6), 1e300))).all()
+        c = taylor([0.0] * lanes, y)
+        assert np.isfinite(c).all()
+        assert np.array_equal(c, flow.make_taylor(p)([0.0] * lanes, y))
 
     def test_lane_does_not_depend_on_other_lanes(self):
         # a lane's bits are the same whatever the other lane holds
