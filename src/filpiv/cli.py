@@ -6,7 +6,8 @@ selfcheck.  Exit codes: 0 success, 2 config error, 3 numeric failure,
 4 invariant violation beyond thresholds.  Every output embeds the fully
 resolved and typed config and the artifact version; reruns are
 byte-identical (there is no randomness anywhere).  Every CSV cell is the
-value's `%.17g` rendering, and every undefined value (NaN) is an empty cell.
+value's `%.17g` rendering, and every undefined value (NaN) is an empty cell;
+the cells are rendered with numpy, a block of rows at a time (_cells).
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ _WHOLE_BLOCKS = {"initial": {"branch", "gp0", "gpp0", "s0"},
 # config error before anything runs, not a failed allocation after the run
 _MAX_ROWS = 10**7
 
-# rows formatted per %-operation: streaming by block keeps the peak memory at
-# one block's text instead of the whole file's
+# rows formatted per format_cells call: streaming by block keeps the peak
+# memory at one block's cells, temporaries and text instead of the whole
+# table's and file's
 _CSV_BLOCK = 512
 
 
@@ -244,22 +246,26 @@ def _csv_header_lines(cfg: dict) -> list[str]:
 
 
 def _write_csv(path: Path, header_lines: list[str], columns) -> None:
-    """Write the header lines, then one row per entry of the stacked columns.
+    """Write the header lines, then one row per entry of the columns (each
+    1-d, or 2-d for several columns side by side).
 
-    Cells are `%.17g` (the same text as `format(x, ".17g")`), formatted one
-    block of rows per %-operation.  "nan" is the only `%.17g` output with
-    those letters, so blanking it in the formatted rows, never in the
-    header, makes every NaN an empty cell.
+    Every cell is the `%.17g` text of its value (the same as
+    `format(x, ".17g")`) and every NaN an empty cell.  Each block of
+    _CSV_BLOCK rows is stacked from the columns' slices and rendered by
+    _cells.format_cells, so neither the whole table nor the whole text is
+    held.
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    # imported here, not with cli: a process that writes no CSV (every
+    # subcommand but integrate and filament, and a library caller of the other
+    # modules) neither compiles nor keeps the formatter
+    from ._cells import format_cells
+
     _create_parent(path)
-    with path.open("w") as fh:
-        fh.write("\n".join(header_lines) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            text = (row * len(block)) % tuple(block.ravel().tolist())
-            fh.write(text.replace("nan", ""))
+    with path.open("wb") as fh:
+        fh.write(("\n".join(header_lines) + "\n").encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            fh.write(format_cells(np.column_stack(
+                [col[start:start + _CSV_BLOCK] for col in columns])))
 
 
 def cmd_integrate(cfg: dict, out: Path) -> int:

@@ -9,12 +9,15 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filpiv import _cells
+from filpiv._cells import format_cells
 from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
                         EXIT_NUMERIC, EXIT_OK, _write_csv, build_parser, main,
                         resolve_config)
@@ -187,6 +190,102 @@ class TestWriteCsv:
         # the per-cell rendering the block formatter replaced
         rows = [",".join(_cell(v) for v in row) for row in table]
         assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # the table of 40,000 rows and 14 columns holds 4.5 MB: a write that
+        # stacked it whole (5.1 MB traced) fails; one block's cells,
+        # temporaries and text take about 1 MB
+        rows = 40_000
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(rows), rng.standard_normal((rows, 3)),
+                   rng.standard_normal((rows, 8)), rng.standard_normal((rows, 2)) * 1e-13]
+        _cells._cell_tables()  # built once per process, on the first write
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", ["# big"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * 14 * 8 / 2
+
+
+def _expected_text(table) -> bytes:
+    return "".join(",".join(_cell(v) for v in row) + "\n" for row in table).encode()
+
+
+def _assert_cells_match(values, columns=7):
+    """format_cells of values, NaN-padded to rows of `columns`, against the
+    per-cell reference."""
+    values = np.asarray(values, dtype=float)
+    table = np.full(-(-len(values) // columns) * columns, math.nan)
+    table[:len(values)] = values
+    table = table.reshape(-1, columns)
+    assert format_cells(table) == _expected_text(table)
+
+
+class TestFormatCells:
+    """_cells.format_cells, the numpy rendering of `%.17g`, against _cell."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    def test_matches_per_cell_reference(self, values):
+        # st.floats() draws NaN, +-inf, +-0 and subnormals among the rest
+        table = np.array([values])
+        assert format_cells(table) == _expected_text(table)
+
+    def test_exact_ties_and_neighbours(self):
+        # 17-digit ties, rounded half to even by `%`: the fast path leaves
+        # them to it
+        ties = np.array([1859497496434501.25, -335608033327690.375])
+        _assert_cells_match(np.concatenate([ties, np.nextafter(ties, -math.inf),
+                                            np.nextafter(ties, math.inf)]), 3)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # the doubles nearest 10^k, some of which lie below 10^k by less than
+        # half a unit in the 17th digit, so that their digits carry
+        nearest = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        _assert_cells_match(nearest)
+        _assert_cells_match(-nearest)
+        powers = nearest[-300 + 323:300 + 324]  # k in -300..300
+        for way in (-math.inf, math.inf):
+            _assert_cells_match(np.nextafter(powers, way))
+            _assert_cells_match(-np.nextafter(powers, way))
+
+    def test_powers_of_two(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        _assert_cells_match(powers)
+        _assert_cells_match(-powers)
+
+    def test_ends_of_the_normal_range(self):
+        big, tiny = np.finfo(float).max, np.finfo(float).tiny
+        _assert_cells_match([big, -big, tiny, -tiny, np.nextafter(big, 0.0),
+                             np.nextafter(tiny, 1.0), np.nextafter(tiny, 0.0)])
+
+    def test_fallback_cells_spliced_in_place(self):
+        # one block mixing cells of the fast path with cells it leaves to `%`
+        # (ties, subnormals, the ends of the double range), in every column
+        rng = np.random.default_rng(17)
+        table = rng.standard_normal((64, 9)) * 10.0 ** rng.integers(-20, 20, (64, 9))
+        table.flat[::7] = 1859497496434501.25
+        table.flat[3::11] = 5e-324 * rng.integers(1, 10**6, len(table.flat[3::11]))
+        table.flat[5::13] = np.finfo(float).max
+        table.flat[6::17] = math.nan
+        fast = _cells._decimal(np.abs(table.ravel()), _cells._cell_tables())[2]
+        left = ~fast & np.isfinite(table.ravel()) & (table.ravel() != 0.0)
+        assert fast.sum() > 300 and left.sum() > 100
+        assert format_cells(table) == _expected_text(table)
+
+
+def test_import_builds_no_cell_tables():
+    # the formatter is imported on the first write and its tables built
+    # then: a process that writes no CSV (every subcommand but integrate and
+    # filament) never pays for them
+    code = ("import sys, numpy, filpiv.cli; print('filpiv._cells' in sys.modules); "
+            "import filpiv._cells as cells; print(cells._cell_tables.cache_info().currsize); "
+            "cells.format_cells(numpy.ones((1, 1))); print(cells._cell_tables.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "1"]
 
 
 class TestErrors:
