@@ -276,14 +276,13 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
     frequency correction couples omega into the phase), in 4 to 13 solves;
     delta then follows from the linear cos/sin fit.  The window is in |s|.
 
-    A run mirrored with a D that keeps G3' (the odd and mixed branches)
-    has sigma'(-s) = sigma'(s) = a G3'(s) bit for bit, and the fit reads
-    nothing else of its side: both tails share the plus tail's fit, made
-    once per window and kept in run.plus_fits.
+    The fit reads nothing of its side but sigma', so on a run whose
+    sigma' is even bit for bit (FlowRun.sigma_p_even) both tails share the
+    plus tail's fit, made once per window and kept in run.plus_fits.
     """
     if side not in (1, -1):
         raise ConfigError("side must be +1 or -1")
-    if run.traj.mirror is None or run.traj.mirror[5] < 0.0:  # D[5]: the sign of G3'
+    if not run.sigma_p_even:
         return _fit_side(run, side, window)
     key = (float(window[0]), float(window[1]))
     fit = run.plus_fits.get(key)

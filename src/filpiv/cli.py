@@ -48,6 +48,10 @@ _MAX_ROWS = 10**7
 # table's and file's
 _CSV_BLOCK = 512
 
+# grid points sampled per FlowRun.sample call for a CSV: one chunk's columns
+# are held, not the whole grid's; below about 2,048 a call's fixed cost shows
+_SAMPLE_ROWS = 8 * _CSV_BLOCK
+
 
 def _number(value, what: str) -> float:
     """value as a finite float; a ConfigError naming the key otherwise (json
@@ -247,7 +251,8 @@ def _csv_header_lines(cfg: dict) -> list[str]:
 
 def _write_csv(path: Path, header_lines: list[str], columns) -> None:
     """Write the header lines, then one row per entry of the columns (each
-    1-d, or 2-d for several columns side by side).
+    1-d, or 2-d for several columns side by side): a list of them, or an
+    iterator that yields one such list per chunk of rows.
 
     Every cell is the `%.17g` text of its value (the same as
     `format(x, ".17g")`) and every NaN an empty cell.  Each block of
@@ -263,21 +268,31 @@ def _write_csv(path: Path, header_lines: list[str], columns) -> None:
     _create_parent(path)
     with path.open("wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode())
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            fh.write(format_cells(np.column_stack(
-                [col[start:start + _CSV_BLOCK] for col in columns])))
+        for chunk in [columns] if isinstance(columns, list) else columns:
+            for start in range(0, len(chunk[0]), _CSV_BLOCK):
+                fh.write(format_cells(np.column_stack(
+                    [col[start:start + _CSV_BLOCK] for col in chunk])))
+
+
+def _chunks(grid, columns):
+    """columns(points) per chunk of _SAMPLE_ROWS points of grid, made lazily."""
+    return (columns(grid[start:start + _SAMPLE_ROWS])
+            for start in range(0, len(grid), _SAMPLE_ROWS))
 
 
 def cmd_integrate(cfg: dict, out: Path) -> int:
     # the artefacts of a breaching run are written first, to diagnose it
     params, run = _run_flow(cfg, check=False)
     lo, hi = cfg["s_span"]
-    smp = run.sample(np.linspace(lo, hi, round((hi - lo) / cfg["sample_step"]) + 1))
+
+    def columns(s):
+        smp = run.sample(s)
+        return [smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"],
+                smp["sigma_pp"], smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]]
+
     cols = "s,G1,G2,G3,Gp1,Gp2,Gp3,sigma,sigma_p,sigma_pp,C,T,eps_drift,unit_drift"
-    _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], [
-        smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"],
-        smp["sigma_pp"], smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"],
-    ])
+    grid = np.linspace(lo, hi, round((hi - lo) / cfg["sample_step"]) + 1)
+    _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], _chunks(grid, columns))
 
     drifts = run.drift_diagnostics()
     steps = np.diff(run.traj.s_nodes)
@@ -418,15 +433,22 @@ def cmd_filament(cfg: dict, out: Path) -> int:
     g = cfg["x_grid"]
     x_grid = np.linspace(g["min"], g["max"], g["n"])
     params, run = _run_flow(cfg)
-    curves = _flow.reconstruct_filament(run, cfg["t_values"], x_grid)
+    for t in cfg["t_values"]:
+        # the grid's ends are its extremes: a RangeError before any file
+        run.state_y(x_grid[[0, -1]] / math.sqrt(t))
     index = []
-    for k, (t, curve) in enumerate(curves):
+    for k, t in enumerate(cfg["t_values"]):
         name = f"filament_t{k}.csv"
         rt = math.sqrt(t)
-        smp = run.sample(x_grid / rt)
+
+        def columns(x):
+            ((_, curve),) = _flow.reconstruct_filament(run, [t], x)
+            smp = run.sample(x / rt)
+            return [x, curve, smp["C"] / rt, smp["T"] / rt]
+
         _write_csv(out / name, _csv_header_lines(cfg) + [
             f"# t: {t:.17g}", "x,gamma1,gamma2,gamma3,curvature,torsion",
-        ], [x_grid, curve, smp["C"] / rt, smp["T"] / rt])
+        ], _chunks(x_grid, columns))
         index.append({"t": t, "file": name})
     _write_json(out / "filament.json", {**_meta(cfg), "curves": index})
     return EXIT_OK

@@ -6,12 +6,15 @@ envelope.
 The state convention is y = (G1, G2, G3, G1', G2', G3') with arc-like
 parameter s, evolving by G'' = (a x G + G) x G' / 2 for the axis vector
 a = a e3: any other axis direction gives the same solution rotated.
+Every value derived from the states (G'', the sigma jet, C, T and the
+invariant drifts) comes from one routine, _derived.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -99,8 +102,7 @@ class SigmaJet:
     sigma_pp: float
 
 
-@dataclass(frozen=True)
-class CurvTorsSample:
+class CurvTorsSample(NamedTuple):
     s: float
     C: float
     T: float | None  # None where C^2 is below the floor
@@ -108,7 +110,9 @@ class CurvTorsSample:
 
 def make_rhs(params: FlowParams):
     """Scalarized right-hand side closure for the 6-dim system; y may also
-    hold one state per column, (6, n)."""
+    hold one state per column, (6, n).  No module of the package calls it
+    (_derived forms G'' the same way): only the tests and the benchmark's
+    tracer read it."""
     a1, a2, a3 = params.a_vec
 
     def rhs(s, y):
@@ -266,24 +270,33 @@ def make_initial_state(params: FlowParams, gp0, gpp0, s0: float = 0.0) -> FlowSt
     return FlowState(g, gp0.copy(), float(s0))
 
 
-def _invariants(params: FlowParams, s, y):
-    """(eps, |G'|, W.G' - s) with W = a x G + G, for states y (..., 6) at s.
+def _derived(params: FlowParams, s, y) -> dict:
+    """FlowRun.sample's columns from Gpp on, for states y (..., 6) at s (a
+    float array of y's leading shape).
 
-    eps = [ (a^2+1) (G1^2 + G2^2) + G3^2 + 4 a.G' - s^2 ] / 4 (the axis is a e3)
-    is conserved; |G'| = 1 and the scalar constraint W.G' = s are propagated.
-    """
+    W = a x G + G is formed once, component by component as in make_rhs, and
+    G'' = W x G' / 2.  eps = [(a^2 + 1)(G1^2 + G2^2) + G3^2 + 4 sigma' - s^2]
+    / 4 (the axis is a e3) is conserved; |G'| = 1 and W.G' = s are
+    propagated.  Sums of products run in np.sum's order, its +0.0 start
+    included, so each value keeps the bits of the vector forms."""
     a_vec = params.a_vec
-    g, gp = y[..., :3], y[..., 3:]
-    gg = g * g
-    eps = 0.25 * (
-        (params.a**2 + 1.0) * (gg[..., 0] + gg[..., 1])
-        + gg[..., 2]
-        + 4.0 * (gp @ a_vec)
-        - s**2
-    )
-    unit = np.sqrt(np.sum(gp * gp, axis=-1))
-    w = np.cross(a_vec, g) + g
-    return eps, unit, np.sum(w * gp, axis=-1) - s
+    a1, a2, a3 = a_vec
+    g1, g2, g3, t1, t2, t3 = np.moveaxis(y, -1, 0)
+    w1 = a2 * g3 - a3 * g2 + g1
+    w2 = a3 * g1 - a1 * g3 + g2
+    w3 = a1 * g2 - a2 * g1 + g3
+    gpp = np.moveaxis(np.array([0.5 * (w2 * t3 - w3 * t2), 0.5 * (w3 * t1 - w1 * t3),
+                                0.5 * (w1 * t2 - w2 * t1)]), 0, -1)
+    sig, sig_p = y[..., :3] @ a_vec, y[..., 3:] @ a_vec
+    c2 = params.eps - sig_p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = np.where(c2 > C2_FLOOR, s / 2.0 + (s * sig_p - sig) / (4.0 * c2), np.nan)
+    eps = 0.25 * ((params.a**2 + 1.0) * (g1 * g1 + g2 * g2) + g3 * g3 + 4.0 * sig_p - s**2)
+    return {"Gpp": gpp, "sigma": sig, "sigma_p": sig_p, "sigma_pp": gpp @ a_vec,
+            "C": np.sqrt(np.maximum(c2, 0.0)), "T": T,
+            "unit_drift": np.abs(np.sqrt(t1 * t1 + t2 * t2 + t3 * t3) - 1.0),
+            "eps_drift": eps - params.eps,
+            "constraint_drift": 0.0 + w1 * t1 + w2 * t2 + w3 * t3 - s}
 
 
 class FlowRun:
@@ -291,14 +304,13 @@ class FlowRun:
 
     The readers take a scalar s or an array of s values.  plus_fits holds
     asympt.fit_tail's plus-tail fits by window, for a run whose two tails
-    carry the same sigma' samples.
+    carry the same sigma' samples (sigma_p_even).
     """
 
     def __init__(self, params: FlowParams, traj: Trajectory):
         self.params = params
         self.traj = traj
         self.plus_fits = {}
-        self._rhs = make_rhs(params)
 
     @property
     def s_min(self) -> float:
@@ -307,6 +319,12 @@ class FlowRun:
     @property
     def s_max(self) -> float:
         return float(self.traj.s_nodes[-1])
+
+    @property
+    def sigma_p_even(self) -> bool:
+        """Whether sigma'(-s) = sigma'(s) = a G3'(s) bit for bit: a mirror D
+        that keeps G3' (the odd and mixed branches)."""
+        return self.traj.mirror is not None and self.traj.mirror[5] > 0.0
 
     def state_y(self, s) -> np.ndarray:
         return self.traj.states_at(s)
@@ -318,28 +336,31 @@ class FlowRun:
         return self.state_y(s)[..., 3:]
 
     def sigma_jet(self, s) -> SigmaJet:
+        """sample's sigma columns at s (floats for a scalar s)."""
         if self.params.a <= 0.0:
             raise ZeroAxisError("sigma jet undefined for a = 0")
-        smp = self.sample(s)
-        return SigmaJet(smp["s"], smp["sigma"], smp["sigma_p"], smp["sigma_pp"])
+        s = np.asarray(s, dtype=float)
+        d = _derived(self.params, s, self.state_y(s))
+        jet = (s, d["sigma"], d["sigma_p"], d["sigma_pp"])
+        return SigmaJet(*(map(float, jet) if s.ndim == 0 else jet))
 
     def drift_diagnostics(self) -> dict:
         """Max deviations of the propagated invariants over integrator nodes
-        (`<name>_drift_max`) and the first node s of each (`<name>_drift_at`)."""
-        s_all, y_all = self.traj.s_nodes, self.traj.states
-        eps_vals, unit, constraint = _invariants(self.params, s_all, y_all)
+        (`<name>_drift_max`, sample's drift columns there) and the first node
+        s of each (`<name>_drift_at`)."""
+        s_all = self.traj.s_nodes
+        d = _derived(self.params, s_all, self.traj.states)
         out = {}
-        for name, dev in (("unit", unit - 1.0), ("constraint", constraint),
-                          ("eps", eps_vals - self.params.eps)):
-            k = int(np.argmax(np.abs(dev)))
-            out[f"{name}_drift_max"] = float(abs(dev[k]))
+        for name in ("unit", "constraint", "eps"):
+            dev = np.abs(d[f"{name}_drift"])
+            k = int(np.argmax(dev))
+            out[f"{name}_drift_max"] = float(dev[k])
             out[f"{name}_drift_at"] = float(s_all[k])
         if self.params.a**2 > 0.0:  # a^2 underflows to 0 below a ~ 1e-162
             # monitored inequality (not enforced): sigma^2/a^2 - s^2
             #   + 4 sigma' - 4 eps stays <= 0 by Cauchy-Schwarz on a.G
-            a_vec = self.params.a_vec
-            q = (y_all[:, :3] @ a_vec) ** 2 / self.params.a**2 - s_all**2 \
-                + 4.0 * (y_all[:, 3:] @ a_vec) - 4.0 * self.params.eps
+            q = d["sigma"] ** 2 / self.params.a**2 - s_all**2 \
+                + 4.0 * d["sigma_p"] - 4.0 * self.params.eps
             out["monitored_inequality_max"] = float(np.max(q))
         return out
 
@@ -350,34 +371,12 @@ class FlowRun:
         and T is NaN where C^2 <= C2_FLOOR; for a scalar s the values are
         floats (G, G', G'' arrays of 3) and T is None there.
         """
+        s = np.asarray(s, dtype=float)
         y = self.state_y(s)
-        s_arr = np.asarray(s, dtype=float)
-        gpp = self._rhs(s_arr, y.T)[3:].T
-        a_vec = self.params.a_vec
-        sig = y[..., :3] @ a_vec
-        sig_p = y[..., 3:] @ a_vec
-        c2 = self.params.eps - sig_p
-        has_t = c2 > C2_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = np.where(has_t, s_arr / 2.0 + (s_arr * sig_p - sig) / (4.0 * c2), np.nan)
-        eps, unit, constraint = _invariants(self.params, s_arr, y)
-        out = {
-            "s": s_arr,
-            "G": y[..., :3],
-            "Gp": y[..., 3:],
-            "Gpp": gpp,
-            "sigma": sig,
-            "sigma_p": sig_p,
-            "sigma_pp": gpp @ a_vec,
-            "C": np.sqrt(np.maximum(c2, 0.0)),
-            "T": T,
-            "unit_drift": np.abs(unit - 1.0),
-            "eps_drift": eps - self.params.eps,
-            "constraint_drift": constraint,
-        }
-        if s_arr.ndim == 0:
+        out = {"s": s, "G": y[..., :3], "Gp": y[..., 3:], **_derived(self.params, s, y)}
+        if s.ndim == 0:
             out = {k: v if np.ndim(v) else float(v) for k, v in out.items()}
-            if not has_t:
+            if math.isnan(out["T"]):
                 out["T"] = None
         return out
 
@@ -416,27 +415,16 @@ def integrate_flow(params: FlowParams, state0: FlowState, s_min: float,
 def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:
     """Curvature/torsion scaling samples C = sqrt(eps - sigma'),
     T = s/2 + (s sigma' - sigma) / (4 C^2), with T absent where C^2 is tiny."""
-    s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    smp = run.sample(s)
-    return [CurvTorsSample(float(si), float(c), None if math.isnan(t) else float(t))
-            for si, c, t in zip(s, smp["C"], smp["T"])]
-
-
-def _scan_for_integrand_pole(run: FlowRun, lo: float, hi: float) -> None:
-    n = max(3, int(math.ceil((hi - lo) / 0.02)) + 1)
-    ss = np.linspace(lo, hi, n)
-    sig_p = run.gp(ss) @ run.params.a_vec
-    hit = np.flatnonzero(sig_p**2 >= run.params.a**2 * (1.0 - 1e-8))
-    if hit.size:
-        raise IntegrandPoleError(
-            f"phi integrand pole: |sigma'| -> a near s={ss[hit[0]]}"
-        )
+    smp = run.sample(np.atleast_1d(np.asarray(s_values, dtype=float)))
+    return [CurvTorsSample(s, c, None if math.isnan(t) else t)
+            for s, c, t in zip(smp["s"].tolist(), smp["C"].tolist(), smp["T"].tolist())]
 
 
 def phi_accumulate(run: FlowRun, s0: float, s1: float) -> float:
     """Azimuth increment phi(s1) - phi(s0) by Gauss-Legendre quadrature of
     (a/2) (s sigma' - sigma) / (sigma'^2 - a^2) against dense output, on
-    each trajectory segment that overlaps the interval."""
+    each trajectory segment that overlaps the interval; an IntegrandPoleError
+    where sigma'^2 >= a^2 (1 - 1e-8) on a 0.02 grid or a node."""
     if run.params.a <= 0.0:
         raise ZeroAxisError("phi integral undefined for a = 0")
     if s0 == s1:
@@ -446,7 +434,6 @@ def phi_accumulate(run: FlowRun, s0: float, s1: float) -> float:
     if lo > hi:
         lo, hi = hi, lo
         sign = -1.0
-    _scan_for_integrand_pole(run, lo, hi)
     nodes = run.traj.s_nodes
     k0 = max(int(np.searchsorted(nodes, lo, side="right")) - 1, 0)
     k1 = min(int(np.searchsorted(nodes, hi, side="left")), len(nodes) - 1)
@@ -456,17 +443,17 @@ def phi_accumulate(run: FlowRun, s0: float, s1: float) -> float:
     mid = 0.5 * (a_ + b_)[keep]
     half = 0.5 * (b_ - a_)[keep]
     ss = mid[:, None] + half[:, None] * _GL_NODES
-    y = run.state_y(ss)
+    grid = np.linspace(lo, hi, max(3, int(math.ceil((hi - lo) / 0.02)) + 1))
+    s_all = np.concatenate([grid, ss.ravel()])
+    y = run.state_y(s_all)
     a = run.params.a
-    sig = y[..., :3] @ run.params.a_vec
-    sig_p = y[..., 3:] @ run.params.a_vec
-    den = sig_p**2 - a**2
-    bad = np.flatnonzero(den >= -1e-8 * a**2)
-    if bad.size:
-        raise IntegrandPoleError(
-            f"phi integrand pole: |sigma'| -> a at s={ss.flat[bad[0]]}"
-        )
-    f = 0.5 * a * (ss * sig_p - sig) / den
+    sig_p = y[:, 3:] @ run.params.a_vec
+    hit = np.flatnonzero(sig_p**2 >= a**2 * (1.0 - 1e-8))
+    if hit.size:
+        raise IntegrandPoleError(f"phi integrand pole: |sigma'| -> a near s={s_all[hit[0]]}")
+    sig = (y[grid.size:, :3] @ run.params.a_vec).reshape(ss.shape)
+    sig_p = sig_p[grid.size:].reshape(ss.shape)
+    f = 0.5 * a * (ss * sig_p - sig) / (sig_p**2 - a**2)
     return sign * float(np.sum(half * (f @ _GL_WEIGHTS)))
 
 
@@ -500,15 +487,13 @@ def hasimoto_psi(samples: list[CurvTorsSample]) -> np.ndarray:
     """
     if not samples:
         return np.array([], dtype=complex)
-    s = np.array([smp.s for smp in samples])
-    C = np.array([smp.C for smp in samples])
+    s, C, T = np.array(samples, dtype=float).T  # an absent T (None) reads NaN
     if np.all(C * C <= C2_FLOOR):
         return np.zeros(len(samples), dtype=complex)
-    if any(smp.T is None for smp in samples):
+    if np.isnan(T).any():
         raise VanishingCurvatureError(
             "torsion absent inside the sample range; phase undefined"
         )
-    T = np.array([smp.T for smp in samples])
     phase = np.concatenate([[0.0], np.cumsum(0.5 * (T[1:] + T[:-1]) * np.diff(s))])
     if s[0] <= 0.0 <= s[-1]:
         phase -= np.interp(0.0, s, phase)

@@ -6,8 +6,9 @@ every error class is raised by the package, or is the base of one that is;
 every memoizing cache has a finite size, so a long process cannot grow
 without bound; the CLI parses config values in resolve_config alone;
 odeint steps every integration in one loop, behind its one function; no
-module resizes an array in place with `.resize(`; and no module of the
-package or the benchmark but odeint touches a trajectory's `.coeffs`."""
+module resizes an array in place with `.resize(`; no module of the package
+or the benchmark but odeint touches a trajectory's `.coeffs`; and no module
+of the package calls flow.make_rhs."""
 
 import ast
 import functools
@@ -405,3 +406,28 @@ def test_coeffs_use_detected():
     tree = ast.parse("c = traj.coeffs\nn = len(run.traj.coeffs[0])\ncoeffs = 1\n"
                      "h = getattr(traj, 'h')\ntraj.coeffs = ()\n")
     assert _coeffs_uses(tree) == [1, 2, 5]
+
+
+def _make_rhs_calls(tree: ast.AST) -> list[int]:
+    """The lines of the calls of make_rhs in tree: by its name, by a name it
+    was imported as, or as an attribute."""
+    names = {"make_rhs"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                            for a in n.names if a.name == "make_rhs" and a.asname}
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+        isinstance(n.func, ast.Name) and n.func.id in names
+        or isinstance(n.func, ast.Attribute) and n.func.attr == "make_rhs"))
+
+
+def test_no_module_calls_make_rhs():
+    # every G'' and sigma'' of the package comes from flow's one sampling
+    # routine; make_rhs stays for the tests and the benchmark's tracer
+    found = {p.name: _make_rhs_calls(ast.parse(p.read_text()))
+             for p in Path(filpiv.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_make_rhs_call_detected():
+    tree = ast.parse("from .flow import make_rhs as rhs_of\nfrom . import flow\n"
+                     "f = flow.make_rhs(p)\ng = rhs_of(p)(0.0, y)\nmake_rhs = None\n"
+                     "h = make_rhs(p)\nk = flow.make_taylor(p)\n")
+    assert _make_rhs_calls(tree) == [3, 4, 6]

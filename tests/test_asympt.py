@@ -4,7 +4,6 @@ runs, the fitting pipeline, the rho laws and the connection map."""
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,7 +221,7 @@ class SyntheticRun:
     """A stand-in for a FlowRun over [-s_max, s_max] whose tangent projects
     onto the axis a e3 as the tail model's sigma' (on the tail's side)."""
 
-    traj = SimpleNamespace(mirror=None)  # fit_tail fits the side it is asked for
+    sigma_p_even = False  # fit_tail fits the side it is asked for
 
     def __init__(self, params, tail, s_max):
         self.params, self.tail = params, tail
@@ -283,7 +282,7 @@ class TestFitTail:
         class FakeRun:
             params = p
             s_min, s_max = -60.0, 60.0
-            traj = SimpleNamespace(mirror=None)
+            sigma_p_even = False
 
             def gp(self, s):
                 return np.tile([0.0, 0.0, 1.2], (len(s), 1))  # sigma' beyond a

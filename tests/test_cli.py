@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from filpiv import _cells
 from filpiv._cells import format_cells
-from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, EXIT_CONFIG, EXIT_INVARIANT,
-                        EXIT_NUMERIC, EXIT_OK, _write_csv, build_parser, main,
-                        resolve_config)
+from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, _SAMPLE_ROWS, EXIT_CONFIG,
+                        EXIT_INVARIANT, EXIT_NUMERIC, EXIT_OK, _run_flow, _write_csv,
+                        build_parser, main, resolve_config)
 from filpiv.errors import ConfigError
+from filpiv.flow import reconstruct_filament
 from filpiv.odeint import ORDER
 
 
@@ -143,6 +144,53 @@ class TestIntegrate:
         assert np.max(np.abs(cols["C"] - 1.0)) <= 1e-9
         assert np.max(np.abs(cols["T"] - cols["s"] / 2.0)) <= 1e-9
         assert np.max(np.abs(cols["sigma"])) == 0.0
+
+    def test_peak_memory_is_one_sample_chunk(self, tmp_path):
+        # 200,001 rows: the grid takes 8 bytes a row and the whole grid's
+        # sample columns about 230 (47 MB traced); sampled a chunk at a
+        # time, the peak stays near the grid's 1.6 MB
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
+            "s_span": [-40.0, 40.0], "sample_step": 4e-4,
+        })
+        _cells._cell_tables()  # built once per process, on the first write
+        tracemalloc.start()
+        try:
+            code = main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert (tmp_path / "o" / "trajectory.csv").read_bytes().count(b"\n") == 2 + 1 + 200_001
+        assert peak < 200_001 * 40
+
+    def test_chunks_match_the_whole_grid(self, tmp_path):
+        # a value depends on its own s alone, so sampling and reconstructing
+        # _SAMPLE_ROWS points at a time writes the bytes of one whole-grid call
+        raw = {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
+               "s_span": [-8.0, 8.0], "sample_step": 8e-4, "t_values": [2.0],
+               "x_grid": {"min": -10.0, "max": 10.0, "n": 3 * _SAMPLE_ROWS + 5}}
+        cfg = write_config(tmp_path / "c.json", raw)
+        out = tmp_path / "o"
+        assert main(["integrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["filament", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        resolved = resolve_config(raw)
+        _, run = _run_flow(resolved)
+        grid = np.linspace(-8.0, 8.0, 20_001)
+        assert len(grid) > 4 * _SAMPLE_ROWS
+        smp = run.sample(grid)
+        header = (out / "trajectory.csv").read_text().splitlines()[:3]
+        _write_csv(tmp_path / "t.csv", header, [
+            smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"], smp["sigma_pp"],
+            smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]])
+        assert (tmp_path / "t.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+        x = np.linspace(-10.0, 10.0, 3 * _SAMPLE_ROWS + 5)
+        ((t, curve),) = reconstruct_filament(run, [2.0], x)
+        smp = run.sample(x / math.sqrt(t))
+        header = (out / "filament_t0.csv").read_text().splitlines()[:4]
+        _write_csv(tmp_path / "f.csv", header,
+                   [x, curve, smp["C"] / math.sqrt(t), smp["T"] / math.sqrt(t)])
+        assert (tmp_path / "f.csv").read_bytes() == (out / "filament_t0.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path, zero_a_config):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -29,6 +29,13 @@ def trivial_line_state(a=1.0, sign=-1.0, s=0.0):
     return p, flow.FlowState(sign * s * e3, sign * e3, s)
 
 
+def two_leg_run():
+    """Criterion 6's first asymmetric case, integrated as two legs."""
+    p = flow.FlowParams(1.0, 0.3)
+    st = selfcheck.asymmetric_state(p, *selfcheck.ASYMMETRIC_CASES[0])
+    return flow.integrate_flow(p, st, -20.0, 20.0)
+
+
 # make_taylor and make_rhs read only params.a_vec, so a stand-in whose a_vec
 # lies along any axis keeps their general vector form covered, although
 # FlowParams' axis is always e3
@@ -437,13 +444,22 @@ class TestConservedEpsilon:
         assert run.drift_diagnostics()["eps_drift_max"] < 1e-9
 
     def test_worst_drift_locations(self, runs):
-        run = runs.grid_run(1.0, 0.0, "odd", s_max=25.0)
-        d = run.drift_diagnostics()
-        smp = run.sample(run.traj.s_nodes)
-        for name in ("unit", "eps", "constraint"):
-            dev = np.abs(smp[f"{name}_drift"])
-            assert d[f"{name}_drift_max"] == dev.max()
-            assert d[f"{name}_drift_at"] == run.traj.s_nodes[np.argmax(dev)]
+        # the diagnostics are sample's columns at the nodes, bit for bit, on
+        # a mirrored run, a run of two legs and a zero-axis run
+        for run in (runs.grid_run(1.0, 0.0, "odd", s_max=25.0), two_leg_run(),
+                    runs.zero_a_run(1.0, s_max=20.0)):
+            d = run.drift_diagnostics()
+            s = run.traj.s_nodes
+            smp = run.sample(s)
+            for name in ("unit", "eps", "constraint"):
+                dev = np.abs(smp[f"{name}_drift"])
+                assert d[f"{name}_drift_max"] == dev.max()
+                assert d[f"{name}_drift_at"] == s[np.argmax(dev)]
+            a, eps = run.params.a, run.params.eps
+            assert ("monitored_inequality_max" in d) == (a > 0.0)
+            if a > 0.0:
+                q = smp["sigma"] ** 2 / a**2 - s**2 + 4.0 * smp["sigma_p"] - 4.0 * eps
+                assert d["monitored_inequality_max"] == q.max()
 
 
 class TestSigmaJet:
@@ -470,6 +486,22 @@ class TestSigmaJet:
         run = flow.integrate_flow(p, st, -1.0, 1.0)
         with pytest.raises(ZeroAxisError):
             run.sigma_jet(0.0)
+
+    @pytest.mark.parametrize("branch", ["odd", "two_legs"])
+    def test_matches_sample_columns(self, runs, branch):
+        run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0) if branch == "odd" else two_leg_run()
+        ss = np.concatenate([np.linspace(-20.0, 20.0, 161), run.traj.s_nodes[::7]])
+        jet, smp = run.sigma_jet(ss), run.sample(ss)
+        assert np.array_equal(jet.s, ss)
+        for key in ("sigma", "sigma_p", "sigma_pp"):
+            assert getattr(jet, key).tobytes() == smp[key].tobytes(), key
+        for s in (0.0, -0.0, 3.7, float(run.traj.s_nodes[5])):
+            jet, smp = run.sigma_jet(s), run.sample(s)
+            assert type(jet.s) is float and jet.s == s
+            for key in ("sigma", "sigma_p", "sigma_pp"):
+                assert type(getattr(jet, key)) is float
+                assert math.copysign(1.0, getattr(jet, key)) == math.copysign(1.0, smp[key])
+                assert getattr(jet, key) == smp[key], key
 
 
 class TestCurvatureTorsion:
