@@ -13,6 +13,7 @@ the cells are rendered with numpy, a block of rows at a time (_cells).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -430,21 +431,27 @@ def cmd_symmetric(cfg: dict, out: Path) -> int:
 
 
 def cmd_filament(cfg: dict, out: Path) -> int:
+    """One filament_t<k>.csv per t: x, the curve gamma(x, t), and the
+    curvature and torsion C / sqrt(t) and T / sqrt(t), all from one
+    FlowRun.sample read of G, C and T at x / sqrt(t) per chunk of the grid.
+
+    The curve is flow.reconstruct_filament's map applied to that G column,
+    so the curves keep reconstruct_filament's bits.  Every t's two grid ends
+    are read first, in one call: a grid outside the span fails before any
+    file is written."""
     g = cfg["x_grid"]
     x_grid = np.linspace(g["min"], g["max"], g["n"])
     params, run = _run_flow(cfg)
-    for t in cfg["t_values"]:
-        # the grid's ends are its extremes: a RangeError before any file
-        run.state_y(x_grid[[0, -1]] / math.sqrt(t))
+    # the grid's ends are its extremes: a RangeError before any file
+    run.state_y(x_grid[[0, -1]] / np.sqrt(cfg["t_values"])[:, None])
     index = []
     for k, t in enumerate(cfg["t_values"]):
         name = f"filament_t{k}.csv"
-        rt = math.sqrt(t)
+        rt, curve = _flow._filament_map(params, t)
 
         def columns(x):
-            ((_, curve),) = _flow.reconstruct_filament(run, [t], x)
             smp = run.sample(x / rt)
-            return [x, curve, smp["C"] / rt, smp["T"] / rt]
+            return [x, curve(smp["G"]), smp["C"] / rt, smp["T"] / rt]
 
         _write_csv(out / name, _csv_header_lines(cfg) + [
             f"# t: {t:.17g}", "x,gamma1,gamma2,gamma3,curvature,torsion",
@@ -472,7 +479,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so repeated main calls in one process share one build."""
     parser = _Parser(
         prog="filpiv",
         description="Self-similar binormal-flow filaments via the sigma-form "

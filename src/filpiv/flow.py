@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +107,11 @@ class CurvTorsSample(NamedTuple):
     s: float
     C: float
     T: float | None  # None where C^2 is below the floor
+
+
+# CurvTorsSample from one (s, C, T) tuple, built in C: tuple.__new__ as
+# CurvTorsSample._make calls it, less _make's Python frame and length check
+_curv_tors_sample = partial(tuple.__new__, CurvTorsSample)
 
 
 def make_rhs(params: FlowParams):
@@ -416,8 +422,10 @@ def curvature_torsion(run: FlowRun, s_values) -> list[CurvTorsSample]:
     """Curvature/torsion scaling samples C = sqrt(eps - sigma'),
     T = s/2 + (s sigma' - sigma) / (4 C^2), with T absent where C^2 is tiny."""
     smp = run.sample(np.atleast_1d(np.asarray(s_values, dtype=float)))
-    return [CurvTorsSample(s, c, None if math.isnan(t) else t)
-            for s, c, t in zip(smp["s"].tolist(), smp["C"].tolist(), smp["T"].tolist())]
+    T = smp["T"].tolist()
+    if np.isnan(smp["T"]).any():
+        T = [None if math.isnan(t) else t for t in T]
+    return list(map(_curv_tors_sample, zip(smp["s"].tolist(), smp["C"].tolist(), T)))
 
 
 def phi_accumulate(run: FlowRun, s0: float, s1: float) -> float:
@@ -466,28 +474,42 @@ def _rotation_about_e3(angle: float) -> np.ndarray:
     return c * np.eye(3) + s * kx + (1.0 - c) * np.outer(k, k)
 
 
+def _filament_map(params: FlowParams, t: float):
+    """sqrt(t) and the map from G(x / sqrt(t)) (n, 3) to the curve gamma(x, t)
+    = sqrt(t) R((a/2) ln t) G(x / sqrt(t)) at t > 0, its rotation built once."""
+    rt = math.sqrt(t)
+    rot = _rotation_about_e3(0.5 * params.a * math.log(t))
+    return rt, lambda g: rt * (g @ rot.T)
+
+
 def reconstruct_filament(run: FlowRun, t_values, x_grid) -> list[tuple[float, np.ndarray]]:
-    """Curves gamma(x, t) = sqrt(t) R((a/2) ln t) G(x / sqrt(t)) per t > 0."""
+    """Curves gamma(x, t) = sqrt(t) R((a/2) ln t) G(x / sqrt(t)) per t > 0.
+
+    The CLI's filament command applies the same map (_filament_map) to the G
+    column of the one FlowRun.sample read that also gives C and T, so its
+    curves have the bits of this function's."""
     x_grid = np.asarray(x_grid, dtype=float)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         if not t > 0.0:
             raise ConfigError("t values must be positive")
-        rt = math.sqrt(t)
-        rot = _rotation_about_e3(0.5 * run.params.a * math.log(t))
-        out.append((float(t), rt * (run.g(x_grid / rt) @ rot.T)))
+        rt, curve = _filament_map(run.params, t)
+        out.append((float(t), curve(run.g(x_grid / rt))))
     return out
 
 
 def hasimoto_psi(samples: list[CurvTorsSample]) -> np.ndarray:
     """Complex envelope psi = C exp(i integral_0^s T ds') on the sample grid.
 
-    The phase is accumulated by the trapezoid rule and anchored to zero at
-    s = 0 when the grid brackets it (otherwise at the first sample).
+    The phase is accumulated by the trapezoid rule along the samples and
+    anchored to zero at s = 0 when the grid, ascending or descending,
+    brackets it (otherwise at the first sample).
     """
     if not samples:
         return np.array([], dtype=complex)
-    s, C, T = np.array(samples, dtype=float).T  # an absent T (None) reads NaN
+    # a column at a time, faster than one table of samples; an absent T
+    # (None) reads NaN
+    s, C, T = (np.array(col, dtype=float) for col in zip(*samples))
     if np.all(C * C <= C2_FLOOR):
         return np.zeros(len(samples), dtype=complex)
     if np.isnan(T).any():
@@ -495,6 +517,7 @@ def hasimoto_psi(samples: list[CurvTorsSample]) -> np.ndarray:
             "torsion absent inside the sample range; phase undefined"
         )
     phase = np.concatenate([[0.0], np.cumsum(0.5 * (T[1:] + T[:-1]) * np.diff(s))])
-    if s[0] <= 0.0 <= s[-1]:
-        phase -= np.interp(0.0, s, phase)
+    up = slice(None, None, 1 if s[0] <= s[-1] else -1)  # np.interp reads ascending s
+    if s[up][0] <= 0.0 <= s[up][-1]:
+        phase -= np.interp(0.0, s[up], phase[up])
     return C * np.exp(1j * phase)

@@ -83,6 +83,10 @@ REPO = Path(__file__).resolve().parents[1]
 UNREFERENCED_EXPORTS = {
     "asympt.model_curv_tors": "the C^2 and torsion limits for the planned scan "
                               "of the admissible region (ROADMAP direction 5)",
+    "flow.reconstruct_filament": "the reference the filament command's curves are "
+                                 "tested against, and a layer the benchmark's tracer "
+                                 "wraps by name; the command applies its map "
+                                 "(_filament_map) to the G of its one state read",
 }
 
 

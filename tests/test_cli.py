@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filpiv import _cells
+from filpiv import _cells, flow
 from filpiv._cells import format_cells
 from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, _SAMPLE_ROWS, EXIT_CONFIG,
                         EXIT_INVARIANT, EXIT_NUMERIC, EXIT_OK, _run_flow, _write_csv,
@@ -429,6 +429,12 @@ class TestErrors:
         ("integrate", {}, ["--s-max", "3"]),
         # valid Cauchy data that start outside the span (a RangeError)
         ("integrate", {"initial": {**_CAUCHY, "s0": 50.0}, "s_span": [-3.0, 3.0]}, []),
+        # an x grid whose x / sqrt(t) leaves the span at one t only, the
+        # first or a later one: a RangeError before any file
+        ("filament", {"x_grid": {"min": -1.5, "max": 1.5, "n": 7},
+                      "t_values": [0.25, 1.0]}, []),
+        ("filament", {"x_grid": {"min": -1.5, "max": 1.5, "n": 7},
+                      "t_values": [1.0, 4.0, 0.25]}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -780,6 +786,34 @@ class TestFilament:
         assert main(["filament", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_one_state_read_per_chunk(self, tmp_path, monkeypatch):
+        # per t and chunk one FlowRun.sample call gives G, C and T, with no
+        # reconstruct_filament or FlowRun.g call; one more state_y call reads
+        # every t's grid ends
+        calls = dict.fromkeys(["sample", "g", "state_y", "reconstruct_filament"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("sample", "g", "state_y"):
+            monkeypatch.setattr(flow.FlowRun, name, counted(name, getattr(flow.FlowRun, name)))
+        monkeypatch.setattr(flow, "reconstruct_filament",
+                            counted("reconstruct_filament", flow.reconstruct_filament))
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5},
+            "initial": {"branch": "odd"},
+            "s_span": [-6.0, 6.0],
+            "t_values": [0.5, 1.0, 3.0],
+            "x_grid": {"min": -4.0, "max": 4.0, "n": 2 * _SAMPLE_ROWS + 7},
+        })
+        assert main(["filament", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        chunks = 3 * 3  # three t values, three chunks each
+        assert calls == {"sample": chunks, "g": 0, "state_y": 1 + chunks,
+                         "reconstruct_filament": 0}
+
 
 class TestSelfcheckCommand:
     def test_exit_codes_and_report(self, tmp_path, monkeypatch, capsys):
@@ -924,6 +958,35 @@ class TestMisc:
         block = readme.split("Example config", 1)[1].split("```json\n", 1)[1]
         raw = json.loads(block.split("```", 1)[0])
         assert resolve_config(copy.deepcopy(raw)) == raw
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        # integrate, filament and a bad argv in one process: one parser
+        # build, and each command does what it does in a process of its own
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5},
+            "initial": {"branch": "odd"},
+            "s_span": [-6.0, 6.0],
+            "sample_step": 0.01,
+            "t_values": [1.0, 2.5],
+            "x_grid": {"min": -4.0, "max": 4.0, "n": 401},
+        })
+        out = tmp_path / "o"
+        build_parser.cache_clear()
+        assert main(["integrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["filament", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["integrate", "--no-such-option"]) == EXIT_CONFIG
+        assert build_parser.cache_info().misses == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and json.loads(err[0])["error"] == "config"
+        names = set()
+        for sub in ("integrate", "filament"):
+            r = run_cli(sub, "--config", cfg, "--out", str(tmp_path / sub))
+            assert r.returncode == EXIT_OK and r.stdout == r.stderr == ""
+            for path in (tmp_path / sub).iterdir():
+                assert path.read_bytes() == (out / path.name).read_bytes()
+                names.add(path.name)
+        assert names == {p.name for p in out.iterdir()}
 
     def test_seedless_rejected(self, tmp_path, capsys, zero_a_config):
         out = tmp_path / "o"

@@ -16,6 +16,7 @@ from filpiv.errors import (
     InconsistentCauchyDataError,
     IntegrandPoleError,
     RangeError,
+    VanishingCurvatureError,
     ZeroAxisError,
 )
 from filpiv.odeint import ORDER, IntegratorConfig
@@ -743,6 +744,90 @@ class TestHasimoto:
         psi = flow.hasimoto_psi(samples)
         for smp, val in zip(samples, psi):
             assert abs(val) == pytest.approx(smp.C, abs=1e-14)
+
+
+def per_sample_curvature_torsion(run, s_values):
+    """curvature_torsion with one CurvTorsSample call per point."""
+    smp = run.sample(np.atleast_1d(np.asarray(s_values, dtype=float)))
+    return [flow.CurvTorsSample(s, c, None if math.isnan(t) else t)
+            for s, c, t in zip(smp["s"].tolist(), smp["C"].tolist(), smp["T"].tolist())]
+
+
+def whole_table_psi(samples):
+    """hasimoto_psi on an ascending grid, its samples read as one table."""
+    s, C, T = np.array(samples, dtype=float).T
+    if np.all(C * C <= flow.C2_FLOOR):
+        return np.zeros(len(samples), dtype=complex)
+    phase = np.concatenate([[0.0], np.cumsum(0.5 * (T[1:] + T[:-1]) * np.diff(s))])
+    if s[0] <= 0.0 <= s[-1]:
+        phase -= np.interp(0.0, s, phase)
+    return C * np.exp(1j * phase)
+
+
+def sample_bits(samples):
+    """Each sample's type and its fields' hex texts (signs of zero kept)."""
+    return [(type(smp), *(None if v is None else (type(v), v.hex()) for v in smp))
+            for smp in samples]
+
+
+class TestCurvatureReadersMatchPerSample:
+    """curvature_torsion and hasimoto_psi keep the bits of a constructor
+    call per sample and of a one-table conversion."""
+
+    @pytest.mark.parametrize("case", ["odd", "mixed_plus"])
+    def test_values_and_envelope(self, runs, case):
+        if case == "odd":
+            run, grids = runs.grid_run(1.0, 0.5, "odd", s_max=25.0), [(1.0, 8.0, 57)]
+        else:
+            run, grids = runs.grid_run(1.0, 1.5, "mixed_plus", s_max=25.0), \
+                [(-10.0, 10.0, 801), (-2.0, 2.0, 11), (0.5, 20.0, 976)]
+        for grid in grids:
+            ss = np.linspace(*grid)
+            samples = flow.curvature_torsion(run, ss)
+            assert all(smp.T is not None for smp in samples)
+            assert sample_bits(samples) == sample_bits(per_sample_curvature_torsion(run, ss))
+            assert flow.hasimoto_psi(samples).tobytes() == whole_table_psi(samples).tobytes()
+
+    def test_absent_torsion_at_the_odd_origin(self, runs):
+        # G'' vanishes at s = 0 on the odd branch, so T is absent there alone
+        run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
+        ss = np.linspace(-8.0, 8.0, 161)
+        samples = flow.curvature_torsion(run, ss)
+        assert [smp.s for smp in samples if smp.T is None] == [0.0]
+        assert sample_bits(samples) == sample_bits(per_sample_curvature_torsion(run, ss))
+        with pytest.raises(VanishingCurvatureError):
+            flow.hasimoto_psi(samples)
+
+    def test_trivial_line(self):
+        p, st = trivial_line_state(a=1.0, sign=1.0)
+        run = flow.integrate_flow(p, st, -3.0, 3.0)
+        ss = np.linspace(-2.0, 2.0, 11)
+        samples = flow.curvature_torsion(run, ss)
+        assert all(smp.T is None for smp in samples)
+        assert sample_bits(samples) == sample_bits(per_sample_curvature_torsion(run, ss))
+        assert flow.hasimoto_psi(samples).tobytes() == whole_table_psi(samples).tobytes()
+
+    def test_empty(self, runs):
+        run = runs.grid_run(1.0, 0.5, "odd", s_max=25.0)
+        assert flow.curvature_torsion(run, []) == []
+        psi = flow.hasimoto_psi([])
+        assert psi.dtype == complex and psi.shape == (0,)
+
+
+class TestHasimotoGridOrder:
+    def test_descending_grid_anchored_at_zero(self, runs):
+        run = runs.grid_run(1.0, 1.5, "mixed_plus", s_max=25.0)
+        ss = np.linspace(-2.0, 2.0, 11)
+        up = flow.hasimoto_psi(flow.curvature_torsion(run, ss))
+        down = flow.hasimoto_psi(flow.curvature_torsion(run, ss[::-1]))
+        assert ss[5] == 0.0 and np.angle(up[5]) == 0.0 and np.angle(down[5]) == 0.0
+        assert np.max(np.abs(down[::-1] - up)) <= 1e-12
+
+    def test_descending_grid_not_bracketing_zero(self, runs):
+        # anchored at the first sample, as on an ascending grid
+        run = runs.grid_run(1.0, 1.5, "mixed_plus", s_max=25.0)
+        psi = flow.hasimoto_psi(flow.curvature_torsion(run, np.linspace(6.0, 1.0, 21)))
+        assert np.angle(psi[0]) == 0.0
 
 
 class TestPropagatedIdentities:
