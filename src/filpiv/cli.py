@@ -2,8 +2,9 @@
 CSV/JSON outputs.
 
 Subcommands: integrate | fit | connect | zero-a | symmetric | filament |
-selfcheck.  Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 invariant violation beyond thresholds.  Every output embeds the fully
+selfcheck.  Exit codes: 0 success, 2 config error (a --config or --out
+path that cannot serve included), 3 numeric failure, 4 invariant violation
+beyond thresholds.  Every output embeds the fully
 resolved and typed config and the artifact version; reruns are
 byte-identical (there is no randomness anywhere).  Every CSV cell is the
 value's `%.17g` rendering, and every undefined value (NaN) is an empty cell;
@@ -233,6 +234,17 @@ def _check_drifts(cfg: dict, drifts: dict) -> None:
 
 def _meta(cfg: dict) -> dict:
     return {"version": __version__, "config": cfg}
+
+
+def _check_out(out: Path) -> None:
+    """A ConfigError unless out is a directory or can be created as one:
+    checked before the run, so that a bad --out costs no run and leaves
+    nothing behind."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} is not a directory")
+            return
 
 
 def _create_parent(path: Path) -> None:
@@ -524,6 +536,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = None if args.out is None else Path(args.out)
+        if out is not None:
+            _check_out(out)
         if args.command == "selfcheck":
             return cmd_selfcheck(out)
         if args.config is None:
@@ -531,13 +545,20 @@ def main(argv=None) -> int:
         if out is None:
             raise ConfigError(f"{args.command} requires --out")
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise ConfigError(f"config file cannot be read: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return _COMMANDS[args.command](resolve_config(raw), out)
     except ConfigError as exc:
+        print(_error_payload("config", exc), file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path refused at write time
         print(_error_payload("config", exc), file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

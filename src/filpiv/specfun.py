@@ -31,6 +31,12 @@ __all__ = [
 _MAX_TERMS = 700
 _TOL = 1e-13
 
+# A term counts as small when its size is at most _TOL max(|sum|, 1e-290).
+# A Taylor step tests it as size <= _TOL |sum|, or size <= _TOL_FLOOR with
+# |sum| < 1e-290: the same decision, NaN sums included, without a call to
+# max on every term.
+_TOL_FLOOR = _TOL * 1e-290
+
 # Radius below which the plain Maclaurin series is accurate in double
 # precision; between this and _SWITCH_RADIUS the series is carried outward by
 # Taylor re-expansion steps along the ray (the direct sum loses ~|z|/ln(10)
@@ -179,13 +185,31 @@ def arg_gamma_one_plus_ix(x: float) -> float:
 # --- confluent hypergeometric 1F1 ------------------------------------------
 
 
-def _series_1f1(alpha, gamma, z):
-    """Maclaurin sum with compensated accumulation; a NonConvergenceError
-    when cancellation leaves less than the sum's target accuracy."""
+def _check_cancellation(largest, total, z):
+    """A NonConvergenceError when a Maclaurin sum's largest term exceeds the
+    sum by more than _CANCEL_LIMIT."""
+    if largest > _CANCEL_LIMIT * abs(total):
+        raise NonConvergenceError(
+            f"1F1 series at z={z} cancels {largest / abs(total):.2e}-fold, "
+            f"beyond the {_CANCEL_LIMIT:.2e} its accuracy allows"
+        )
+
+
+def _series_1f1(alpha, gamma, z, slope=False):
+    """Maclaurin sum of 1F1(alpha, gamma, z) with compensated accumulation.
+
+    With slope, it also sums the derivative sum_k k t_k / z over the same
+    terms t_k, compensated alike, and returns the pair (w, w'): the
+    continuation's first expansion, from one recurrence.  The sums stop once
+    three terms in a row are small against each; a NonConvergenceError when
+    cancellation leaves either less than its target accuracy."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan compensation
     largest = 1.0
+    # the slope sum sum_k k t_k, its compensation and its largest term
+    d_total = d_comp = 0.0 + 0.0j
+    d_largest = 0.0
     small = 0
     for k in range(_MAX_TERMS):
         term = term * (alpha + k) / ((gamma + k) * (k + 1)) * z
@@ -196,15 +220,23 @@ def _series_1f1(alpha, gamma, z):
         size = abs(term)
         if size > largest:
             largest = size
-        if size <= _TOL * max(abs(total), 1e-290):
+        if slope:
+            d_term = (k + 1) * term
+            y = d_term - d_comp
+            t = d_total + y
+            d_comp = (t - d_total) - y
+            d_total = t
+            if (k + 1) * size > d_largest:
+                d_largest = (k + 1) * size
+        if size <= _TOL * max(abs(total), 1e-290) and (
+                not slope or abs(d_term) <= _TOL * max(abs(d_total), 1e-290)):
             small += 1
             if small >= 3:
-                if largest > _CANCEL_LIMIT * abs(total):
-                    raise NonConvergenceError(
-                        f"1F1 series at z={z} cancels {largest / abs(total):.2e}-fold, "
-                        f"beyond the {_CANCEL_LIMIT:.2e} its accuracy allows"
-                    )
-                return total
+                _check_cancellation(largest, total, z)
+                if not slope:
+                    return total
+                _check_cancellation(d_largest, d_total, z)
+                return total, d_total / z
         else:
             small = 0
     raise NonConvergenceError(
@@ -214,7 +246,12 @@ def _series_1f1(alpha, gamma, z):
 
 def _taylor_step(alpha, gamma, z0, w, wp, h):
     """Advance (w, w') of the 1F1 ODE z w'' + (gamma - z) w' - alpha w = 0
-    from z0 to z0 + h by a local Taylor expansion about z0 != 0."""
+    from z0 to z0 + h by a local Taylor expansion about z0 != 0.
+
+    Each coefficient c_{k+2} = ((k + alpha) c_k - (k+1)(k + gamma - z0)
+    c_{k+1}) / (z0 (k+2)(k+1)) is formed with the same operations in the same
+    order on every input; gamma - z0 is not hoisted, since k + (gamma - z0)
+    rounds differently from (k + gamma) - z0 off the imaginary axis."""
     c_prev = w
     c_cur = wp
     val = c_prev + c_cur * h
@@ -222,16 +259,16 @@ def _taylor_step(alpha, gamma, z0, w, wp, h):
     hk = h  # h^k for the derivative series, h^{k+1} for the value series
     small = 0
     for k in range(_MAX_TERMS):
-        c_next = ((k + alpha) * c_prev - (k + 1.0) * (k + gamma - z0) * c_cur) / (
-            z0 * (k + 2.0) * (k + 1.0)
-        )
-        hk_d = hk * (k + 2.0)  # (k+2) h^{k+1} coefficient factor for derivative
+        k1 = k + 1.0
+        k2 = k + 2.0
+        c_next = ((k + alpha) * c_prev - k1 * (k + gamma - z0) * c_cur) / (z0 * k2 * k1)
+        der += c_next * (hk * k2)
         hk *= h
         dval = c_next * hk
         val += dval
-        der += c_next * hk_d
         c_prev, c_cur = c_cur, c_next
-        if abs(dval) <= _TOL * max(abs(val), 1e-290):
+        size = abs(dval)
+        if size <= _TOL * abs(val) or size <= _TOL_FLOOR and abs(val) < 1e-290:
             small += 1
             if small >= 3:
                 return val, der
@@ -241,13 +278,16 @@ def _taylor_step(alpha, gamma, z0, w, wp, h):
 
 
 def _continued_1f1(alpha, gamma, z, radius, m):
-    """Series seed at |z| = radius continued outward along the ray."""
+    """1F1 at radius < |z| <= 500 by Taylor re-expansion outward along the
+    ray of z.  The first expansion is the Maclaurin series itself at
+    |z| = radius: one _series_1f1 recurrence gives its value and its slope,
+    and each _taylor_step carries the pair at most min(0.35, 4.375/m) |z|
+    (and 6) further."""
     r = abs(z)
     ray = z / r
     z_cur = radius * ray
     frac = min(0.35, _STEP_REACH / m)
-    w = _series_1f1(alpha, gamma, z_cur)
-    wp = alpha / gamma * _series_1f1(alpha + 1.0, gamma + 1.0, z_cur)
+    w, wp = _series_1f1(alpha, gamma, z_cur, slope=True)
     try:
         while abs(z_cur) < r:
             step = min(frac * abs(z_cur), 6.0, r - abs(z_cur))
@@ -315,7 +355,9 @@ def hyp1f1(alpha: complex, gamma: complex, z: complex) -> complex:
 
     Power series up to |z| = min(10, 12.5/m) with m = max(|alpha|,
     |gamma - alpha|), Taylor continuation along the ray up to |z| = 30,
-    compound asymptotic expansion beyond.  Tuned for the imaginary axis where
+    compound asymptotic expansion beyond.  The continuation's first
+    expansion is the series at that radius, which sums the value and its
+    slope from one recurrence.  Tuned for the imaginary axis where
     the package needs 1e-10 relative accuracy; a DomainError for m > 400,
     beyond the measured range, and a FilpivError where the value overflows.
     """

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filpiv import _cells, flow
+from filpiv import _cells, cli, flow
 from filpiv._cells import format_cells
 from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, _SAMPLE_ROWS, EXIT_CONFIG,
                         EXIT_INVARIANT, EXIT_NUMERIC, EXIT_OK, _run_flow, _write_csv,
@@ -446,6 +446,40 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
         assert not out.exists()
+
+    # paths that cannot serve: a directory or non-UTF-8 bytes as the config,
+    # an existing file as the output directory or as one of its parents
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--config", "{tmp}", "--out", "{tmp}/o"],
+        ["integrate", "--config", "{tmp}/latin1.json", "--out", "{tmp}/o"],
+        ["integrate", "--config", "{tmp}/c.json", "--out", "{tmp}/file"],
+        ["integrate", "--config", "{tmp}/c.json", "--out", "{tmp}/file/sub"],
+        ["selfcheck", "--out", "{tmp}/file"],
+    ])
+    def test_unusable_paths_exit_2_with_json_line(self, tmp_path, capsys, argv):
+        write_config(tmp_path / "c.json", {"params": {"a": 1.0, "eps": 0.5},
+                                           "s_span": [-2.0, 2.0]})
+        (tmp_path / "latin1.json").write_bytes(
+            b'{"params": {"a": 1.0, "eps": 0.5}, "s_span": [-2.0, 2.0], "note": "\xe9"}')
+        (tmp_path / "file").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    # a path refused only at write time (an unwritable directory, a full disk)
+    def test_write_failure_exits_2_with_json_line(self, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_create_parent", refuse)
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 1.0, "eps": 0.5},
+                                                 "s_span": [-2.0, 2.0]})
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["type"] == "PermissionError"
 
     def test_echoed_config_is_typed(self, tmp_path):
         # integer literals and defaults alike: the echo holds what the

@@ -303,6 +303,107 @@ class TestHyp1f1:
             assert abs(res) <= 1e-9 * scale
 
 
+def _closed_form_pairs(eps):
+    """The (alpha, gamma) of the zero-axis closed forms' 1F1s at eps:
+    g_prime_hyp's two (the first is also pcf_d's odd part at order
+    -i eps/2), pcf_d's even part, and the conjugate of the first."""
+    return [(0.5 + 0.25j * eps, 1.5 + 0j), (-0.25j * eps, 0.5 + 0j),
+            (0.25j * eps, 0.5 + 0j), (0.5 - 0.25j * eps, 1.5 + 0j)]
+
+
+def _per_term_taylor_step(alpha, gamma, z0, w, wp, h):
+    """specfun._taylor_step with each coefficient's factors written out per
+    term and max in the convergence test: the reference whose bits the loop
+    keeps."""
+    c_prev = w
+    c_cur = wp
+    val = c_prev + c_cur * h
+    der = c_cur
+    hk = h
+    small = 0
+    for k in range(sf._MAX_TERMS):
+        c_next = ((k + alpha) * c_prev - (k + 1.0) * (k + gamma - z0) * c_cur) / (
+            z0 * (k + 2.0) * (k + 1.0)
+        )
+        hk_d = hk * (k + 2.0)
+        hk *= h
+        dval = c_next * hk
+        val += dval
+        der += c_next * hk_d
+        c_prev, c_cur = c_cur, c_next
+        if abs(dval) <= sf._TOL * max(abs(val), 1e-290):
+            small += 1
+            if small >= 3:
+                return val, der
+        else:
+            small = 0
+    raise NonConvergenceError(f"1F1 Taylor step did not converge at z0={z0}")
+
+
+class TestContinuation:
+    """The continuation's first expansion is one Maclaurin recurrence that
+    also sums the slope, and its Taylor steps keep the per-term formula's
+    bits."""
+
+    # the series radius is 10 for eps <= 3 and 12.5/m at 200 and 880; over
+    # these 112 seeds the pair differs from two separate sums, w' taken as
+    # (alpha/gamma) 1F1(alpha + 1, gamma + 1, z0), by at most 9.7e-16 in w
+    # and 5.0e-12 in w' (eps = 3, where w' is 1/40 of its largest term and
+    # the two forms are 2.1e-12 and 3.3e-12 from mpmath)
+    @pytest.mark.parametrize("eps", [*np.linspace(0.25, 3.0, 12), 200.0, 880.0])
+    def test_seed_pair_matches_two_series(self, eps):
+        for alpha, gamma in _closed_form_pairs(eps):
+            m = max(abs(alpha), abs(gamma - alpha))
+            radius = min(sf._DIRECT_RADIUS, sf._SERIES_REACH / m)
+            for ray in (1j, -1j):
+                z0 = radius * ray
+                w, wp = sf._series_1f1(alpha, gamma, z0, slope=True)
+                w_ref = sf._series_1f1(alpha, gamma, z0)
+                wp_ref = alpha / gamma * sf._series_1f1(alpha + 1.0, gamma + 1.0, z0)
+                assert abs(w - w_ref) <= 2e-15 * abs(w_ref), (alpha, gamma, z0)
+                assert abs(wp - wp_ref) <= 1e-11 * abs(wp_ref), (alpha, gamma, z0)
+
+    # a continued value (|z| = 20 > radius 10) seeds from one series call,
+    # which sums w' too
+    def test_one_series_per_continued_value(self, monkeypatch):
+        calls = []
+        series = sf._series_1f1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(sf, "_series_1f1", counted)
+        for alpha, gamma in _closed_form_pairs(1.7):
+            calls.clear()
+            sf.hyp1f1(alpha, gamma, 20j)
+            assert len(calls) == 1
+
+    def test_taylor_step_keeps_the_per_term_bits(self):
+        rng = np.random.RandomState(32)
+
+        def outcome(step, *args):
+            try:
+                return repr(step(*args))
+            except NonConvergenceError as exc:
+                return repr(exc)
+
+        def rc(scale):
+            return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+        for i in range(1500):
+            alpha, gamma, w, wp = rc(4.0), rc(4.0), rc(2.0), rc(2.0)
+            if i % 3 == 0:  # the closed forms' case: real gamma, z0 on the axis
+                gamma = complex(gamma.real + 2.0, 0.0)
+                z0 = complex(0.0, rng.uniform(-30.0, 30.0))
+                h = z0 * rng.uniform(0.01, 0.35)
+            else:  # anywhere, with a step in any direction
+                z0 = rc(30.0)
+                h = abs(z0) * rng.uniform(0.01, 0.35) * cmath.exp(1j * rng.uniform(-3.2, 3.2))
+            args = (alpha, gamma, z0, w, wp, h)
+            assert outcome(sf._taylor_step, *args) == outcome(_per_term_taylor_step, *args), args
+
+
 class TestPcfD:
     @pytest.mark.parametrize("z", [0.4, 1.5j, -2.2 + 0.3j, 3.0 * cmath.exp(0.25j * cmath.pi)])
     def test_order_zero(self, z):
