@@ -1,10 +1,11 @@
 """Command-line driver: deterministic runs from JSON configs to diff-able
 CSV/JSON outputs.
 
-Subcommands: integrate | fit | connect | zero-a | symmetric | filament |
-selfcheck.  Exit codes: 0 success, 2 config error (a --config or --out
-path that cannot serve included), 3 numeric failure, 4 invariant violation
-beyond thresholds.  Every output embeds the fully
+Subcommands: integrate | fit | connect | zero-a | filament | selfcheck (fit
+on a symmetric branch at a > 0 also compares both tails with the branch's
+conjectured closed forms).  Exit codes: 0 success, 2 config error (a
+--config or --out path that cannot serve included), 3 numeric failure, 4
+invariant violation beyond thresholds.  Every output embeds the fully
 resolved and typed config and the artifact version; reruns are
 byte-identical (there is no randomness anywhere).  Every CSV cell is the
 value's `%.17g` rendering, and every undefined value (NaN) is an empty cell;
@@ -14,6 +15,7 @@ the cells are rendered with numpy, a block of rows at a time (_cells).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -262,10 +264,10 @@ def _csv_header_lines(cfg: dict) -> list[str]:
     return [f"# filpiv {__version__}", f"# config: {_canonical_json(cfg)}"]
 
 
-def _write_csv(path: Path, header_lines: list[str], columns) -> None:
-    """Write the header lines, then one row per entry of the columns (each
-    1-d, or 2-d for several columns side by side): a list of them, or an
-    iterator that yields one such list per chunk of rows.
+def _write_csv(path: Path, header_lines: list[str], chunks) -> None:
+    """Write the header lines, then one row per entry of each chunk's columns:
+    chunks yields, per chunk of rows, a list of the columns (each 1-d, or 2-d
+    for several columns side by side).
 
     Every cell is the `%.17g` text of its value (the same as
     `format(x, ".17g")`) and every NaN an empty cell.  Each block of
@@ -281,7 +283,7 @@ def _write_csv(path: Path, header_lines: list[str], columns) -> None:
     _create_parent(path)
     with path.open("wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode())
-        for chunk in [columns] if isinstance(columns, list) else columns:
+        for chunk in chunks:
             for start in range(0, len(chunk[0]), _CSV_BLOCK):
                 fh.write(format_cells(np.column_stack(
                     [col[start:start + _CSV_BLOCK] for col in chunk])))
@@ -361,6 +363,16 @@ def cmd_fit(cfg: dict, out: Path) -> int:
         "connfI_residuals": res,
         "amp_consistency": amp_ratio,
     }
+    branch = cfg["initial"].get("branch")
+    if branch is not None and params.a > 0.0:  # at a = 0 the branch names the normalized data
+        om_c, rr_c = symmetric.conjecture_omega(params, branch)
+        payload.update({
+            "branch": branch,
+            "prediction": {"status": "conjectural", "omega": om_c, "re_rho": rr_c,
+                           "limit_C2": 2.0 * (params.eps - 3.0 * om_c) / 3.0},
+            "x_roots": [dataclasses.asdict(r) for r in symmetric.x_roots(params)],
+            "omega_deviation": max(abs(fr.tail.omega - om_c) for fr in (fp, fm)),
+        })
     _write_json(out / "fit.json", payload)
     return EXIT_OK
 
@@ -408,37 +420,6 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
         "T_dot_expected": 2.0 * math.exp(-math.pi * params.eps) - 1.0,
     }
     _write_json(out / "zero_a_report.json", payload)
-    return EXIT_OK
-
-
-def cmd_symmetric(cfg: dict, out: Path) -> int:
-    params = _flow_params(cfg)
-    branch = cfg["initial"].get("branch")
-    if branch is None:
-        raise ConfigError("symmetric requires initial.branch")
-    om_c, rr_c = symmetric.conjecture_omega(params, branch)
-    roots = symmetric.x_roots(params)
-    _, run = _run_flow(cfg)
-    window = tuple(cfg["fit_window"])
-    fits = {side: asympt.fit_tail(run, side, window) for side in (1, -1)}
-    payload = {
-        **_meta(cfg),
-        "branch": branch,
-        "prediction": {
-            "status": "conjectural",
-            "omega": om_c,
-            "re_rho": rr_c,
-            "limit_C2": 2.0 * (params.eps - 3.0 * om_c) / 3.0,
-        },
-        "x_roots": [
-            {"value": r.value, "admissible": r.admissible, "omega": r.omega}
-            for r in roots
-        ],
-        "fit_plus": _tail_payload(fits[1]),
-        "fit_minus": _tail_payload(fits[-1]),
-        "omega_deviation": max(abs(fits[s].tail.omega - om_c) for s in (1, -1)),
-    }
-    _write_json(out / "symmetric.json", payload)
     return EXIT_OK
 
 
@@ -491,6 +472,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_COMMANDS = {
+    "integrate": cmd_integrate,
+    "fit": cmd_fit,
+    "connect": cmd_connect,
+    "zero-a": cmd_zero_a,
+    "filament": cmd_filament,
+}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
@@ -502,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("integrate", "fit", "connect", "zero-a", "symmetric",
-                 "filament", "selfcheck"):
+    for name in (*_COMMANDS, "selfcheck"):
         p = sub.add_parser(name)
         p.add_argument("--out", type=str, default=None,
                        help="output directory (created with the first artefact)")
@@ -512,16 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="path to the JSON run config")
     return parser
-
-
-_COMMANDS = {
-    "integrate": cmd_integrate,
-    "fit": cmd_fit,
-    "connect": cmd_connect,
-    "zero-a": cmd_zero_a,
-    "symmetric": cmd_symmetric,
-    "filament": cmd_filament,
-}
 
 
 def _error_payload(kind: str, exc: Exception) -> str:

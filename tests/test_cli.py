@@ -180,16 +180,16 @@ class TestIntegrate:
         assert len(grid) > 4 * _SAMPLE_ROWS
         smp = run.sample(grid)
         header = (out / "trajectory.csv").read_text().splitlines()[:3]
-        _write_csv(tmp_path / "t.csv", header, [
+        _write_csv(tmp_path / "t.csv", header, [[
             smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"], smp["sigma_pp"],
-            smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]])
+            smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]]])
         assert (tmp_path / "t.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
         x = np.linspace(-10.0, 10.0, 3 * _SAMPLE_ROWS + 5)
         ((t, curve),) = reconstruct_filament(run, [2.0], x)
         smp = run.sample(x / math.sqrt(t))
         header = (out / "filament_t0.csv").read_text().splitlines()[:4]
         _write_csv(tmp_path / "f.csv", header,
-                   [x, curve, smp["C"] / math.sqrt(t), smp["T"] / math.sqrt(t)])
+                   [[x, curve, smp["C"] / math.sqrt(t), smp["T"] / math.sqrt(t)]])
         assert (tmp_path / "f.csv").read_bytes() == (out / "filament_t0.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path, zero_a_config):
@@ -234,7 +234,7 @@ class TestWriteCsv:
         # "nan" in a header line is kept: only formatted rows are blanked
         header = ["# filpiv test", '# config: {"nan": null}', "a,b,c,d,e,f,g,h,i"]
         path = tmp_path / "t.csv"
-        _write_csv(path, header, [table[:, 0], table[:, 1:4], table[:, 4:]])
+        _write_csv(path, header, [[table[:, 0], table[:, 1:4], table[:, 4:]]])
         # the per-cell rendering the block formatter replaced
         rows = [",".join(_cell(v) for v in row) for row in table]
         assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
@@ -250,7 +250,7 @@ class TestWriteCsv:
         _cells._cell_tables()  # built once per process, on the first write
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "t.csv", ["# big"], columns)
+            _write_csv(tmp_path / "t.csv", ["# big"], [columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,16 +568,18 @@ class TestErrors:
     # at a = 150 only the product of the constraint's factors overflows),
     # and the connection relations on admissible tails (a = 120, 155: the
     # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in}),
-    # and symmetric runs far out (eps = 300: the fitted tails' reality
-    # constraint, the tail roots being finite in factored form; a = 500:
-    # cosh(pi a/2) in the tail roots); last, an admissible tail at a = 157
-    # whose e^{i rho_out} has finite parts and an overflowing modulus
+    # and fits of symmetric branches (eps = a = 170: e^{4 pi omega} in the
+    # connection residuals at omega = a/3; eps = 300: the fitted tails'
+    # reality constraint, the tail roots being finite in factored form;
+    # a = 500: pi a in the connection constant, before the tail roots'
+    # cosh(pi a/2)); last, an admissible tail at a = 157 whose e^{i rho_out}
+    # has finite parts and an overflowing modulus
     @pytest.mark.parametrize("command, config", [
         ("zero-a", {"params": {"a": 0.0, "eps": 883.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 3000.0}}),
         ("fit", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
-        ("symmetric", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
+        ("fit", {"params": {"a": 170.0, "eps": 170.0}, "initial": {"branch": "odd"}}),
         ("connect", {"params": {"a": 150.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 155.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 220.0, "eps": 0.3}, "connect": _TAIL}),
@@ -589,9 +591,8 @@ class TestErrors:
         ("connect", {"params": {"a": 200.0, "eps": 209.15180377177967},
                      "connect": {"side": -1, "omega": 60.996514302712825,
                                  "delta": -1.8423153992522763}}),
-        ("symmetric", {"params": {"a": 1.0, "eps": 300.0},
-                       "initial": {"branch": "mixed_plus"}}),
-        ("symmetric", {"params": {"a": 500.0, "eps": 0.0}, "initial": {"branch": "odd"}}),
+        ("fit", {"params": {"a": 1.0, "eps": 300.0}, "initial": {"branch": "mixed_plus"}}),
+        ("fit", {"params": {"a": 500.0, "eps": 0.0}, "initial": {"branch": "odd"}}),
         ("connect", {"params": {"a": 157.19238489723514, "eps": 141.67786057078112},
                      "connect": {"side": 1, "omega": 6.886252630568521,
                                  "delta": -0.12933380081799584}}),
@@ -637,13 +638,12 @@ class TestErrors:
     @pytest.mark.parametrize("command, params, tolerances", [
         ("integrate", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
         ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
-        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
+        ("fit", {"a": 0.0, "eps": 1.0}, {"rel": 0.5}),
         ("filament", {"a": 1.0, "eps": 0.3}, {"rel": 0.5}),
         ("zero-a", {"a": 0.0, "eps": 1.0}, {"rel": 0.5}),
         # with rel 1e300, each leg is one step over its whole half of the
         # span, and fitting the run overflows a float
         ("fit", {"a": 1.0, "eps": 0.3}, {"rel": 1e300}),
-        ("symmetric", {"a": 1.0, "eps": 0.3}, {"rel": 1e300}),
     ])
     def test_drift_beyond_thresholds_exits_4(self, tmp_path, capsys,
                                              command, params, tolerances):
@@ -676,6 +676,40 @@ class TestFit:
         assert abs(payload["plus"]["omega"] - payload["minus"]["omega"]) <= 1e-3
         assert max(payload["connfI_residuals"].values()) <= 1e-3
         assert all(abs(r - 1.0) <= 0.1 for r in payload["amp_consistency"])
+
+    def test_branch_keys_compare_with_the_conjecture(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5},
+            "initial": {"branch": "odd"},
+            "s_span": [-40.0, 40.0],
+        })
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["branch"] == "odd"
+        prediction = payload["prediction"]
+        assert prediction["status"] == "conjectural" and prediction["re_rho"] == math.pi
+        assert prediction["limit_C2"] == 2.0 * (0.5 - 3.0 * prediction["omega"]) / 3.0
+        assert payload["omega_deviation"] == max(
+            abs(payload[side]["omega"] - prediction["omega"]) for side in ("plus", "minus"))
+        assert payload["omega_deviation"] <= 1e-3
+        assert len(payload["x_roots"]) == 4
+        assert not payload["x_roots"][0]["admissible"]
+        assert payload["x_roots"][1]["omega"] == prediction["omega"]
+
+    # the normalized data at a = 0 (which the odd branch names there) and
+    # Cauchy data: no conjecture to compare with
+    @pytest.mark.parametrize("config", [
+        {"params": {"a": 0.0, "eps": 2.7}},
+        {"params": {"a": 1.0, "eps": 0.5}, "initial": _CAUCHY},
+    ], ids=["a0", "cauchy"])
+    def test_no_branch_keys_without_a_symmetric_branch(self, tmp_path, config):
+        cfg = write_config(tmp_path / "c.json", {"s_span": [-30.0, 30.0], **config})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = parse_strict((out / "fit.json").read_text())
+        assert sorted(payload) == ["amp_consistency", "config", "connfI_residuals",
+                                   "minus", "plus", "version"]
 
     def test_zero_axis_undefined_values_are_null(self, tmp_path):
         # a = 0: R(omega) = 0 leaves the amplitude ratios undefined, and omega
@@ -750,22 +784,6 @@ class TestZeroA:
         assert main(["zero-a", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rep = json.loads((out / "zero_a_report.json").read_text())
         assert max(rep["max_representation_gap"]) <= 1e-9
-
-
-class TestSymmetricCommand:
-    def test_conjectural_metadata_and_fit(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "params": {"a": 1.0, "eps": 0.5},
-            "initial": {"branch": "odd"},
-            "s_span": [-40.0, 40.0],
-        })
-        out = tmp_path / "o"
-        assert main(["symmetric", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        payload = json.loads((out / "symmetric.json").read_text())
-        assert payload["prediction"]["status"] == "conjectural"
-        assert payload["omega_deviation"] <= 1e-3
-        assert len(payload["x_roots"]) == 4
-        assert not payload["x_roots"][0]["admissible"]
 
 
 class TestFilament:
@@ -928,7 +946,6 @@ _STRICT_CASES = [
     ("connect", {"params": {"a": 1.0, "eps": 0.3},
                  "connect": {"side": 1, "omega": -0.1, "delta": 0.4}}),
     ("zero-a", {"params": {"a": 0.0, "eps": 1.0}, "s_span": [-12.0, 12.0]}),
-    ("symmetric", {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"}}),
     ("filament", {"params": {"a": 1.0, "eps": 0.5}, "initial": {"branch": "odd"},
                   "s_span": [-12.0, 12.0], "t_values": [1.0, 4.0],
                   "x_grid": {"min": -5.0, "max": 5.0, "n": 21}}),
@@ -938,7 +955,7 @@ _STRICT_CASES = [
 
 @pytest.mark.parametrize("command, config", _STRICT_CASES,
                          ids=["integrate", "fit", "fit_a0", "connect", "zero-a",
-                              "symmetric", "filament", "selfcheck"])
+                              "filament", "selfcheck"])
 def test_every_json_artefact_is_strict(tmp_path, command, config):
     out = tmp_path / "o"
     argv = [command, "--out", str(out)]
@@ -976,6 +993,24 @@ class TestMisc:
         assert r.returncode == EXIT_CONFIG and r.stdout == ""
         err = r.stderr.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+
+    def test_symmetric_subcommand_is_gone(self, tmp_path, capsys):
+        # fit reports the symmetric branches' conjecture; a valid config and
+        # --out are refused before anything runs or is written
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 1.0, "eps": 0.5}})
+        out = tmp_path / "o"
+        assert main(["symmetric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not out.exists()
+
+    def test_readme_cli_block_lists_every_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = [line.split()[1] for line in block.splitlines()]
+        (subs,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        assert listed == list(subs.choices)
 
     def test_no_flag_duplicates_a_config_key(self):
         # the config file is the only way to set a run
@@ -1088,8 +1123,7 @@ def _fuzz_cases(draw):
     base = draw(st.sampled_from(_FUZZ_BASES))
     path = draw(st.sampled_from(list(_paths(base))))
     cfg = _mutated(base, path, draw(st.sampled_from(_BAD_VALUES)))
-    command = draw(st.sampled_from(["integrate", "fit", "connect", "zero-a",
-                                    "symmetric", "filament"]))
+    command = draw(st.sampled_from(list(_COMMANDS)))
     return command, cfg
 
 
