@@ -405,9 +405,13 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
     if params.a != 0.0:
         raise ConfigError("zero-a requires a = 0 in the config")
     zp = zero_a.ZeroAParams(params.eps)
-    _, run = _run_flow(cfg)
     lo, hi = cfg["s_span"]
     grid = np.linspace(max(lo, -20.0), min(hi, 20.0), 161)
+    # both closed forms at the grid's first point, in closed_form_gaps'
+    # order: an eps outside their range raises before the run
+    zero_a.g_prime_hyp(float(grid[0]), zp)
+    zero_a.g_prime_pcf(float(grid[0]), zp)
+    _, run = _run_flow(cfg)
     dev, repr_dev = zero_a.closed_form_gaps(grid, run.gp(grid), zp)
     tangents = zero_a.asym_tangents(zp)
     payload = {

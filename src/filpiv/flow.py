@@ -18,7 +18,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -55,6 +54,10 @@ C2_FLOOR = 1e-10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(ORDER // 2 + 1)
 
 _E3 = np.array([0.0, 0.0, 1.0])
+
+# K(W) = np.cross(W, I) is linear in W: K(W)[y, x] = sum_a _CROSS[y, x, a] W_a
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(1, 2, 0).copy()
+_CROSS.flags.writeable = False
 
 # sign diagonals P with det P = -1: if y(0) = D y(0) for D = diag(P, -P),
 # the solution is the mirror image y(-s) = D y(s).  -I (the odd branch) and
@@ -144,93 +147,109 @@ def make_taylor(params: FlowParams):
     The recurrence is W_k = a x G_k + G_k, T_{k+1} = s_k sum_{j<=k} W_j x
     T_{k-j} with s_k = 1 / (2(k+1)), and G_{k+1} = T_k / (k+1), with T = G'.
     As W x T = T K(W) for the 3 x 3 K(W) = np.cross(W, I), the sum is the
-    flat row (T_k, ..., T_0), kept reversed in one buffer with the L lanes
-    of each order side by side, times the stacked block-diagonal K_j =
-    blockdiag(K(W_j) of each lane), j = 0..k.  K_k = skew T_{k-1} / k (skew
-    G_0 for k = 0), with skew: G -> K(W) flattened.
+    flat row (T_k, ..., T_0) times the stacked block-diagonal K_j =
+    blockdiag(K(W_j) of each lane), j = 0..k, and K_j = skew G_j, with
+    skew: G -> K(W) flattened.  One buffer keeps the orders reversed, slot
+    i holding T_i and G_{i+1} entry by entry with the L lanes side by side,
+    so that (T_k, ..., T_0) and (G_{k+1}, G_k, G_{k-1}) are both slices of
+    stride 2.  The blocks are kept doubled: block row j holds [K_{j+1} |
+    K_j].
 
     The orders go in pairs, three products for each even k:
-    - (T_k, T_{k-1}) (for k = 0, (T_0, the zero row, G_0)) times a fixed
-      map gives K_k and K_{k+1};
-    - the two rows (T_{k+1}, T_k, ..., T_0) and (T_k, ..., T_0, 0), one
-      strided view of the buffer in which the slot of T_{k+1} still holds
-      zeros, times K_0, ..., K_{k+1} give R, the sum for T_{k+2} less its
-      j = 0 term, and S, the sum for T_{k+1};
-    - (R, S) times A_k = [[s_{k+1} I, 0], [s_k s_{k+1} K_0, s_k I]] writes
-      (T_{k+2}, T_{k+1}) = (s_{k+1} (R + T_{k+1} K_0), s_k S) into their
-      slots.
+    - (G_{k+1}, G_k, G_{k-1}) times one fixed map writes block rows k - 1
+      and k, that is K_{k-1}, K_k and K_{k+1} (for k = 0 another map writes
+      block row 0, and K_0 laid out as A_k's K_0 block reads it);
+    - the row (T_k, ..., T_0) times block rows 0..k gives (R, S): R, the
+      sum for T_{k+2} less its j = 0 term, and S, the sum for T_{k+1};
+    - (R, S) times A_k writes slots k + 2 and k + 1: (T_{k+2}, T_{k+1}) =
+      (s_{k+1} (R + T_{k+1} K_0), s_k S), and G_{k+3} and G_{k+2}, the
+      same over k + 3 and k + 2.
     An expansion makes 36 such calls whatever L is, plus one multiply that
-    fills the K_0 block of every A_k and one that zeroes the T slots.  Off
-    the diagonal the blocks hold zeros, so a lane's values do not depend on
-    what the other lanes hold as long as those are finite; L = 1 is the
-    serial recurrence.
+    fills the K_0 block of every A_k.  Each call writes every slot and
+    block it reads before reading it.  Off the diagonal the blocks hold
+    zeros, so a lane's values do not depend on what the other lanes hold as
+    long as those are finite; L = 1 is the serial recurrence.
 
-    The returned closure builds the work buffers of each lane count once,
+    The returned closure builds the work buffers and maps of a lane count
     on its first call with that count, and binds each pair of orders'
     operands (bound dot methods, views into the buffers) there.  Each call
     returns a fresh array, but the closure is not reentrant: use one closure
     per integration, as integrate_flow does."""
     a1, a2, a3 = params.a_vec
     w_of_g = np.array([[1.0, -a3, a2], [a3, 1.0, -a1], [-a2, a1, 1.0]])
-    skew3 = np.cross(w_of_g.T[:, None], np.eye(3)).reshape(3, 3, 3).transpose(1, 2, 0)
-    orders = np.arange(1.0, ORDER + 1)[:, None, None]
-    scales = 0.5 / orders.ravel()  # s_k = 1 / (2(k+1)), k = 0..ORDER-1
+    skew3 = _CROSS @ w_of_g  # [row, column, entry of G]
+    ks = np.arange(0.0, ORDER, 2.0)  # the even k
+    s_k, s_k1 = 0.5 / (ks + 1.0), 0.5 / (ks + 2.0)
+    # per pair, A_k's scales of (T, G): in slot k + 2 from R, in slot k + 1
+    # from S, and in slot k + 2 from S K_0
+    a_diag = np.stack([np.stack([s_k1, s_k1 / (ks + 3.0)], 1),
+                       np.stack([s_k, s_k / (ks + 2.0)], 1)], 1)
+    k_0_scales = np.stack([s_k * s_k1, s_k * s_k1 / (ks + 3.0)], 1)
 
     def expansion(lanes):
         m = 3 * lanes  # entries per order
-        r = np.zeros(m * (ORDER + 3))  # T_N, ..., T_0, a zero row, then G_0
-        t_slots = r[:m * ORDER]
-        t_0 = r[m * ORDER:m * (ORDER + 1)].reshape(lanes, 3)
-        g_0 = r[m * (ORDER + 2):].reshape(lanes, 3)
-        t_rows = r[:m * (ORDER + 1)].reshape(ORDER + 1, lanes, 3)[::-1]  # row k: T_k
-        kt = np.empty((ORDER, m * m))  # row k: the blocks of K_k flattened
-        k_blocks = kt.reshape(m * ORDER, m)
-        sums = np.empty((2, m))  # (R, S)
-        sums_dot = sums.reshape(2 * m).dot
+        # slot i holds T_i and G_{i+1} entry by entry, i = N..-2: slot -1
+        # holds G_0, and the rest of slots -1 and -2 stays zero
+        r = np.zeros(2 * m * (ORDER + 3))
+        slots = r.reshape(ORDER + 3, lanes, 3, 2)
+        t_0, g_1, g_0 = slots[ORDER, :, :, 0], slots[ORDER, :, :, 1], slots[ORDER + 1, :, :, 1]
+        t_rows = slots[ORDER::-1, :, :, 0]  # row k: T_k
+        g_rows = slots[ORDER:0:-1, :, :, 1]  # row k: G_{k+1}
+        # rows m(j + 1)..m(j + 2): block row j; the first m rows: K_0 with
+        # each column twice, for the (T, G) columns of A_k's K_0 block
+        kk = np.empty(((ORDER + 1) * m, 2 * m))
+        k_flat = kk.reshape(-1)
+        sums = np.empty(2 * m)  # (R, S)
+        sums_dot = sums.dot
 
-        def pair_map(k, width):
-            # the map of the `width` entries from T_k's slot on, (T_k,
-            # T_{k-1}) or (T_0, 0, G_0), to the blocks of (K_k, K_{k+1})
-            # flattened: K_k reads the last m entries, K_{k+1} the first m
-            p = np.zeros((2, m, m, width))
-            for i in range(0, m, 3):
-                p[0, i:i + 3, i:i + 3, width - m + i:width - m + i + 3] = skew3 / max(k, 1)
-                p[1, i:i + 3, i:i + 3, i:i + 3] = skew3 / (k + 1)
-            return p.reshape(2 * m * m, width)
+        # skew on each lane's diagonal block: [row, column, entry]
+        one = np.eye(lanes)
+        diag = np.einsum("ij,ik,xyz->ixjykz", one, one, skew3).reshape(m, m, m)
+        # the map of (G_{k+1}, G_k, G_{k-1}) to block rows k - 1 and k,
+        # [block row k - 1 + b, row, half, column, input G_{k+1-o}, entry]
+        pair_map = np.zeros((2, m, 2, m, 3, m))
+        pair_map[1, :, 0, :, 0] = diag  # K_{k+1}
+        pair_map[1, :, 1, :, 1] = diag  # K_k, in both block rows
+        pair_map[0, :, 0, :, 1] = diag
+        pair_map[0, :, 1, :, 2] = diag  # K_{k-1}
+        first_map = pair_map.copy()  # for k = 0: K_0 twice, then block row 0
+        first_map[0] = 0.0
+        first_map[0].reshape(m, m, 2, 3, m)[:, :, :, 1] = diag[:, :, None]
+        pair_dot, first_dot = (p.reshape(4 * m * m, 3 * m).dot for p in (pair_map, first_map))
 
-        # per pair A_k; its K_0 block is filled on each call
-        a_maps = np.zeros((ORDER // 2, 2 * m, 2 * m))
-        a_maps[:, :m, :m] = np.eye(m) * scales[1::2, None, None]
-        a_maps[:, m:, m:] = np.eye(m) * scales[0::2, None, None]
-        a_k_0 = a_maps[:, m:, :m]
-        k_0_scales = (scales[0::2] * scales[1::2])[:, None, None]
-        k_0 = kt[0].reshape(m, m)
+        # per pair A_k, [R or S, entry, slot k + 2 or k + 1, entry, T or
+        # G]; its K_0 block is filled on each call
+        a_maps = np.zeros((ORDER // 2, 2, m, 2, m, 2))
+        for h in (0, 1):
+            a_maps[:, h, :, h] = np.eye(m)[:, :, None] * a_diag[:, None, None, h]
+        a_k_0 = a_maps[:, 1, :, 0].reshape(ORDER // 2, m, 2 * m)
+        k_0 = kk[:m]
+        k_0_tiled = np.tile(k_0_scales, m)[:, None]
 
-        def pair(k, i):
-            # with the slot of T_{k+1} at r[i:i + m]
-            width = 3 * m if k == 0 else 2 * m
-            rows = as_strided(r[i:], (2, m * (k + 2)), (m * r.itemsize, r.itemsize))
-            return (pair_map(k, width).dot, r[i + m:i + m + width], kt[k:k + 2].reshape(2 * m * m),
-                    rows.dot, k_blocks[:m * (k + 2)], a_maps[k // 2], r[i - m:i + m])
+        def pair(k):
+            # with slot k at r[i:i + 2m]
+            i = 2 * m * (ORDER - k)
+            return (r[i + 1:i + 6 * m:2], k_flat[2 * m * m * k:2 * m * m * (k + 2)],
+                    r[i:i + 2 * m * (k + 1):2].dot, kk[m:m * (k + 2)],
+                    a_maps[k // 2].reshape(2 * m, 4 * m), r[i - 4 * m:i])
 
-        (first_dot, first_t, first_k, *first), *rest = (
-            pair(k, i) for k, i in zip(range(0, ORDER, 2), range(m * (ORDER - 1), 0, -2 * m)))
-        steps = ((None, None, None, *first), *rest)
+        (first_g, first_k, *first), *rest = (pair(k) for k in range(0, ORDER, 2))
+        steps = ((None, None, *first), *rest)
 
         def expand(y):
-            t_0[:], g_0[:] = y[:, 3:], y[:, :3]
-            t_slots.fill(0.0)
-            first_dot(first_t, first_k)
-            np.multiply(k_0, k_0_scales, out=a_k_0)
-            for pair_dot, t_pair, k_pair, rows_dot, blocks, a_k, t_out in steps:
-                if pair_dot is not None:  # the first pair's blocks are built above
-                    pair_dot(t_pair, k_pair)
-                rows_dot(blocks, sums)
+            t_0[:] = g_1[:] = y[:, 3:]
+            g_0[:] = y[:, :3]
+            first_dot(first_g, first_k)
+            np.multiply(k_0, k_0_tiled, out=a_k_0)
+            for g_pair, k_pair, row_dot, blocks, a_k, t_out in steps:
+                if g_pair is not None:  # the first pair's blocks are built above
+                    pair_dot(g_pair, k_pair)
+                row_dot(blocks, sums)
                 sums_dot(a_k, t_out)
             c = np.empty((ORDER + 1, lanes, 6))
             c[:, :, 3:] = t_rows
             c[0, :, :3] = y[:, :3]
-            np.divide(c[:ORDER, :, 3:], orders, out=c[1:, :, :3])
+            c[1:, :, :3] = g_rows
             return c
 
         return expand

@@ -777,6 +777,23 @@ class TestZeroA:
         assert max(rep["max_closed_vs_numeric"]) <= 1e-10
         assert max(rep["max_representation_gap"]) <= 1e-10
 
+    # past the closed forms' range (the parabolic-cylinder constants at 883,
+    # the 1F1 parameters at 3000) zero-a exits 3 before it integrates: at
+    # 3000 a run of 1,426 steps came first, and its eps drift sat just under
+    # the default threshold
+    @pytest.mark.parametrize("eps", [883.0, 3000.0])
+    def test_out_of_range_integrates_nothing(self, tmp_path, capsys, monkeypatch, eps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_flow called")
+
+        monkeypatch.setattr(cli, "integrate_flow", refuse)
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 0.0, "eps": eps}})
+        out = tmp_path / "o"
+        assert main(["zero-a", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["type"] == "DomainError"
+        assert not out.exists()
+
     def test_small_corner_angle(self, tmp_path):
         # kappa_j is formed without cancellation: a gap of 5.2e-8 when it was not
         cfg = write_config(tmp_path / "c.json", {"params": {"a": 0.0, "eps": 1e-9}})

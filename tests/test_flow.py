@@ -223,12 +223,12 @@ class TestTaylor:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="needs a long double wider than a double")
     @given(hst.floats(0.0, 1e3), hst.floats(-1.0, 1.0), hst.floats(0.0, 2.0 * math.pi),
-           hst.integers(1, 3), hst.integers(0, 2**32 - 1))
+           hst.integers(1, 4), hst.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_lanes_match_cauchy_reference_property(self, a, cos_tilt, turn, lanes, seed):
-        # any axis strength and direction; each lane's entries are of one
-        # size, 1e-2 to 1e2.  The reference runs in long double: in doubles
-        # its own rounding reaches the bound at large a
+        # any axis strength and direction, one to four lanes; each lane's
+        # entries are of one size, 1e-2 to 1e2.  The reference runs in long
+        # double: in doubles its own rounding reaches the bound at large a
         sin_tilt = math.sqrt(1.0 - cos_tilt**2)
         p = params_along(a, (sin_tilt * math.cos(turn), sin_tilt * math.sin(turn), cos_tilt))
         a1, a2, a3 = p.a_vec
@@ -244,9 +244,10 @@ class TestTaylor:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_non_finite_state_leaves_no_trace(self, lanes):
-        # the pairing reads slots that each call must hold at zero: after a
-        # NaN state and one that overflows, a finite state's coefficients
-        # are those of a fresh closure
+        # each call writes every slot and block it reads before reading it,
+        # and the zeros past T_0 stay zero: after a NaN state and one that
+        # overflows, a finite state's coefficients are those of a fresh
+        # closure
         p = params_along(1.7)
         rng = np.random.default_rng(15)
         y = rng.standard_normal((lanes, 6))
@@ -259,6 +260,27 @@ class TestTaylor:
         c = taylor([0.0] * lanes, y)
         assert np.isfinite(c).all()
         assert np.array_equal(c, flow.make_taylor(p)([0.0] * lanes, y))
+
+    @pytest.mark.parametrize("order", [(2, 1), (1, 2), (2, 1, 2, 1)])
+    def test_lane_counts_in_any_order(self, order):
+        # a two-leg run expands two lanes, then one when a leg ends: a
+        # closure's bits do not depend on the lane counts it built before,
+        # nor on another closure called in between
+        params = (params_along(1.7), flow.FlowParams(10.0, 5.0))
+        rng = np.random.default_rng(16)
+        ys = {lanes: rng.standard_normal((3, lanes, 6)) for lanes in set(order)}
+        fresh = [{lanes: [flow.make_taylor(p)([0.0] * lanes, y) for y in ys[lanes]]
+                  for lanes in ys} for p in params]
+        closures = [flow.make_taylor(p) for p in params]
+        for lanes in order:
+            for k, y in enumerate(ys[lanes]):
+                for taylor, expected in zip(closures, fresh):
+                    assert np.array_equal(taylor([0.0] * lanes, y), expected[lanes][k])
+
+    def test_shared_cross_map_is_read_only(self):
+        # the one array every closure reads
+        with pytest.raises(ValueError):
+            flow._CROSS[0, 0, 0] = 1.0
 
     def test_lane_does_not_depend_on_other_lanes(self):
         # a lane's bits are the same whatever the other lane holds
