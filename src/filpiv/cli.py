@@ -3,13 +3,15 @@ CSV/JSON outputs.
 
 Subcommands: integrate | fit | connect | zero-a | filament | selfcheck (fit
 on a symmetric branch at a > 0 also compares both tails with the branch's
-conjectured closed forms).  Exit codes: 0 success, 2 config error (a
---config or --out path that cannot serve included), 3 numeric failure, 4
-invariant violation beyond thresholds.  Every output embeds the fully
-resolved and typed config and the artifact version; reruns are
-byte-identical (there is no randomness anywhere).  Every CSV cell is the
-value's `%.17g` rendering, and every undefined value (NaN) is an empty cell;
-the cells are rendered with numpy, a block of rows at a time (_cells).
+conjectured closed forms).  A command returns nothing or raises; main maps
+each failure by one table to a JSON line on stderr and its exit code: 2
+config error (a --config or --out path that cannot serve included), 3
+numeric failure, 4 invariant violation or failed selfcheck criterion; 0
+otherwise.  Every output embeds the fully resolved and typed config and the
+artifact version; reruns are byte-identical (there is no randomness
+anywhere).  Every CSV cell is the value's `%.17g` rendering, and every
+undefined value (NaN) is an empty cell; the cells are rendered with numpy,
+a block of rows at a time (_cells).
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
+
+# each failure's error kind and exit code: the first row whose class matches
+# wins; an OSError is an output path refused at write time
+_OUTCOMES = ((ConfigError, "config", EXIT_CONFIG),
+             (OSError, "config", EXIT_CONFIG),
+             (InvariantViolation, "invariant", EXIT_INVARIANT),
+             (NumericError, "numeric", EXIT_NUMERIC),
+             (FilpivError, "error", EXIT_NUMERIC))
 
 _DEF_THRESHOLDS = {"unit": 1e-8, "eps": 1e-8, "constraint": 1e-8}
 
@@ -164,14 +174,16 @@ def resolve_config(raw: dict) -> dict:
     lo, hi = cfg["s_span"] = _numbers(cfg["s_span"], "s_span", 2)
     if not lo < hi:
         raise ConfigError("s_span must be [lo, hi] with lo < hi")
-    if cfg["fit_window"] is None:
-        s_max = max(abs(lo), abs(hi))
+    if cfg["fit_window"] is None:  # the tails' common reach, inside both
+        s_max = min(abs(lo), abs(hi))
         cfg["fit_window"] = [0.6 * s_max, s_max]
     cfg["fit_window"] = _numbers(cfg["fit_window"], "fit_window", 2)
     cfg["sample_step"] = _number(cfg["sample_step"], "sample_step")
     if not cfg["sample_step"] > 0.0:
         raise ConfigError("sample_step must be > 0")
     cfg["thresholds"] = floats("thresholds", *cfg["thresholds"])
+    if not all(limit > 0.0 for limit in cfg["thresholds"].values()):
+        raise ConfigError(f"thresholds must be > 0, got {cfg['thresholds']}")
     cfg["t_values"] = _numbers(cfg["t_values"], "t_values")
     if not all(t > 0.0 for t in cfg["t_values"]):
         raise ConfigError("t values must be positive")
@@ -194,11 +206,6 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def _flow_params(cfg: dict) -> FlowParams:
-    p = cfg["params"]
-    return FlowParams(p["a"], p["eps"])
-
-
 def _initial_state(cfg: dict, params: FlowParams):
     init = cfg["initial"]
     if "branch" in init:
@@ -214,7 +221,7 @@ def _initial_state(cfg: dict, params: FlowParams):
 def _run_flow(cfg: dict, check: bool = True):
     """The configured flow run; with check, an InvariantViolation when its
     drifts exceed the thresholds (see _check_drifts)."""
-    params = _flow_params(cfg)
+    params = FlowParams(**cfg["params"])
     state0 = _initial_state(cfg, params)
     t = cfg["tolerances"]
     run = integrate_flow(params, state0, cfg["s_span"][0], cfg["s_span"][1],
@@ -295,7 +302,7 @@ def _chunks(grid, columns):
             for start in range(0, len(grid), _SAMPLE_ROWS))
 
 
-def cmd_integrate(cfg: dict, out: Path) -> int:
+def cmd_integrate(cfg: dict, out: Path) -> None:
     # the artefacts of a breaching run are written first, to diagnose it
     params, run = _run_flow(cfg, check=False)
     lo, hi = cfg["s_span"]
@@ -328,7 +335,6 @@ def cmd_integrate(cfg: dict, out: Path) -> int:
     }
     _write_json(out / "diagnostics.json", diag)
     _check_drifts(cfg, drifts)
-    return EXIT_OK
 
 
 def _tail_fields(tail: asympt.TailParams) -> dict:
@@ -346,7 +352,7 @@ def _tail_payload(fr: asympt.FitResult) -> dict:
     }
 
 
-def cmd_fit(cfg: dict, out: Path) -> int:
+def cmd_fit(cfg: dict, out: Path) -> None:
     params, run = _run_flow(cfg)
     window = tuple(cfg["fit_window"])
     fp = asympt.fit_tail(run, 1, window)
@@ -374,11 +380,10 @@ def cmd_fit(cfg: dict, out: Path) -> int:
             "omega_deviation": max(abs(fr.tail.omega - om_c) for fr in (fp, fm)),
         })
     _write_json(out / "fit.json", payload)
-    return EXIT_OK
 
 
-def cmd_connect(cfg: dict, out: Path) -> int:
-    params = _flow_params(cfg)
+def cmd_connect(cfg: dict, out: Path) -> None:
+    params = FlowParams(**cfg["params"])
     spec = cfg["connect"]
     if spec is None:
         raise ConfigError("connect requires a connect block with omega and delta")
@@ -397,11 +402,10 @@ def cmd_connect(cfg: dict, out: Path) -> int:
         "connfI_residuals": res,
     }
     _write_json(out / "connect.json", payload)
-    return EXIT_OK
 
 
-def cmd_zero_a(cfg: dict, out: Path) -> int:
-    params = _flow_params(cfg)
+def cmd_zero_a(cfg: dict, out: Path) -> None:
+    params = FlowParams(**cfg["params"])
     if params.a != 0.0:
         raise ConfigError("zero-a requires a = 0 in the config")
     zp = zero_a.ZeroAParams(params.eps)
@@ -424,10 +428,9 @@ def cmd_zero_a(cfg: dict, out: Path) -> int:
         "T_dot_expected": 2.0 * math.exp(-math.pi * params.eps) - 1.0,
     }
     _write_json(out / "zero_a_report.json", payload)
-    return EXIT_OK
 
 
-def cmd_filament(cfg: dict, out: Path) -> int:
+def cmd_filament(cfg: dict, out: Path) -> None:
     """One filament_t<k>.csv per t: x, the curve gamma(x, t), and the
     curvature and torsion C / sqrt(t) and T / sqrt(t), all from one
     FlowRun.sample read of G, C and T at x / sqrt(t) per chunk of the grid.
@@ -455,17 +458,19 @@ def cmd_filament(cfg: dict, out: Path) -> int:
         ], _chunks(x_grid, columns))
         index.append({"t": t, "file": name})
     _write_json(out / "filament.json", {**_meta(cfg), "curves": index})
-    return EXIT_OK
 
 
-def cmd_selfcheck(out: Path | None) -> int:
+def cmd_selfcheck(out: Path | None) -> None:
+    # the lines and the report are written first, to diagnose a failure
     results = run_selfcheck()
     for res in results:
         print(res.line())
     if out is not None:
         _write_json(out / "selfcheck.json", {
             "version": __version__, "results": [r.record() for r in results]})
-    return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise InvariantViolation(f"selfcheck criteria failed: {', '.join(failed)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -507,14 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(kind: str, exc: Exception) -> str:
-    return _canonical_json({
-        "error": kind,
-        "type": type(exc).__name__,
-        "message": str(exc),
-    })
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -522,37 +519,23 @@ def main(argv=None) -> int:
         if out is not None:
             _check_out(out)
         if args.command == "selfcheck":
-            return cmd_selfcheck(out)
-        if args.config is None:
-            raise ConfigError(f"{args.command} requires --config")
-        if out is None:
-            raise ConfigError(f"{args.command} requires --out")
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except OSError as exc:  # a directory, or a file that cannot be read
-            raise ConfigError(f"config file cannot be read: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return _COMMANDS[args.command](resolve_config(raw), out)
-    except ConfigError as exc:
-        print(_error_payload("config", exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:  # an output path refused at write time
-        print(_error_payload("config", exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except InvariantViolation as exc:
-        print(_error_payload("invariant", exc), file=sys.stderr)
-        return EXIT_INVARIANT
-    except NumericError as exc:
-        print(_error_payload("numeric", exc), file=sys.stderr)
-        return EXIT_NUMERIC
-    except FilpivError as exc:
-        print(_error_payload("error", exc), file=sys.stderr)
-        return EXIT_NUMERIC
+            cmd_selfcheck(out)
+        else:
+            if args.config is None:
+                raise ConfigError(f"{args.command} requires --config")
+            if out is None:
+                raise ConfigError(f"{args.command} requires --out")
+            try:
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+                raise ConfigError(f"config file {args.config} cannot be read: {exc}") from exc
+            _COMMANDS[args.command](resolve_config(raw), out)
+    except (FilpivError, OSError) as exc:
+        kind, code = next((kind, code) for cls, kind, code in _OUTCOMES if isinstance(exc, cls))
+        print(_canonical_json({"error": kind, "type": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ every memoizing cache has a finite size, so a long process cannot grow
 without bound; the CLI parses config values in resolve_config alone;
 odeint steps every integration in one loop, behind its one function; no
 module resizes an array in place with `.resize(`; no module of the package
-or the benchmark but odeint touches a trajectory's `.coeffs`; and no module
-of the package calls flow.make_rhs."""
+or the benchmark but odeint touches a trajectory's `.coeffs`; no module of
+the package calls flow.make_rhs; and only cli maps failures to exit codes,
+in one except clause of main."""
 
 import ast
 import functools
@@ -435,3 +436,51 @@ def test_make_rhs_call_detected():
                      "f = flow.make_rhs(p)\ng = rhs_of(p)(0.0, y)\nmake_rhs = None\n"
                      "h = make_rhs(p)\nk = flow.make_taylor(p)\n")
     assert _make_rhs_calls(tree) == [3, 4, 6]
+
+
+_FAILURES = {"FilpivError", "ConfigError", "NumericError", "InvariantViolation"}
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _exit_mappings(tree: ast.Module) -> list[str]:
+    """Where tree maps failures to exits, as "line: where": each use or
+    import of an EXIT_* name, and each except clause that catches one of the
+    package's error bases, with the top-level function it lies in."""
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for n in ast.walk(top):
+            if (_name(n) or "").startswith("EXIT_"):
+                found.append(f"{n.lineno}: {_name(n)}")
+            elif isinstance(n, ast.alias) and n.name.startswith("EXIT_"):
+                found.append(f"{n.lineno}: {n.name}")
+            elif isinstance(n, ast.ExceptHandler) and n.type is not None \
+                    and _FAILURES & {_name(c) for c in ast.walk(n.type)}:
+                found.append(f"{n.lineno}: except in {where}")
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
+def test_only_cli_maps_failures_to_exits():
+    # one table in cli maps every failure to its exit code: a module that
+    # caught the package's errors or named an exit code itself would be a
+    # second exit path to keep in step with it
+    found = {p.name: _exit_mappings(ast.parse(p.read_text()))
+             for p in Path(filpiv.__file__).parent.glob("*.py")}
+    catches = [f.split(": ", 1)[1] for f in found.pop("cli.py") if "except" in f]
+    assert catches == ["except in main"]
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_exit_mapping_detected():
+    tree = ast.parse("from .cli import EXIT_OK as OK\nfrom . import cli, errors\n"
+                     "def run():\n    try:\n        go()\n"
+                     "    except errors.NumericError:\n        return cli.EXIT_NUMERIC\n"
+                     "    except (ValueError, ConfigError) as exc:\n        pass\n"
+                     "    except ValueError:\n        pass\n"
+                     "try:\n    x = 1\nexcept FilpivError:\n    pass\n")
+    assert _exit_mappings(tree) == ["1: EXIT_OK", "6: except in run", "7: EXIT_NUMERIC",
+                                    "8: except in run", "14: except in <module>"]

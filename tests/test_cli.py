@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filpiv import _cells, cli, flow
+from filpiv import _cells, cli, errors, flow
 from filpiv._cells import format_cells
 from filpiv.cli import (_COMMANDS, _CSV_BLOCK, _MAX_ROWS, _SAMPLE_ROWS, EXIT_CONFIG,
                         EXIT_INVARIANT, EXIT_NUMERIC, EXIT_OK, _run_flow, _write_csv,
@@ -435,6 +435,11 @@ class TestErrors:
                       "t_values": [0.25, 1.0]}, []),
         ("filament", {"x_grid": {"min": -1.5, "max": 1.5, "n": 7},
                       "t_values": [1.0, 4.0, 0.25]}, []),
+        # a threshold no drift can meet: a config error, not an invariant
+        # violation of every run
+        ("integrate", {"thresholds": {"unit": -1}}, []),
+        ("fit", {"thresholds": {"eps": 0.0}}, []),
+        ("filament", {"thresholds": {"constraint": -5e-324}}, []),
     ])
     def test_bad_values_exit_2_with_json_line(self, tmp_path, capsys,
                                               command, extra, flags):
@@ -468,6 +473,48 @@ class TestErrors:
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    # a config file that is missing, a directory, not UTF-8 text or not JSON:
+    # one config error that names the path
+    @pytest.mark.parametrize("name", ["nope.json", ".", "latin1.json", "bad.json"])
+    def test_unreadable_config_is_one_config_error(self, tmp_path, capsys, name):
+        (tmp_path / "latin1.json").write_bytes(b'{"note": "\xe9"}')
+        (tmp_path / "bad.json").write_text('{"params": ')
+        path = str(tmp_path / name)
+        assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["type"]) == ("config", "ConfigError")
+        assert err["message"].startswith(f"config file {path} cannot be read: ")
+
+    # every error class of the package, and an OSError (an output path
+    # refused at write time), raised by a command: its exit code and one
+    # JSON line
+    @pytest.mark.parametrize("cls", [
+        *(v for v in vars(errors).values()
+          if isinstance(v, type) and v.__module__ == errors.__name__),
+        OSError,
+    ], ids=lambda cls: cls.__name__)
+    def test_each_error_class_maps_to_its_exit(self, tmp_path, capsys, monkeypatch, cls):
+        def fail(cfg, out):
+            raise cls("stubbed failure")
+
+        if issubclass(cls, (errors.ConfigError, OSError)):
+            expected = ("config", EXIT_CONFIG)
+        elif issubclass(cls, errors.InvariantViolation):
+            expected = ("invariant", EXIT_INVARIANT)
+        elif issubclass(cls, errors.NumericError):
+            expected = ("numeric", EXIT_NUMERIC)
+        else:
+            assert cls is errors.FilpivError
+            expected = ("error", EXIT_NUMERIC)
+        monkeypatch.setitem(_COMMANDS, "connect", fail)
+        cfg = write_config(tmp_path / "c.json", {"params": {"a": 1.0, "eps": 0.5}})
+        code = main(["connect", "--config", cfg, "--out", str(tmp_path / "o")])
+        (line,) = capsys.readouterr().err.splitlines()
+        err = parse_strict(line)
+        assert (err["error"], code) == expected
+        assert (err["type"], err["message"]) == (cls.__name__, "stubbed failure")
 
     # a path refused only at write time (an unwritable directory, a full disk)
     def test_write_failure_exits_2_with_json_line(self, tmp_path, capsys, monkeypatch):
@@ -723,6 +770,22 @@ class TestFit:
         assert math.isfinite(payload["plus"]["rho_re"])
 
 
+    def test_default_window_lies_inside_both_tails(self, tmp_path):
+        # on an asymmetric span the default window ends at the shorter tail:
+        # [0.6, 1] * 30 here, where the longer tail's 40 left the span
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1, "eps": 0.5}, "initial": {"branch": "odd"},
+            "s_span": [-30, 40],
+        })
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = parse_strict((out / "fit.json").read_text())
+        assert payload["config"]["fit_window"] == [18.0, 30.0]
+        omega = payload["prediction"]["omega"]
+        assert abs(payload["plus"]["omega"] - omega) <= 1e-3
+        assert abs(payload["minus"]["omega"] - omega) <= 1e-3
+
+
 class TestConnect:
     @pytest.mark.parametrize("a", [20.0, 50.0, 70.0])
     def test_strong_axis_tail_maps(self, tmp_path, a):
@@ -910,6 +973,27 @@ class TestSelfcheckCommand:
         rc = main(["selfcheck"])
         assert rc == 4
         assert "[FAIL] beta" in capsys.readouterr().out
+
+    def test_failing_selfcheck_reports_like_any_failure(self, tmp_path, monkeypatch, capsys):
+        # its lines and report first, then exit 4 with one JSON line that
+        # names the failed criteria
+        from filpiv.selfcheck import CriterionResult
+
+        monkeypatch.setattr(cli, "run_selfcheck", lambda: [
+            CriterionResult("alpha", [("x", 1.0, 2.0)]),
+            CriterionResult("beta", [("z", 2.5, 2.0)]),
+            CriterionResult("gamma", [("w", 3.0, 1.0)])])
+        out = tmp_path / "o"
+        assert main(["selfcheck", "--out", str(out)]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["[FAIL] beta: z 2.5 (<= 2)",
+                                                 "[FAIL] gamma: w 3 (<= 1)"]
+        report = parse_strict((out / "selfcheck.json").read_text())
+        assert [r["passed"] for r in report["results"]] == [True, False, False]
+        (line,) = captured.err.splitlines()
+        err = parse_strict(line)
+        assert (err["error"], err["type"]) == ("invariant", "InvariantViolation")
+        assert err["message"] == "selfcheck criteria failed: beta, gamma"
 
     def test_real_criterion_report_is_json(self, tmp_path, monkeypatch, runs):
         # numpy scalars from a real criterion must not reach the JSON writer
