@@ -527,7 +527,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.command} requires --out")
             try:
                 raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+            # missing, a directory, not UTF-8, not JSON, nested past the recursion limit
+            except (OSError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"config file {args.config} cannot be read: {exc}") from exc
             _COMMANDS[args.command](resolve_config(raw), out)
     except (FilpivError, OSError) as exc:

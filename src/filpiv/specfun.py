@@ -301,19 +301,24 @@ def _continued_1f1(alpha, gamma, z, radius, m):
     raise DomainError(f"1F1 continued to z={z} overflows a float")
 
 
-def _asymptotic_sum(a, b, w):
-    """sum_k (a)_k (b)_k / (k! w^k), cut before the smallest term or once a
-    term drops to _TOL; returns (sum, size of the last term kept)."""
-    term = 1.0 + 0.0j
-    total = term
-    t_min = abs(term)
+def _asymptotic_sum(branch, w):
+    """sum_k (a)_k (b)_k / (k! w^k) of a branch (ratios, a, b) of
+    _asymptotic_params: each term is the last times r_k / w, with the cached
+    r_k = (a + k)(b + k)/(k + 1).  Cut before the smallest term or once a term
+    drops to _TOL; returns (sum, size of the last term kept)."""
+    ratios, a, b = branch
+    term = total = 1.0 + 0.0j
+    t_min = 1.0
     for k in range(_MAX_TERMS):
-        term = term * (a + k) * (b + k) / ((k + 1.0) * w)
-        if abs(term) >= t_min:
+        if k == len(ratios):
+            ratios.append((a + k) * (b + k) / (k + 1.0))
+        term = term * ratios[k] / w
+        size = abs(term)
+        if size >= t_min:
             break
         total += term
-        t_min = abs(term)
-        if t_min <= _TOL:
+        t_min = size
+        if size <= _TOL:
             break
     return total, t_min
 
@@ -327,18 +332,28 @@ def _connection_coeffs(alpha, gamma):
     return g * rgamma(gamma - alpha), g * rgamma(alpha)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _asymptotic_params(alpha, gamma):
+    """(i pi alpha, z^{-alpha} branch, e^z branch) of the 1F1 asymptotics; a
+    branch's term ratios grow as its sums need them, up to _MAX_TERMS."""
+    return (1j * cmath.pi * alpha, ([], alpha, alpha - gamma + 1.0),
+            ([], gamma - alpha, 1.0 - alpha))
+
+
 def _asymptotic_1f1(alpha, gamma, z):
-    """Large-|z| compound expansion with both exponential branches.
+    """Large-|z| compound expansion (DLMF 13.7) with both exponential
+    branches, from the cached term ratios, i pi alpha and Gamma prefactors.
 
     Returns (value, relative error estimate from the first omitted terms).
     """
-    s1, t1_min = _asymptotic_sum(alpha, alpha - gamma + 1.0, -z)  # z^{-alpha}
-    s2, t2_min = _asymptotic_sum(gamma - alpha, 1.0 - alpha, z)  # e^z z^{alpha-gamma}
+    i_pi_alpha, branch1, branch2 = _asymptotic_params(alpha, gamma)
+    s1, t1_min = _asymptotic_sum(branch1, -z)  # z^{-alpha}
+    s2, t2_min = _asymptotic_sum(branch2, z)  # e^z z^{alpha-gamma}
     sign = 1.0 if z.imag >= 0.0 else -1.0
     logz = cmath.log(z)
     c1, c2 = _connection_coeffs(alpha, gamma)
     try:
-        p1 = c1 * cmath.exp(sign * 1j * cmath.pi * alpha - alpha * logz)
+        p1 = c1 * cmath.exp(sign * i_pi_alpha - alpha * logz)
         p2 = c2 * cmath.exp(z + (alpha - gamma) * logz)
     except OverflowError:  # a branch beyond the float range: no estimate
         return complex(math.nan), math.inf

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -486,6 +487,21 @@ class TestErrors:
         err = json.loads(line)
         assert (err["error"], err["type"]) == ("config", "ConfigError")
         assert err["message"].startswith(f"config file {path} cannot be read: ")
+
+    # a config nested past the recursion limit makes json raise
+    # RecursionError: still one config error, parsed in this process on this
+    # thread, and nothing written
+    def test_config_nested_past_recursion_limit_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        threads = threading.active_count()
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert threading.active_count() == threads
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["type"]) == ("config", "ConfigError")
+        assert err["message"].startswith(f"config file {path} cannot be read: maximum recursion")
+        assert not (tmp_path / "o").exists()
 
     # every error class of the package, and an OSError (an output path
     # refused at write time), raised by a command: its exit code and one

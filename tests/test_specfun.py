@@ -404,6 +404,65 @@ class TestContinuation:
             assert outcome(sf._taylor_step, *args) == outcome(_per_term_taylor_step, *args), args
 
 
+def _per_term_asymptotic_sum(a, b, w):
+    """specfun._asymptotic_sum with each term's factors formed per term, as
+    before the term ratios were cached: the reference of the sums."""
+    term = 1.0 + 0.0j
+    total = term
+    t_min = abs(term)
+    for k in range(sf._MAX_TERMS):
+        term = term * (a + k) * (b + k) / ((k + 1.0) * w)
+        if abs(term) >= t_min:
+            break
+        total += term
+        t_min = abs(term)
+        if t_min <= sf._TOL:
+            break
+    return total, t_min
+
+
+class TestAsymptoticSums:
+    """The asymptotic sums from cached term ratios agree with the per-term
+    sums to their own truncation, and the expansion serves (or falls back to
+    the continuation) where it did."""
+
+    def test_match_per_term_sums_and_regime(self, monkeypatch):
+        rng = np.random.RandomState(13)
+        cases = []
+        for _ in range(1500):
+            m = 400.0 * rng.uniform() ** 2  # m up to 400, most of them small
+            alpha = cmath.rect(rng.uniform(0.0, m), rng.uniform(-math.pi, math.pi))
+            gamma = alpha + cmath.rect(rng.uniform(0.0, m), rng.uniform(-math.pi, math.pi))
+            # |z| from 30 to 500 with Re z >= 0, as hyp1f1 calls it, both signs of Im z
+            z = cmath.rect(rng.uniform(30.0, 500.0), rng.uniform(-0.5, 0.5) * math.pi)
+            cases.append((alpha, gamma, z))
+
+        def served(alpha, gamma, z):  # the expansion's decision, or its error
+            try:
+                return sf._asymptotic_1f1(alpha, gamma, z)[1]
+            except FilpivError as exc:
+                return type(exc)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sf, "_asymptotic_sum",
+                       lambda branch, w: _per_term_asymptotic_sum(branch[1], branch[2], w))
+            ref_errs = [served(*case) for case in cases]
+        decided = 0
+        for (alpha, gamma, z), ref_err in zip(cases, ref_errs):
+            _, branch1, branch2 = sf._asymptotic_params(alpha, gamma)
+            for branch, w in ((branch1, -z), (branch2, z)):
+                got, _ = sf._asymptotic_sum(branch, w)
+                ref, t_min = _per_term_asymptotic_sum(branch[1], branch[2], w)
+                assert abs(got - ref) <= 2.0 * t_min + 1e-15 * abs(ref), (alpha, gamma, z)
+            err = served(alpha, gamma, z)
+            if isinstance(ref_err, type):
+                assert err is ref_err, (alpha, gamma, z)
+            elif not abs(ref_err - 1e-11) <= 0.01e-11:
+                assert (err < 1e-11) == (ref_err < 1e-11), (alpha, gamma, z, err, ref_err)
+                decided += ref_err < 1e-11
+        assert decided > 100  # the expansion serves a share of the cases
+
+
 class TestPcfD:
     @pytest.mark.parametrize("z", [0.4, 1.5j, -2.2 + 0.3j, 3.0 * cmath.exp(0.25j * cmath.pi)])
     def test_order_zero(self, z):

@@ -330,7 +330,8 @@ class TestGPrimePcf:
 
 
 def clear_parameter_caches():
-    for cached in (sf._connection_coeffs, sf._pcf_rgammas, zero_a._pcf_constants):
+    for cached in (sf._connection_coeffs, sf._asymptotic_params, sf._pcf_rgammas,
+                   zero_a._pcf_constants):
         cached.cache_clear()
 
 
@@ -354,6 +355,34 @@ class TestParameterCaches:
             per_point.append(len(calls) - before)
         assert per_point[0] > 0
         assert per_point[1:] == [0] * 49
+
+    def test_no_new_ratios_after_first_point(self, monkeypatch):
+        clear_parameter_caches()
+        params = sf._asymptotic_params
+        seen = {}  # every entry handed out, by identity
+
+        def counted(alpha, gamma):
+            entry = params(alpha, gamma)
+            seen[id(entry)] = entry
+            return entry
+
+        def ratios():
+            return sum(len(branch[0]) for entry in seen.values() for branch in entry[1:])
+
+        monkeypatch.setattr(sf, "_asymptotic_params", counted)
+
+        p = zero_a.ZeroAParams(3.0)
+        # the first point lies just outside |z| = 30, where the asymptotic
+        # sums run longest; the rest, both signs, need no further ratio
+        s_first = 2.0 * math.sqrt(sf._SWITCH_RADIUS) + 1e-9
+        per_point = []
+        for s in (s_first, -s_first, *np.linspace(-28.0, 28.0, 50)):
+            before = ratios()
+            zero_a.g_prime_hyp(float(s), p)
+            zero_a.g_prime_pcf(float(s), p)
+            per_point.append(ratios() - before)
+        assert per_point[0] > 0
+        assert per_point[1:] == [0] * 51
 
     # the three 1F1 regimes (|z| = s^2/4 up to 10, 30 and beyond), both signs
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, 3.0, 10.0, 20.0])
