@@ -28,7 +28,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .flow import FlowParams, FlowRun
-from .specfun import arg_gamma_one_plus_ix, check_exponents
+from .specfun import _LOG_FLOAT_MAX, arg_gamma_one_plus_ix, check_exponents
 
 __all__ = [
     "TailParams",
@@ -294,11 +294,11 @@ def fit_tail(run: FlowRun, side: int, window) -> FitResult:
 def _fit_side(run: FlowRun, side: int, window) -> FitResult:
     params = run.params
     ms = _window_grid(window)
-    span_ok = (side * ms[-1] <= run.s_max + 1e-9) if side > 0 else (
-        -ms[-1] >= run.s_min - 1e-9
-    )
-    if not span_ok:
-        raise ConfigError("fit window outside the trajectory span")
+    ends = sorted((side * float(ms[0]), side * float(ms[-1])))
+    # both ends, at the slack of the reader (Trajectory.states_at)
+    if not (run.s_min - 1e-12 <= ends[0] and ends[1] <= run.s_max + 1e-12):
+        raise ConfigError(f"fit window [{ms[0]}, {ms[-1]}] at s in {ends} lies outside "
+                          f"the trajectory span [{run.s_min}, {run.s_max}]")
     sig_p = run.gp(side * ms) @ params.a_vec
     grid = (ms, ms**2, ms**3, np.log(ms / math.sqrt(2.0)), 0.25 * ms**2)
 
@@ -431,12 +431,17 @@ def connfI_residuals(plus: TailParams, minus: TailParams, params: FlowParams) ->
     The first relation is evaluated in both orientations (predicting each
     side from the other), the second in its conjugate form (see
     _relation_b); residuals are normalized by the largest additive term of
-    the corresponding equation.  A DomainError where a term of the first
-    relation overflows a float.
+    the corresponding equation.  An orientation whose e^{4 pi w} or
+    e^{-Im rho} overflows a float (omega above about 56.5, as on the odd
+    branch from eps = a = 170) has no residual: NaN.  A DomainError where
+    the connection constant S overflows.
     """
     s_const = _s_const(params)
     out = {}
     for name, t_in, t_out in (("a_upper", plus, minus), ("a_lower", minus, plus)):
+        if not all(x <= _LOG_FLOAT_MAX for x in (4.0 * math.pi * t_in.omega, -t_in.rho.imag)):
+            out[name] = math.nan  # where _relation_a raises
+            continue
         term1, term2 = _relation_a(t_in, s_const)
         lhs = math.exp(-2.0 * math.pi * t_out.omega)
         scale = max(abs(term1), abs(term2), abs(lhs), 1.0)

@@ -62,8 +62,8 @@ _MAX_ROWS = 10**7
 # table's and file's
 _CSV_BLOCK = 512
 
-# grid points sampled per FlowRun.sample call for a CSV: one chunk's columns
-# are held, not the whole grid's; below about 2,048 a call's fixed cost shows
+# grid points sampled per FlowRun.sample call for a CSV: one sample's table
+# is held, not the whole grid's; below about 2,048 a call's fixed cost shows
 _SAMPLE_ROWS = 8 * _CSV_BLOCK
 
 
@@ -271,16 +271,16 @@ def _csv_header_lines(cfg: dict) -> list[str]:
     return [f"# filpiv {__version__}", f"# config: {_canonical_json(cfg)}"]
 
 
-def _write_csv(path: Path, header_lines: list[str], chunks) -> None:
-    """Write the header lines, then one row per entry of each chunk's columns:
-    chunks yields, per chunk of rows, a list of the columns (each 1-d, or 2-d
-    for several columns side by side).
+def _write_csv(path: Path, header_lines: list[str], grid, columns) -> None:
+    """Write the header lines, then one row per point of grid: columns(points)
+    gives the columns (each 1-d, or 2-d for several columns side by side) at
+    _SAMPLE_ROWS points of grid at a time.
 
     Every cell is the `%.17g` text of its value (the same as
-    `format(x, ".17g")`) and every NaN an empty cell.  Each block of
-    _CSV_BLOCK rows is stacked from the columns' slices and rendered by
-    _cells.format_cells, so neither the whole table nor the whole text is
-    held.
+    `format(x, ".17g")`) and every NaN an empty cell.  Each sample's columns
+    are stacked into one table, whose blocks of _CSV_BLOCK rows
+    _cells.format_cells renders, so neither the whole table nor the whole
+    text is held.
     """
     # imported here, not with cli: a process that writes no CSV (every
     # subcommand but integrate and filament, and a library caller of the other
@@ -290,16 +290,10 @@ def _write_csv(path: Path, header_lines: list[str], chunks) -> None:
     _create_parent(path)
     with path.open("wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode())
-        for chunk in chunks:
-            for start in range(0, len(chunk[0]), _CSV_BLOCK):
-                fh.write(format_cells(np.column_stack(
-                    [col[start:start + _CSV_BLOCK] for col in chunk])))
-
-
-def _chunks(grid, columns):
-    """columns(points) per chunk of _SAMPLE_ROWS points of grid, made lazily."""
-    return (columns(grid[start:start + _SAMPLE_ROWS])
-            for start in range(0, len(grid), _SAMPLE_ROWS))
+        for start in range(0, len(grid), _SAMPLE_ROWS):
+            table = np.column_stack(columns(grid[start:start + _SAMPLE_ROWS]))
+            for row in range(0, len(table), _CSV_BLOCK):
+                fh.write(format_cells(table[row:row + _CSV_BLOCK]))
 
 
 def cmd_integrate(cfg: dict, out: Path) -> None:
@@ -314,7 +308,7 @@ def cmd_integrate(cfg: dict, out: Path) -> None:
 
     cols = "s,G1,G2,G3,Gp1,Gp2,Gp3,sigma,sigma_p,sigma_pp,C,T,eps_drift,unit_drift"
     grid = np.linspace(lo, hi, round((hi - lo) / cfg["sample_step"]) + 1)
-    _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], _chunks(grid, columns))
+    _write_csv(out / "trajectory.csv", _csv_header_lines(cfg) + [cols], grid, columns)
 
     drifts = run.drift_diagnostics()
     steps = np.diff(run.traj.s_nodes)
@@ -433,7 +427,7 @@ def cmd_zero_a(cfg: dict, out: Path) -> None:
 def cmd_filament(cfg: dict, out: Path) -> None:
     """One filament_t<k>.csv per t: x, the curve gamma(x, t), and the
     curvature and torsion C / sqrt(t) and T / sqrt(t), all from one
-    FlowRun.sample read of G, C and T at x / sqrt(t) per chunk of the grid.
+    FlowRun.sample read of G, C and T at x / sqrt(t) per _SAMPLE_ROWS points.
 
     The curve is flow.reconstruct_filament's map applied to that G column,
     so the curves keep reconstruct_filament's bits.  Every t's two grid ends
@@ -455,7 +449,7 @@ def cmd_filament(cfg: dict, out: Path) -> None:
 
         _write_csv(out / name, _csv_header_lines(cfg) + [
             f"# t: {t:.17g}", "x,gamma1,gamma2,gamma3,curvature,torsion",
-        ], _chunks(x_grid, columns))
+        ], x_grid, columns)
         index.append({"t": t, "file": name})
     _write_json(out / "filament.json", {**_meta(cfg), "curves": index})
 

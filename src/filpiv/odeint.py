@@ -87,10 +87,8 @@ class Trajectory:
         """Steps taken towards decreasing s."""
         return int(np.count_nonzero(self.h < 0.0))
 
-    @property
-    def rhs_evals(self) -> int:
-        """Taylor expansions taken: one per step."""
-        return len(self.h)
+    # Taylor expansions taken: one per step
+    rhs_evals = n_steps
 
     @property
     def n_rejected(self) -> int:

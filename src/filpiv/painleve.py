@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InconsistentJetError
 from .flow import FlowParams, SigmaJet
-from .odeint import ORDER, IntegratorConfig, Trajectory, integrate
+from .odeint import ORDER, Trajectory, integrate
 
 __all__ = ["sp4_residual", "sp4_integrate", "SigmaPath"]
 
@@ -49,7 +49,7 @@ class SigmaPath:
         return SigmaJet(s, y[..., 0], y[..., 1], y[..., 2])
 
 
-def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorConfig | None = None) -> SigmaPath:
+def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span) -> SigmaPath:
     """Integrate sigma''' = f(s, sigma, sigma') from a full jet over s_span;
     the jet must satisfy the quadratic equation and lie in a non-empty
     span (a RangeError otherwise)."""
@@ -61,7 +61,7 @@ def sp4_integrate(jet0: SigmaJet, params: FlowParams, s_span, cfg: IntegratorCon
         )
     y0 = np.array([jet0.sigma, jet0.sigma_p, jet0.sigma_pp])
     return SigmaPath(integrate(_sp4_taylor(params), y0, jet0.s,
-                               float(min(s_span)), float(max(s_span)), cfg))
+                               float(min(s_span)), float(max(s_span))))
 
 
 def _sp4_taylor(params: FlowParams):

@@ -222,12 +222,7 @@ def crit_planar_spiral(cache: RunCache) -> CriterionResult:
     [40, 70] where the larger tail corrections have decayed)."""
     a = 10.0
     eps, delta = symmetric.planar_spiral(a)
-
-    def build():
-        params, st = symmetric_run_state(a, eps, "odd")
-        return integrate_flow(params, st, -70.0, 70.0)
-
-    run = cache.get(("planar", a), build)
+    run = cache.grid_run(a, eps, "odd", s_max=70.0)
     eps6om = [abs(eps + 6.0 * asympt.fit_tail(run, side, (40.0, 70.0)).tail.omega)
               for side in (1, -1)]
     return CriterionResult("planar spiral", [

@@ -324,20 +324,14 @@ def _asymptotic_sum(branch, w):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _connection_coeffs(alpha, gamma):
-    """(Gamma(gamma)/Gamma(gamma - alpha), Gamma(gamma)/Gamma(alpha)), the
-    prefactors of the two exponential branches of the 1F1 asymptotics; they
-    depend on the parameters only, so each pair is computed once."""
-    g = cgamma(gamma)
-    return g * rgamma(gamma - alpha), g * rgamma(alpha)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _asymptotic_params(alpha, gamma):
-    """(i pi alpha, z^{-alpha} branch, e^z branch) of the 1F1 asymptotics; a
-    branch's term ratios grow as its sums need them, up to _MAX_TERMS."""
-    return (1j * cmath.pi * alpha, ([], alpha, alpha - gamma + 1.0),
-            ([], gamma - alpha, 1.0 - alpha))
+    """(i pi alpha, Gamma(gamma)/Gamma(gamma - alpha), Gamma(gamma)/Gamma(alpha),
+    z^{-alpha} branch, e^z branch) of the 1F1 asymptotics: everything that
+    depends on the parameters only, computed once per pair.  A branch's term
+    ratios grow as its sums need them, up to _MAX_TERMS."""
+    g = cgamma(gamma)
+    return (1j * cmath.pi * alpha, g * rgamma(gamma - alpha), g * rgamma(alpha),
+            ([], alpha, alpha - gamma + 1.0), ([], gamma - alpha, 1.0 - alpha))
 
 
 def _asymptotic_1f1(alpha, gamma, z):
@@ -346,12 +340,11 @@ def _asymptotic_1f1(alpha, gamma, z):
 
     Returns (value, relative error estimate from the first omitted terms).
     """
-    i_pi_alpha, branch1, branch2 = _asymptotic_params(alpha, gamma)
+    i_pi_alpha, c1, c2, branch1, branch2 = _asymptotic_params(alpha, gamma)
     s1, t1_min = _asymptotic_sum(branch1, -z)  # z^{-alpha}
     s2, t2_min = _asymptotic_sum(branch2, z)  # e^z z^{alpha-gamma}
     sign = 1.0 if z.imag >= 0.0 else -1.0
     logz = cmath.log(z)
-    c1, c2 = _connection_coeffs(alpha, gamma)
     try:
         p1 = c1 * cmath.exp(sign * i_pi_alpha - alpha * logz)
         p2 = c2 * cmath.exp(z + (alpha - gamma) * logz)

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from filpiv import selfcheck as sc
+from filpiv import selfcheck as sc, symmetric
+from filpiv.flow import integrate_flow
 
 _TIMINGS: dict[str, float] = {}
 
@@ -45,6 +46,24 @@ def test_criterion_3_zero_axis_tangents(cache):
 
 def test_criterion_4_planar_spiral(cache):
     _run(sc.crit_planar_spiral, cache)
+
+
+def test_planar_spiral_reads_the_grid_run(monkeypatch):
+    # criterion 4 integrates nothing on a cache that holds the grid run over
+    # |s| <= 70, whose bits are those of a run at the default settings
+    eps = symmetric.planar_spiral(10.0)[0]
+    cache = sc.RunCache()
+    traj = cache.grid_run(10.0, eps, "odd", s_max=70.0).traj
+    ref = integrate_flow(*sc.symmetric_run_state(10.0, eps, "odd"), -70.0, 70.0).traj
+    for got, want in ((traj.s_nodes, ref.s_nodes), (traj.states, ref.states),
+                      (traj.coeffs[0], ref.coeffs[0])):
+        assert got.tobytes() == want.tobytes()
+
+    def integrate_flow_called(*args):
+        raise AssertionError("crit_planar_spiral integrated a run")
+
+    monkeypatch.setattr(sc, "integrate_flow", integrate_flow_called)
+    assert sc.crit_planar_spiral(cache).passed
 
 
 def test_criterion_5_symmetric_tail_predictions(cache):

@@ -181,16 +181,17 @@ class TestIntegrate:
         assert len(grid) > 4 * _SAMPLE_ROWS
         smp = run.sample(grid)
         header = (out / "trajectory.csv").read_text().splitlines()[:3]
-        _write_csv(tmp_path / "t.csv", header, [[
+        whole = np.column_stack([
             smp["s"], smp["G"], smp["Gp"], smp["sigma"], smp["sigma_p"], smp["sigma_pp"],
-            smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]]])
+            smp["C"], smp["T"], smp["eps_drift"], smp["unit_drift"]])
+        _write_csv(tmp_path / "t.csv", header, whole, lambda rows: [rows])
         assert (tmp_path / "t.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
         x = np.linspace(-10.0, 10.0, 3 * _SAMPLE_ROWS + 5)
         ((t, curve),) = reconstruct_filament(run, [2.0], x)
         smp = run.sample(x / math.sqrt(t))
         header = (out / "filament_t0.csv").read_text().splitlines()[:4]
-        _write_csv(tmp_path / "f.csv", header,
-                   [[x, curve, smp["C"] / math.sqrt(t), smp["T"] / math.sqrt(t)]])
+        whole = np.column_stack([x, curve, smp["C"] / math.sqrt(t), smp["T"] / math.sqrt(t)])
+        _write_csv(tmp_path / "f.csv", header, whole, lambda rows: [rows])
         assert (tmp_path / "f.csv").read_bytes() == (out / "filament_t0.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path, zero_a_config):
@@ -235,15 +236,15 @@ class TestWriteCsv:
         # "nan" in a header line is kept: only formatted rows are blanked
         header = ["# filpiv test", '# config: {"nan": null}', "a,b,c,d,e,f,g,h,i"]
         path = tmp_path / "t.csv"
-        _write_csv(path, header, [[table[:, 0], table[:, 1:4], table[:, 4:]]])
+        _write_csv(path, header, table, lambda rows: [rows[:, 0], rows[:, 1:4], rows[:, 4:]])
         # the per-cell rendering the block formatter replaced
         rows = [",".join(_cell(v) for v in row) for row in table]
         assert path.read_bytes() == ("\n".join(header + rows) + "\n").encode()
 
     def test_peak_memory_is_one_block(self, tmp_path):
         # the table of 40,000 rows and 14 columns holds 4.5 MB: a write that
-        # stacked it whole (5.1 MB traced) fails; one block's cells,
-        # temporaries and text take about 1 MB
+        # stacked it whole (5.1 MB traced) fails; one sample's table (0.46 MB)
+        # and one block's cells, temporaries and text (about 1 MB) fit
         rows = 40_000
         rng = np.random.default_rng(3)
         columns = [rng.standard_normal(rows), rng.standard_normal((rows, 3)),
@@ -251,7 +252,8 @@ class TestWriteCsv:
         _cells._cell_tables()  # built once per process, on the first write
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "t.csv", ["# big"], [columns])
+            _write_csv(tmp_path / "t.csv", ["# big"], np.arange(rows),
+                       lambda i: [col[i[0]:i[-1] + 1] for col in columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,6 +357,26 @@ class TestErrors:
         })
         assert main(["fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    # an outer end 5e-10 past the span (within a 1e-9 slack, beyond the
+    # reader's 1e-12), and an inner end before a Cauchy-data span's start
+    @pytest.mark.parametrize("extra, window, span", [
+        ({"initial": {"branch": "odd"}, "s_span": [-30.0, 30.0]},
+         "[18.0, 30.0000000005]", "[-30.0, 30.0]"),
+        ({"initial": {**_CAUCHY, "s0": 20.0}, "s_span": [20.0, 60.0]},
+         "[15.0, 50.0]", "[20.0, 60.0]"),
+    ], ids=["outer_end", "inner_end"])
+    def test_window_outside_span_names_both(self, tmp_path, capsys, extra, window, span):
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": 1.0, "eps": 0.5}, "fit_window": json.loads(window), **extra})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["message"].startswith(f"fit window {window} at s in ")
+        assert err["message"].endswith(f"outside the trajectory span {span}")
+        assert err["type"] == "ConfigError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, flags", [
         ("integrate", {"tolerances": {"rel": 0.0}}, []),
@@ -631,8 +653,9 @@ class TestErrors:
     # at a = 150 only the product of the constraint's factors overflows),
     # and the connection relations on admissible tails (a = 120, 155: the
     # e^{i rho_out} quotient; a = 200: e^{-2 pi omega_out} and e^{4 pi omega_in}),
-    # and fits of symmetric branches (eps = a = 170: e^{4 pi omega} in the
-    # connection residuals at omega = a/3; eps = 300: the fitted tails'
+    # and fits of symmetric branches (eps = a = 230: pi a in the connection
+    # constant, past the e^{4 pi omega} at omega = a/3 that leaves the
+    # residuals null, see TestFit; eps = 300: the fitted tails'
     # reality constraint, the tail roots being finite in factored form;
     # a = 500: pi a in the connection constant, before the tail roots'
     # cosh(pi a/2)); last, an admissible tail at a = 157 whose e^{i rho_out}
@@ -642,7 +665,7 @@ class TestErrors:
         ("zero-a", {"params": {"a": 0.0, "eps": 950.0}}),
         ("zero-a", {"params": {"a": 0.0, "eps": 3000.0}}),
         ("fit", {"params": {"a": 300.0, "eps": 0.3}, "initial": {"branch": "odd"}}),
-        ("fit", {"params": {"a": 170.0, "eps": 170.0}, "initial": {"branch": "odd"}}),
+        ("fit", {"params": {"a": 230.0, "eps": 230.0}, "initial": {"branch": "odd"}}),
         ("connect", {"params": {"a": 150.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 155.0, "eps": 0.3}, "connect": _TAIL}),
         ("connect", {"params": {"a": 220.0, "eps": 0.3}, "connect": _TAIL}),
@@ -727,6 +750,24 @@ class TestErrors:
 
 
 class TestFit:
+    # at omega = a/3 past about 56.5, e^{4 pi omega} in the first connection
+    # relation overflows a float; the fits, the prediction and the roots do not
+    @pytest.mark.parametrize("a", [170.0, 200.0])
+    def test_overflowing_residuals_are_null(self, tmp_path, capsys, a):
+        cfg = write_config(tmp_path / "c.json", {
+            "params": {"a": a, "eps": a}, "initial": {"branch": "odd"}})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        payload = parse_strict((out / "fit.json").read_text())
+        res = payload["connfI_residuals"]
+        assert res["a_upper"] is None and res["a_lower"] is None
+        assert math.isfinite(res["b"])
+        for side in ("plus", "minus"):
+            assert payload[side]["omega"] == pytest.approx(a / 3.0, rel=1e-12)
+        assert payload["prediction"]["omega"] == pytest.approx(a / 3.0, rel=1e-15)
+        assert len(payload["x_roots"]) == 4
+
     def test_symmetric_run_sides_agree(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "params": {"a": 1.0, "eps": 0.0},

@@ -330,8 +330,7 @@ class TestGPrimePcf:
 
 
 def clear_parameter_caches():
-    for cached in (sf._connection_coeffs, sf._asymptotic_params, sf._pcf_rgammas,
-                   zero_a._pcf_constants):
+    for cached in (sf._asymptotic_params, sf._pcf_rgammas, zero_a._pcf_constants):
         cached.cache_clear()
 
 
@@ -367,7 +366,7 @@ class TestParameterCaches:
             return entry
 
         def ratios():
-            return sum(len(branch[0]) for entry in seen.values() for branch in entry[1:])
+            return sum(len(branch[0]) for entry in seen.values() for branch in entry[3:])
 
         monkeypatch.setattr(sf, "_asymptotic_params", counted)
 
@@ -409,10 +408,10 @@ class TestParameterCaches:
             # 1F1's; hyp1f1 refuses the parameters before
             (DomainError, lambda: sf.pcf_d(1500j, 1.0)),
             (DomainError, lambda: sf.hyp1f1(1.0 - 750j, 1.5, 100j)),
-            (DomainError, lambda: sf._connection_coeffs(1.0 - 750j, 1.5)),
-            # the 1F1 Gamma pole, in hyp1f1 and in its coefficients
+            (DomainError, lambda: sf._asymptotic_params(1.0 - 750j, 1.5)),
+            # the 1F1 Gamma pole, in hyp1f1 and in its asymptotic parameters
             (GammaPoleError, lambda: sf.hyp1f1(1.0, -2.0, 1.0)),
-            (GammaPoleError, lambda: sf._connection_coeffs(1.0, -2.0)),
+            (GammaPoleError, lambda: sf._asymptotic_params(1.0, -2.0)),
         )
         for error, call in calls:
             for _ in range(2):
